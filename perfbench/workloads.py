@@ -157,10 +157,6 @@ def cli_op(cli, name: str, command: str, config: dict, out_dir: Path, check, ext
     return Op(name, run, lambda result: check(config, result), cleanup)
 
 
-def summary(result) -> dict[str, str]:
-    return dict(part.split("=", 1) for part in result["stdout"].split()[1:])
-
-
 # ---------------------------------------------------------------- simulate_records
 
 
@@ -447,7 +443,7 @@ def _check_threshold(config, result):
 
 def _check_collective(config, result):
     _, _, vals, w, _ = _branches_of(config)
-    header, rows = read_table(result["collective.csv"])
+    _, rows = read_table(result["collective.csv"])
     values = {(int(n), metric): float(v) for n, metric, v in rows}
     problems = []
     for n in {n for n, _ in values}:
