@@ -40,7 +40,6 @@ from .errors import (
     OrthogonalPostselection,
     ProportionalToIdentity,
     SchemaError,
-    TermBudgetExceeded,
     WeakmeasError,
     ZeroProbabilityOutcome,
 )
@@ -90,13 +89,10 @@ from .protocols import (
     unconditional_meter_density,
 )
 from .collective import (
-    CollectivePointer,
     CollectiveSetup,
-    LogWeightedTerm,
     collective_conditional_density,
     collective_conditional_mean,
     collective_log_postselection_probability,
-    collective_postselected_pointer,
     collective_postselection_ratio,
 )
 from .lindblad import (

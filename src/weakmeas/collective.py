@@ -1,52 +1,48 @@
 """One meter coupled to N identical systems through the averaged observable.
 
-The post-selected meter amplitude is ``(sum_i w_i D(lam a_i / N))^N`` acting
-on the initial Gaussian, with ``w_i = <phi|P_i|psi>`` and ``D`` a position
-displacement. Expanding multinomially gives ``C(N+k-1, k-1)`` Gaussian terms
-(k distinct eigenvalues) with centers ``lam`` times the mean of the chosen
-eigenvalues; :func:`collective_postselected_pointer` builds exactly that,
-with weights in (log magnitude, phase) form because the overall scale
-``|<phi|psi>|^N`` underflows double precision long before interesting N.
+Each system couples to the meter with strength ``lam / N``. In the x' basis
+the couplings act as phases, so post-selecting phi on every system leaves the
+meter in
 
-Evaluation (densities, means, post-selection probability) does not sum the
-expansion directly: for small overlaps the terms cancel down by a factor
-``(|<phi|psi>| / sum_i |w_i|)^N``, which exhausts double precision around
-N ~ 25 already for overlap 0.3. Instead everything is computed from the
-equivalent scalar power form of the x'-basis amplitude,
+    f(x') = (sum_i w_i e_i(x'))^N * sqrt(G(x')),   e_i = exp(-i lam a_i x' / (2N)),
 
-    f(x') = (sum_i w_i exp(-i lam a_i x' / (2N)))^N * sqrt(G(x')),
+with ``w_i = <phi|P_i|psi>`` and G the standard normal density. Every result
+is a quadrature of this one profile, evaluated once per setup on a fixed
+8192-point grid over ``|x'| <= 13``:
 
-whose logarithm is benign (``exp(N log z) == z^N`` exactly for integer N, so
-no branch-cut care is needed). x'-side quantities are quadratures of |f|^2;
-the x-basis amplitude is the Fourier synthesis ``(4 pi)^(-1/2) Int
-exp(i x x'/2) f(x') dx'`` of the rescaled profile. Both are stable uniformly
-in N.
+* the post-selection probability and ratio and the x' density and mean
+  integrate |f|^2;
+* the x-basis amplitude is the Fourier synthesis ``(4 pi)^(-1/2) Int
+  exp(i x x'/2) f(x') dx'``;
+* the x mean is ``lam Int |f|^2 Re A_w(x') dx' / Int |f|^2``, because x acts
+  as ``2i d/dx'`` on f. Here ``A_w(x') = sum_i a_i w_i e_i / sum_i w_i e_i``
+  is the local weak value.
+
+The factor ``<phi|psi>^N`` underflows double precision long before
+interesting N, so it is taken out analytically. With
+``delta = sum_i w_i expm1(-i lam a_i x' / (2N)) / <phi|psi>``,
+
+    log f - N log<phi|psi> = N log1p(delta) - x'^2/4 - log(2 pi)/4.
+
+delta is O(1/N) and N multiplies the error of its log1p. numpy evaluates the
+complex log1p naively, so the real part is taken as
+``log1p(2 Re delta + |delta|^2) / 2`` and the phase from arctan2. The cost
+does not grow with N and nothing caps it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import Observable, PureState, weak_value
-from .errors import OrthogonalPostselection, TermBudgetExceeded
-from .pointer import (
-    BASIS_X,
-    BASIS_XPRIME,
-    GaussianTerm,
-    PointerWavefunction,
-)
-
-DEFAULT_MAX_SYSTEMS = 2000
-DEFAULT_TERM_BUDGET = 200_000
+from .core import Observable, PureState, branch_weights, postselection_overlap
+from .pointer import BASIS_X, BASIS_XPRIME
 
 _XPRIME_HALFWIDTH = 13.0
 _XPRIME_POINTS = 8192
-_X_MARGIN = 13.0
-_X_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -58,196 +54,65 @@ class CollectiveSetup:
     preselect: PureState
     postselect: PureState
     n_systems: int
-    max_systems: int = DEFAULT_MAX_SYSTEMS
-    term_budget: int = DEFAULT_TERM_BUDGET
 
     def __post_init__(self):
-        ov = self.postselect.overlap(self.preselect)
-        if abs(ov) <= 1e-10:
-            raise OrthogonalPostselection("pre- and post-selected states are orthogonal")
+        postselection_overlap(self.preselect, self.postselect)
         if self.n_systems < 1:
             raise ValueError("n_systems must be >= 1")
-        if self.n_systems > self.max_systems:
-            raise TermBudgetExceeded(
-                f"N = {self.n_systems} exceeds the configured cap {self.max_systems}"
-            )
 
-    def check_term_budget(self) -> int:
-        k = len(self.observable.eigensystem.eigenvalues)
-        count = math.comb(self.n_systems + k - 1, k - 1)
-        if count > self.term_budget:
-            raise TermBudgetExceeded(
-                f"expansion needs {count} terms, budget is {self.term_budget}"
-            )
-        return count
+    @cached_property
+    def _profile(self) -> "_Profile":
+        return _xprime_profile(self)
 
 
 @dataclass(frozen=True)
-class LogWeightedTerm:
-    """Gaussian term weight in log-magnitude/phase form (underflow safe)."""
+class _Profile:
+    """f(x') / (<phi|psi>^N e^scale) on the quadrature grid."""
 
-    log_magnitude: float
-    phase: float
-    center: float
-
-
-@dataclass(frozen=True)
-class CollectivePointer:
-    """Post-selected meter state as exp(log_prefactor) * pointer."""
-
-    pointer: PointerWavefunction
-    log_prefactor: float
+    grid: np.ndarray
+    amplitude: np.ndarray
+    density: np.ndarray  # |amplitude|^2
+    norm: float  # trapezoid integral of density
+    scale: float
+    local_weak_value: np.ndarray
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer k-tuples summing to total, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _branch_weights(cs: CollectiveSetup) -> np.ndarray:
-    system = cs.observable.eigensystem
-    return np.array(
-        [
-            complex(
-                np.vdot(cs.postselect.amplitudes, p @ cs.preselect.amplitudes)
-            )
-            for p in system.projectors
-        ]
-    )
-
-
-def _center_merge_tol(cs: CollectiveSetup) -> float:
-    return (
-        1e-12
-        * abs(cs.coupling)
-        * (cs.observable.spectral_radius + 1.0)
-        / cs.n_systems
-    )
-
-
-def _expansion_terms(cs: CollectiveSetup, eigen_order=None) -> list[LogWeightedTerm]:
-    system = cs.observable.eigensystem
-    k = len(system.eigenvalues)
-    cs.check_term_budget()
-    order = list(range(k)) if eigen_order is None else list(eigen_order)
-    eigenvalues = system.eigenvalues[order]
-    w = _branch_weights(cs)[order]
-    abs_w = np.abs(w)
-    log_abs_w = np.full(k, -math.inf)
-    log_abs_w[abs_w > 0.0] = np.log(abs_w[abs_w > 0.0])
-    arg_w = np.angle(w)
-    n_total = cs.n_systems
-    lg_n = math.lgamma(n_total + 1)
-    terms: list[LogWeightedTerm] = []
-    for comp in _compositions(n_total, k):
-        if any(n_i > 0 and not math.isfinite(log_abs_w[i]) for i, n_i in enumerate(comp)):
-            continue
-        log_mag = lg_n
-        phase = 0.0
-        mean_eig = 0.0
-        for i, n_i in enumerate(comp):
-            log_mag -= math.lgamma(n_i + 1)
-            if n_i:
-                log_mag += n_i * log_abs_w[i]
-                phase += n_i * arg_w[i]
-                mean_eig += n_i * float(eigenvalues[i])
-        center = cs.coupling * mean_eig / n_total
-        terms.append(LogWeightedTerm(log_mag, phase, center))
-    return _merge_log_terms(terms, _center_merge_tol(cs))
-
-
-def _merge_log_terms(terms: list[LogWeightedTerm], tol: float) -> list[LogWeightedTerm]:
-    """Coalesce equal centers with a log-sum-exp complex accumulation.
-
-    The combined weight is exact up to float rounding relative to the
-    cluster's own peak magnitude; clusters whose terms cancel below that
-    resolution drop out.
-    """
-    terms = sorted(terms, key=lambda t: t.center)
-    merged: list[LogWeightedTerm] = []
-    cluster: list[LogWeightedTerm] = []
-
-    def flush():
-        if not cluster:
-            return
-        peak = max(t.log_magnitude for t in cluster)
-        if math.isfinite(peak):
-            s = sum(
-                math.exp(t.log_magnitude - peak) * cmath.exp(1j * t.phase)
-                for t in cluster
-            )
-            if abs(s) > 0.0:
-                merged.append(
-                    LogWeightedTerm(
-                        peak + math.log(abs(s)), cmath.phase(s), cluster[0].center
-                    )
-                )
-        cluster.clear()
-
-    for t in terms:
-        if cluster and t.center - cluster[0].center > tol:
-            flush()
-        cluster.append(t)
-    flush()
-    return merged
-
-
-def collective_postselected_pointer(cs: CollectiveSetup) -> CollectivePointer:
-    """Multinomial expansion of the post-selected meter state.
-
-    Term weights are exact individually; summing them loses
-    ``(overlap / sum_i |w_i|)^N`` digits to cancellation, so downstream
-    evaluation at weak overlap or large N should go through the density and
-    moment functions below instead of the returned term list.
-    """
-    terms = _expansion_terms(cs)
-    peak = max(t.log_magnitude for t in terms)
-    gaussians = tuple(
-        GaussianTerm(
-            math.exp(t.log_magnitude - peak) * cmath.exp(1j * t.phase), t.center, 0.0
-        )
-        for t in terms
-    )
-    return CollectivePointer(PointerWavefunction(gaussians, BASIS_X), peak)
-
-
-def _log_xprime_amplitude(cs: CollectiveSetup, xprime) -> np.ndarray:
-    """log f(x') for the scalar power form of the x'-basis amplitude."""
+def _log_xprime_amplitude(cs: CollectiveSetup, xprime):
+    """log f(x') - N log<phi|psi>, and the local weak value A_w(x')."""
     eigenvalues = cs.observable.eigensystem.eigenvalues
-    w = _branch_weights(cs)
+    w = branch_weights(cs.observable, cs.preselect, cs.postselect)
+    ov = w.sum()
     xp = np.atleast_1d(np.asarray(xprime, dtype=np.float64))
-    inner = np.exp(
-        -0.5j * cs.coupling / cs.n_systems * np.outer(xp, eigenvalues)
-    ) @ w
-    with np.errstate(divide="ignore"):
-        log_inner = np.log(inner.astype(np.complex128))
-    return (
-        cs.n_systems * log_inner
-        - xp * xp / 4.0
-        - 0.25 * math.log(2.0 * math.pi)
-    )
+    kicks = np.expm1(-0.5j * cs.coupling / cs.n_systems * np.outer(xp, eigenvalues))
+    delta = kicks @ w / ov
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_modulus = 0.5 * np.log1p(2.0 * delta.real + (delta.real**2 + delta.imag**2))
+        local_wv = (kicks @ (eigenvalues * w) + np.dot(eigenvalues, w)) / (ov * (1.0 + delta))
+    log1p_delta = log_modulus + 1j * np.arctan2(delta.imag, 1.0 + delta.real)
+    logf = cs.n_systems * log1p_delta - xp * xp / 4.0 - 0.25 * math.log(2.0 * math.pi)
+    return logf, local_wv
 
 
-def _xprime_profile(cs: CollectiveSetup):
-    """Scaled |f| profile on the quadrature grid: (grid, F, scale C)."""
+def _xprime_profile(cs: CollectiveSetup) -> _Profile:
     grid = np.linspace(-_XPRIME_HALFWIDTH, _XPRIME_HALFWIDTH, _XPRIME_POINTS)
-    logf = _log_xprime_amplitude(cs, grid)
+    logf, local_wv = _log_xprime_amplitude(cs, grid)
     scale = float(np.max(logf.real))
-    f_scaled = np.exp(logf - scale)
-    return grid, f_scaled, scale
+    amplitude = np.exp(logf - scale)
+    density = amplitude.real**2 + amplitude.imag**2
+    norm = float(np.trapezoid(density, grid))
+    local_wv = np.where(density > 0.0, local_wv, 0.0)  # A_w is undefined where f = 0
+    return _Profile(grid, amplitude, density, norm, scale, local_wv)
 
 
 def collective_log_postselection_probability(cs: CollectiveSetup) -> float:
     """log P_lambda(phi^N | psi^N), assembled fully in the log domain."""
-    cs.check_term_budget()
-    grid, f_scaled, scale = _xprime_profile(cs)
-    total = float(np.trapezoid(np.abs(f_scaled) ** 2, grid))
-    return 2.0 * scale + math.log(total)
+    ov = branch_weights(cs.observable, cs.preselect, cs.postselect).sum()
+    return 2.0 * cs.n_systems * math.log(abs(ov)) + _log_ratio(cs)
+
+
+def _log_ratio(cs: CollectiveSetup) -> float:
+    prof = cs._profile
+    return 2.0 * prof.scale + math.log(prof.norm)
 
 
 def collective_postselection_ratio(cs: CollectiveSetup) -> float:
@@ -256,43 +121,22 @@ def collective_postselection_ratio(cs: CollectiveSetup) -> float:
     Converges to exp(lam^2 Im(A_w)^2 / 2) as N grows: relative to the
     undisturbed value, the collective coupling's effect does not fade.
     """
-    ov = cs.postselect.overlap(cs.preselect)
-    log_ratio = collective_log_postselection_probability(
-        cs
-    ) - 2.0 * cs.n_systems * math.log(abs(ov))
-    return math.exp(log_ratio)
-
-
-def _x_window(cs: CollectiveSetup) -> tuple[float, float]:
-    shift = cs.coupling * weak_value(cs.observable, cs.preselect, cs.postselect).value.real
-    reach = abs(cs.coupling) * cs.observable.spectral_radius
-    return (min(-reach, shift) - _X_MARGIN, max(reach, shift) + _X_MARGIN)
-
-
-def _x_amplitude(cs: CollectiveSetup, x) -> tuple[np.ndarray, float]:
-    """Scaled x-basis amplitude at x via Fourier synthesis of f(x')/e^C."""
-    grid, f_scaled, scale = _xprime_profile(cs)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    kernel = np.exp(0.5j * np.outer(x, grid))
-    step = grid[1] - grid[0]
-    amp = kernel @ f_scaled * step / math.sqrt(4.0 * math.pi)
-    return amp, scale
+    return math.exp(_log_ratio(cs))
 
 
 def collective_conditional_density(cs: CollectiveSetup, basis: str, x):
     """Normalized conditional meter density in the x or x' basis."""
-    cs.check_term_budget()
     scalar = np.ndim(x) == 0
+    prof = cs._profile
     if basis == BASIS_XPRIME:
-        grid, f_scaled, scale = _xprime_profile(cs)
-        total = float(np.trapezoid(np.abs(f_scaled) ** 2, grid))
-        logf = _log_xprime_amplitude(cs, x)
-        out = np.exp(2.0 * (logf.real - scale)) / total
+        logf, _ = _log_xprime_amplitude(cs, x)
+        out = np.exp(2.0 * (logf.real - prof.scale)) / prof.norm
     elif basis == BASIS_X:
-        grid, f_scaled, _ = _xprime_profile(cs)
-        total = float(np.trapezoid(np.abs(f_scaled) ** 2, grid))  # unitary norm
-        amp, _ = _x_amplitude(cs, x)
-        out = (amp.real**2 + amp.imag**2) / total
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        kernel = np.exp(0.5j * np.outer(x, prof.grid))
+        step = prof.grid[1] - prof.grid[0]
+        amp = kernel @ prof.amplitude * step / math.sqrt(4.0 * math.pi)
+        out = (amp.real**2 + amp.imag**2) / prof.norm  # the synthesis is unitary
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return float(out[0]) if scalar else out
@@ -300,15 +144,11 @@ def collective_conditional_density(cs: CollectiveSetup, basis: str, x):
 
 def collective_conditional_mean(cs: CollectiveSetup, basis: str = BASIS_X) -> float:
     """Conditional meter mean; approaches lam*Re(A_w) (x) or lam*Im(A_w) (x')."""
-    cs.check_term_budget()
+    prof = cs._profile
     if basis == BASIS_XPRIME:
-        grid, f_scaled, _ = _xprime_profile(cs)
-        dens = np.abs(f_scaled) ** 2
-        return float(np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid))
-    if basis != BASIS_X:
+        weighted = prof.grid * prof.density
+    elif basis == BASIS_X:
+        weighted = cs.coupling * prof.local_weak_value.real * prof.density
+    else:
         raise ValueError(f"unknown basis {basis!r}")
-    lo, hi = _x_window(cs)
-    xg = np.linspace(lo, hi, _X_POINTS)
-    amp, _ = _x_amplitude(cs, xg)
-    dens = amp.real**2 + amp.imag**2
-    return float(np.trapezoid(xg * dens, xg) / np.trapezoid(dens, xg))
+    return float(np.trapezoid(weighted, prof.grid) / prof.norm)

@@ -246,13 +246,25 @@ class WeakValueResult:
     preselect_overlap: complex
 
 
-def _postselection_overlap(psi: PureState, phi: PureState) -> complex:
+def postselection_overlap(psi: PureState, phi: PureState) -> complex:
+    """<phi|psi>, refused when the pre- and post-selection are orthogonal."""
     ov = phi.overlap(psi)
     if abs(ov) <= ORTHOGONALITY_TOL:
         raise OrthogonalPostselection(
-            f"|<phi|psi>| = {abs(ov):.3e} <= {ORTHOGONALITY_TOL}; weak value undefined"
+            f"pre- and post-selected states are orthogonal: "
+            f"|<phi|psi>| = {abs(ov):.3e} <= {ORTHOGONALITY_TOL}"
         )
     return ov
+
+
+def branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np.ndarray:
+    """Eigenbranch weights w_i = <phi|P_i|psi>, one per distinct eigenvalue."""
+    return np.array(
+        [
+            complex(np.vdot(phi.amplitudes, p @ psi.amplitudes))
+            for p in observable.eigensystem.projectors
+        ]
+    )
 
 
 def matrix_weak_value(matrix: np.ndarray, psi: PureState, phi: PureState) -> complex:
@@ -260,13 +272,13 @@ def matrix_weak_value(matrix: np.ndarray, psi: PureState, phi: PureState) -> com
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (psi.dim, psi.dim):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match dimension {psi.dim}")
-    ov = _postselection_overlap(psi, phi)
+    ov = postselection_overlap(psi, phi)
     return complex(np.vdot(phi.amplitudes, m @ psi.amplitudes) / ov)
 
 
 def weak_value(observable: Observable, psi: PureState, phi: PureState) -> WeakValueResult:
     """Weak value of a Hermitian observable between psi and phi."""
-    ov = _postselection_overlap(psi, phi)
+    ov = postselection_overlap(psi, phi)
     val = complex(np.vdot(phi.amplitudes, observable.matrix @ psi.amplitudes) / ov)
     return WeakValueResult(value=val, preselect_overlap=ov)
 

@@ -6,8 +6,8 @@ Three families, matching the CLI exit-code contract:
 * ``DomainError`` (exit 3): physics preconditions violated (non-Hermitian
   observable, orthogonal post-selection, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
-  cannot be carried out at acceptable numerical quality (grid too coarse,
-  term budget exhausted, empty post-selected sample).
+  cannot be carried out at acceptable numerical quality (sampling grid too
+  coarse, disturbance identity violated, empty post-selected sample).
 """
 
 
@@ -65,10 +65,6 @@ class NumericalQualityError(WeakmeasError):
 
 class GridTooCoarse(NumericalQualityError):
     """Sampling grid leaves more than the tolerated probability mass outside."""
-
-
-class TermBudgetExceeded(NumericalQualityError):
-    """Collective expansion would exceed the configured term budget."""
 
 
 class NoPostselectedRuns(NumericalQualityError):

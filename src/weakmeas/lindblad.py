@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Observable, PureState, matrix_weak_value, weak_value
+from .core import Observable, PureState, branch_weights, matrix_weak_value, weak_value
 from .pointer import gaussian_density
 
 GAUSS_LEGENDRE_NODES = 400
@@ -58,17 +58,6 @@ def gauss_legendre(lo: float, hi: float, n: int = GAUSS_LEGENDRE_NODES):
     x = 0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * base_w
     return x, w
-
-
-def _eigen_data(observable: Observable, psi: PureState, phi: PureState):
-    system = observable.eigensystem
-    w = np.array(
-        [
-            complex(np.vdot(phi.amplitudes, p @ psi.amplitudes))
-            for p in system.projectors
-        ]
-    )
-    return system.eigenvalues, system.projectors, w
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,8 @@ def joint_probability_density(
     observable: Observable, coupling: float, psi: PureState, phi: PureState, x
 ):
     """P_lam(x, phi | psi) = |<phi|M_x|psi>|^2 (amplitude closed form)."""
-    eigenvalues, _, w = _eigen_data(observable, psi, phi)
+    eigenvalues = observable.eigensystem.eigenvalues
+    w = branch_weights(observable, psi, phi)
     x = np.asarray(x, dtype=np.float64)
     amp = np.sqrt(gaussian_density(x[..., None] - coupling * eigenvalues)) @ w
     out = amp.real**2 + amp.imag**2
@@ -119,18 +109,13 @@ def pw_density(
     observable: Observable, coupling: float, psi: PureState, phi: PureState, x
 ):
     """Anticommutator part of the joint density (may go negative)."""
-    eigenvalues, _, w = _eigen_data(observable, psi, phi)
+    eigenvalues = observable.eigensystem.eigenvalues
+    w = branch_weights(observable, psi, phi)
     ov = phi.overlap(psi)
     coeff = (w * np.conj(ov)).real
     x = np.asarray(x, dtype=np.float64)
     out = gaussian_density(x[..., None] - coupling * eigenvalues) @ coeff
     return float(out) if out.ndim == 0 else out
-
-
-def lindblad_superoperator(m: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """L[M](O) = ([M^dag, O] M + M^dag [O, M]) / 2."""
-    md = m.conj().T
-    return 0.5 * ((md @ op - op @ md) @ m + md @ (op @ m - m @ op))
 
 
 def error_term_density(

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PureState
-from .errors import DimensionMismatch, NoPostselectedRuns, OrthogonalPostselection
+from .core import Observable, PureState, postselection_overlap
+from .errors import DimensionMismatch, NoPostselectedRuns
 from .pointer import gaussian_density, gaussian_upper_tail, stream_rng
 
 BLOCK_SIZE = 65536
@@ -66,9 +66,7 @@ class TrialPlan:
         else:
             if self.postselect is None:
                 raise ValueError(f"{self.protocol} protocol requires a postselect state")
-            ov = self.postselect.overlap(self.preselect)
-            if abs(ov) <= 1e-10:
-                raise OrthogonalPostselection("pre- and post-selected states are orthogonal")
+            postselection_overlap(self.preselect, self.postselect)
         if self.protocol == "sequential" and self.second_observable is None:
             raise ValueError("sequential protocol requires a second observable")
 

@@ -29,13 +29,14 @@ from .core import (
     DensityMatrix,
     Observable,
     PureState,
+    branch_weights,
     matrix_weak_value,
+    postselection_overlap,
     weak_value,
 )
 from .errors import (
     DimensionMismatch,
     NumericalQualityError,
-    OrthogonalPostselection,
     ZeroProbabilityOutcome,
 )
 from .pointer import (
@@ -56,13 +57,6 @@ LOW_PROBABILITY_FLOOR = 1e-12
 _BRANCH_MERGE_TOL = 1e-12
 
 
-def _check_postselection(psi: PureState, phi: PureState) -> complex:
-    ov = phi.overlap(psi)
-    if abs(ov) <= 1e-10:
-        raise OrthogonalPostselection("pre- and post-selected states are orthogonal")
-    return ov
-
-
 @dataclass(frozen=True)
 class MeasurementSetup:
     """One weak measurement with post-selection."""
@@ -77,7 +71,7 @@ class MeasurementSetup:
             raise DimensionMismatch("observable and states must share one dimension")
         if not math.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
-        _check_postselection(self.preselect, self.postselect)
+        postselection_overlap(self.preselect, self.postselect)
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class SequentialSetup:
         for b in self.meter_bases:
             if b not in (BASIS_X, BASIS_XPRIME):
                 raise ValueError(f"unknown meter basis {b!r}")
-        _check_postselection(self.preselect, self.postselect)
+        postselection_overlap(self.preselect, self.postselect)
 
 
 @dataclass(frozen=True)
@@ -403,17 +397,6 @@ def unconditional_meter_density(
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _eigen_postselection_weights(setup: MeasurementSetup) -> tuple[np.ndarray, np.ndarray]:
-    system = setup.observable.eigensystem
-    w = np.array(
-        [
-            complex(np.vdot(setup.postselect.amplitudes, p @ setup.preselect.amplitudes))
-            for p in system.projectors
-        ]
-    )
-    return w, system.eigenvalues
-
-
 def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
     """Unnormalized x' amplitude of the random-kick protocol.
 
@@ -421,7 +404,8 @@ def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
     eigenbasis: branch i carries weight <phi|P_i|psi> and phase slope
     -lam a_i / 2 on top of the initial Gaussian.
     """
-    w, eigenvalues = _eigen_postselection_weights(setup)
+    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
+    eigenvalues = setup.observable.eigensystem.eigenvalues
     terms = tuple(
         GaussianTerm(w[i], 0.0, -setup.coupling * float(eigenvalues[i]) / 2.0)
         for i in range(len(eigenvalues))
@@ -447,22 +431,12 @@ def kick_in_x_protocol(setup: MeasurementSetup, x):
     interchanged: the meter keeps its initial envelope and the interaction
     only imprints eigenvalue-dependent phase slopes.
     """
-    w, eigenvalues = _eigen_postselection_weights(setup)
-    terms = tuple(
-        GaussianTerm(w[i], 0.0, -setup.coupling * float(eigenvalues[i]) / 2.0)
-        for i in range(len(eigenvalues))
-    )
-    state = PointerWavefunction(terms, BASIS_X)
+    state = PointerWavefunction(kick_pointer_state(setup).terms, BASIS_X)
     return pointer_density(state, x) / squared_norm(state)
 
 
 def kick_in_x_postselection_probability(setup: MeasurementSetup) -> float:
-    w, eigenvalues = _eigen_postselection_weights(setup)
-    terms = tuple(
-        GaussianTerm(w[i], 0.0, -setup.coupling * float(eigenvalues[i]) / 2.0)
-        for i in range(len(eigenvalues))
-    )
-    return squared_norm(PointerWavefunction(terms, BASIS_X))
+    return squared_norm(PointerWavefunction(kick_pointer_state(setup).terms, BASIS_X))
 
 
 def delayed_choice(setup: MeasurementSetup, choice: str) -> PointerWavefunction:

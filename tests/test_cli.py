@@ -150,16 +150,19 @@ class TestExitCodes:
         assert code == 3
 
     def test_numeric_quality_error_is_4(self, tmp_path):
+        # a threshold a million couplings out keeps no runs
         code = main(
             [
-                "collective",
+                "simulate",
                 "--config",
                 config(
+                    protocol="threshold",
                     observable=SX_JSON,
                     psi=KET0,
-                    phi=PHI68,
-                    n_grid=[5000],
+                    threshold_multiple=1e6,
                 ),
+                "--trials",
+                "1000",
                 "--out",
                 str(tmp_path),
             ]
@@ -246,6 +249,27 @@ class TestArtifacts:
         assert len(lines) == 5000 + 2  # header + rows + metadata
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["n_total"] == 5000
+
+    def test_collective_four_levels_default_n_grid(self, tmp_path):
+        diag = [[0.1, 0], [0, 0], [0, 0], [0, 0]]
+        diag += [[0, 0], [0.4, 0], [0, 0], [0, 0]]
+        diag += [[0, 0], [0, 0], [0.7, 0], [0, 0]]
+        diag += [[0, 0], [0, 0], [0, 0], [1.0, 0]]
+        uniform = [[0.5, 0]] * 4
+        phi = [[0.5, 0], [0.5, 0], [0, 0.5], [0, -0.5]]
+        code = main(
+            [
+                "collective",
+                "--config",
+                config(observable=diag, psi=uniform, phi=phi),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        lines = (tmp_path / "collective.csv").read_text().splitlines()
+        assert lines[0] == "n,metric,value"
+        assert len(lines) == 1 + 15 + 1  # header + 5 N values x 3 metrics + metadata
 
     def test_anomalous_summary_values(self, tmp_path, capsys):
         code = main(

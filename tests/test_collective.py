@@ -1,24 +1,31 @@
 """Collective coupling of one meter to N identically prepared systems."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SX, random_observable, random_selection_pair
-from weakmeas.core import Observable, PureState, weak_value
-from weakmeas.errors import TermBudgetExceeded
+from weakmeas.core import Observable, PureState, branch_weights, weak_value
 from weakmeas.collective import (
     CollectiveSetup,
-    _expansion_terms,
     collective_conditional_density,
     collective_conditional_mean,
     collective_log_postselection_probability,
-    collective_postselected_pointer,
     collective_postselection_ratio,
 )
-from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density
+from weakmeas.pointer import (
+    BASIS_X,
+    BASIS_XPRIME,
+    GaussianTerm,
+    PointerWavefunction,
+    density,
+    gaussian_density,
+    moment,
+    squared_norm,
+    to_xprime_basis,
+)
 from weakmeas.protocols import (
     MeasurementSetup,
     conditional_meter_density,
@@ -34,6 +41,19 @@ def ket(*vals) -> PureState:
 PSI0 = ket(1, 0)
 PHI_REAL = ket(0.3, math.sqrt(0.91))
 PHI_COMPLEX = PureState(np.array([0.3, 1j * math.sqrt(0.91)]))
+
+
+def two_system_pointer(cs: CollectiveSetup) -> PointerWavefunction:
+    """The N = 2 meter state written out: weights w_i w_j at centers
+    lam (a_i + a_j) / 2, unnormalized so its squared norm is P."""
+    w = branch_weights(cs.observable, cs.preselect, cs.postselect)
+    a = cs.observable.eigensystem.eigenvalues
+    terms = tuple(
+        GaussianTerm(w[i] * w[j], cs.coupling * float(a[i] + a[j]) / 2.0, 0.0)
+        for i in range(len(a))
+        for j in range(len(a))
+    )
+    return PointerWavefunction(terms, BASIS_X)
 
 
 class TestReductionToSingleMeasurement:
@@ -61,31 +81,49 @@ class TestReductionToSingleMeasurement:
             conditional_meter_mean(setup, BASIS_XPRIME), abs=1e-12
         )
 
-    def test_pointer_terms_match_postselect_at_n1(self):
-        lam = 0.6
-        cs = CollectiveSetup(Observable(SX), lam, PSI0, PHI_REAL, 1)
-        cp = collective_postselected_pointer(cs)
-        scale = math.exp(cp.log_prefactor)
-        weights = {
-            round(t.center, 9): t.weight * scale for t in cp.pointer.terms
-        }
-        system = Observable(SX).eigensystem
-        for i, a_i in enumerate(system.eigenvalues):
-            w_i = complex(np.vdot(PHI_REAL.amplitudes, system.projectors[i] @ PSI0.amplitudes))
-            assert weights[round(lam * float(a_i), 9)] == pytest.approx(w_i, abs=1e-12)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        coupling=st.floats(1e-3, 20.0),
+    )
+    def test_matches_single_measurement_on_random_setups(self, dim, seed, coupling):
+        rng = np.random.default_rng(seed)
+        obs = random_observable(rng, dim)
+        psi, phi = random_selection_pair(rng, dim)
+        cs = CollectiveSetup(obs, coupling, psi, phi, 1)
+        setup = MeasurementSetup(obs, coupling, psi, phi)
+        prob = postselection_probability(setup)
+        assert math.exp(collective_log_postselection_probability(cs)) == pytest.approx(
+            prob, rel=1e-12
+        )
+        xs = np.linspace(-coupling - 6.0, coupling + 6.0, 61)
+        for basis in (BASIS_X, BASIS_XPRIME):
+            got = collective_conditional_density(cs, basis, xs)
+            want = conditional_meter_density(setup, basis, xs)
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert collective_conditional_mean(cs, basis) == pytest.approx(
+                conditional_meter_mean(setup, basis), abs=1e-12 * (1.0 + coupling)
+            )
 
 
 class TestExpansion:
-    def test_two_system_binomial_weights(self):
-        lam = 0.4
-        cs = CollectiveSetup(Observable(SX), lam, PSI0, PSI0, 2)
-        cp = collective_postselected_pointer(cs)
-        scale = math.exp(cp.log_prefactor)
-        got = sorted((t.center, (t.weight * scale).real) for t in cp.pointer.terms)
-        want = [(-lam, 0.25), (0.0, 0.5), (lam, 0.25)]
-        for (gc, gw), (wc, ww) in zip(got, want):
-            assert gc == pytest.approx(wc, abs=1e-12)
-            assert gw == pytest.approx(ww, abs=1e-12)
+    def test_two_system_binomial_weights(self, rng):
+        for dim in (2, 3):
+            psi, phi = random_selection_pair(rng, dim)
+            cs = CollectiveSetup(random_observable(rng, dim), 0.8, psi, phi, 2)
+            pointer_x = two_system_pointer(cs)
+            prob = squared_norm(pointer_x)
+            assert math.exp(collective_log_postselection_probability(cs)) == pytest.approx(
+                prob, rel=1e-12
+            )
+            xs = np.linspace(-6.0, 6.0, 121)
+            for basis, pointer in ((BASIS_X, pointer_x), (BASIS_XPRIME, to_xprime_basis(pointer_x))):
+                got = collective_conditional_density(cs, basis, xs)
+                assert np.max(np.abs(got - density(pointer, xs) / prob)) < 1e-12
+                assert collective_conditional_mean(cs, basis) == pytest.approx(
+                    moment(pointer, 1), abs=1e-12
+                )
 
     def test_zero_coupling_probability_in_log_domain(self):
         n = 400
@@ -95,39 +133,6 @@ class TestExpansion:
         assert log_p == pytest.approx(2 * n * math.log(ov), rel=1e-10)
         assert collective_postselection_ratio(cs) == pytest.approx(1.0, rel=1e-9)
 
-    def test_merged_amplitude_sum_at_zero_coupling(self, rng):
-        # all centers coincide at lam=0, so the merged single term must carry
-        # (sum_i w_i)^N = <phi|psi>^N in log-magnitude/phase form
-        psi, phi = random_selection_pair(rng, 2, min_overlap=0.5)
-        n = 12
-        cs = CollectiveSetup(Observable(SX), 0.0, psi, phi, n)
-        terms = _expansion_terms(cs)
-        assert len(terms) == 1
-        ov = phi.overlap(psi)
-        want = n * cmath.log(ov)
-        assert terms[0].log_magnitude == pytest.approx(want.real, rel=1e-10)
-        got_phase = cmath.exp(1j * terms[0].phase)
-        want_phase = cmath.exp(1j * want.imag)
-        assert abs(got_phase - want_phase) < 1e-9
-
-    def test_exchange_symmetric_under_enumeration_order(self):
-        cs = CollectiveSetup(Observable(SX), 0.8, PSI0, PHI_REAL, 7)
-        default = _expansion_terms(cs)
-        permuted = sorted(_expansion_terms(cs, eigen_order=[1, 0]), key=lambda t: t.center)
-        assert len(default) == len(permuted)
-        for a, b in zip(sorted(default, key=lambda t: t.center), permuted):
-            assert a.center == pytest.approx(b.center, abs=1e-12)
-            assert a.log_magnitude == pytest.approx(b.log_magnitude, abs=1e-10)
-            assert cmath.exp(1j * a.phase) == pytest.approx(cmath.exp(1j * b.phase), abs=1e-10)
-
-    def test_term_budget_enforced(self):
-        with pytest.raises(TermBudgetExceeded):
-            CollectiveSetup(Observable(SX), 0.5, PSI0, PHI_REAL, 5000)
-        obs4 = Observable(np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex))
-        psi4 = PureState.normalized(np.ones(4))
-        cs = CollectiveSetup(obs4, 0.5, psi4, psi4, 120)
-        with pytest.raises(TermBudgetExceeded):
-            cs.check_term_budget()
 
 
 class TestDensities:
@@ -179,3 +184,18 @@ class TestPostselectionRatio:
             cs = CollectiveSetup(Observable(SX), 1.0, PSI0, PHI_COMPLEX, n)
             gaps.append(abs(collective_postselection_ratio(cs) - limit))
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_large_n_keeps_the_approach_to_the_limit(self):
+        # the ratio approaches its limit as 1/N; the gap times N stays put
+        # only if the O(1/N) per-system factor keeps its digits
+        a_w = weak_value(Observable(SX), PSI0, PHI_COMPLEX).value
+        limit = math.exp(a_w.imag**2 / 2.0)
+        scaled = []
+        for n in (10**6, 10**9, 10**12):
+            cs = CollectiveSetup(Observable(SX), 1.0, PSI0, PHI_COMPLEX, n)
+            scaled.append(n * (limit - collective_postselection_ratio(cs)))
+        assert min(scaled) > 0.0
+        assert max(scaled) / min(scaled) < 1.01
+        assert collective_conditional_mean(cs, BASIS_XPRIME) == pytest.approx(
+            a_w.imag, abs=1e-9
+        )
