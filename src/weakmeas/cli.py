@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 domain error (bad physics inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from .errors import (
     NumericalQualityError,
     SchemaError,
 )
-from .serialize import config_hash, jsonable, write_csv, write_json
+from .serialize import config_hash, write_csv, write_json
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
@@ -250,7 +251,7 @@ def _write_table(cfg: RunConfig, out_dir: Path, name: str, header, rows, fmt: st
         path = out_dir / f"{name}.json"
         payload = {
             "columns": list(header),
-            "rows": [list(jsonable(list(r))) for r in rows],
+            "rows": list(rows),
             "metadata": _metadata(cfg),
         }
         write_json(path, payload)
@@ -520,17 +521,17 @@ def _build_plan(p: dict) -> mc.TrialPlan:
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     plan = _build_plan(cfg.params)
     records, stats = mc.run_plan(plan)
-    two = "x2" in (records.dtype.names or ())
-    header = ["x", "x2", "postselected"] if two else ["x", "postselected"]
+    names = [name for name in ("x", "x2") if name in records.dtype.names]
 
     def rows():
-        for rec in records:
-            if two:
-                yield [rec["x"], rec["x2"], int(rec["postselected"])]
-            else:
-                yield [rec["x"], int(rec["postselected"])]
+        # Python scalars one block at a time, so memory does not grow with trials
+        for start in range(0, records.size, mc.BLOCK_SIZE):
+            block = records[start : start + mc.BLOCK_SIZE]
+            columns = [block[name].tolist() for name in names]
+            columns.append(block["postselected"].astype(np.int64).tolist())
+            yield from zip(*columns)
 
-    _write_table(cfg, out_dir, "records", header, rows(), fmt)
+    _write_table(cfg, out_dir, "records", [*names, "postselected"], rows(), fmt)
     write_json(out_dir / "stats.json", {**asdict(stats), "metadata": _metadata(cfg)})
     summary = {
         "n_postselected": stats.n_postselected,
@@ -619,6 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one tree serves the process
+    return build_parser()
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     grid = None
     if args.lambda_grid is not None:
@@ -637,7 +644,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         overrides = _overrides_from_args(args)
         cfg = parse_config(args.command, args.config, overrides)

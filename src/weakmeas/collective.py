@@ -18,6 +18,11 @@ is a quadrature of this one profile, evaluated once per setup on a fixed
   as ``2i d/dx'`` on f. Here ``A_w(x') = sum_i a_i w_i e_i / sum_i w_i e_i``
   is the local weak value.
 
+At large N, |f|^2 is a unit-width Gaussian centred near ``lam Im(A_w)``, so a
+large enough coupling pushes it off the grid. When |f|^2 at either edge
+exceeds ``_EDGE_DENSITY_TOL`` of its peak, the setup is refused with
+``GridTooCoarse`` rather than integrated over a cut profile.
+
 The factor ``<phi|psi>^N`` underflows double precision long before
 interesting N, so it is taken out analytically. With
 ``delta = sum_i w_i expm1(-i lam a_i x' / (2N)) / <phi|psi>``,
@@ -39,10 +44,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import Observable, PureState, branch_weights, postselection_overlap
+from .errors import GridTooCoarse
 from .pointer import BASIS_X, BASIS_XPRIME
 
 _XPRIME_HALFWIDTH = 13.0
 _XPRIME_POINTS = 8192
+_EDGE_DENSITY_TOL = 1e-15  # |f|^2 at the grid edge, relative to its peak
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,13 @@ def _xprime_profile(cs: CollectiveSetup) -> _Profile:
     logf, local_wv = _log_xprime_amplitude(cs, grid)
     scale = float(np.max(logf.real))
     amplitude = np.exp(logf - scale)
-    density = amplitude.real**2 + amplitude.imag**2
+    density = amplitude.real**2 + amplitude.imag**2  # peak 1
+    edge = max(density[0], density[-1])
+    if edge > _EDGE_DENSITY_TOL:
+        raise GridTooCoarse(
+            f"collective x' profile is cut by the grid edge |x'| = {_XPRIME_HALFWIDTH}: "
+            f"density there is {edge:.3e} of its peak, tolerance {_EDGE_DENSITY_TOL}"
+        )
     norm = float(np.trapezoid(density, grid))
     local_wv = np.where(density > 0.0, local_wv, 0.0)  # A_w is undefined where f = 0
     return _Profile(grid, amplitude, density, norm, scale, local_wv)

@@ -1,14 +1,21 @@
-"""Shared helpers: Pauli matrices and seeded random setups.
+"""Shared helpers: Pauli matrices, seeded random setups, hypothesis profile.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
 weak values O(1) and post-selection well conditioned.
+
+Every hypothesis test runs under one profile: derandomized, with no example
+database and no deadline, so each run of the suite draws the same examples.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from weakmeas.core import Observable, PureState
+
+settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
+settings.load_profile("weakmeas")
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from weakmeas import cli
 from weakmeas.cli import main, parse_config
 from weakmeas.errors import FileError, SchemaError
 
@@ -168,6 +169,46 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+    def test_collective_profile_off_the_grid_is_4(self, tmp_path, capsys):
+        phi = [[0.3, 0], [0, math.sqrt(0.91)]]
+        code = main(
+            [
+                "collective",
+                "--config",
+                config(observable=SX_JSON, psi=KET0, phi=phi, n_grid=[1000000]),
+                "--lambda",
+                "3",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 4
+        assert "grid edge" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # the argparse tree is built once per process; a flag given to one
+        # call must not leak into the next
+        assert cli._parser() is cli._parser()
+        args = [
+            "simulate",
+            "--config",
+            config(protocol="single", observable=SX_JSON, psi=KET0, phi=PHI68),
+            "--trials",
+            "100",
+        ]
+        assert main([*args, "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "records.csv").read_text().endswith(" seed=3\n")
+        assert (tmp_path / "b" / "records.csv").read_text().endswith(" seed=0\n")
+
+    def test_bad_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["weak-value", "--config", "{}", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
 
 
 class TestArtifacts:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SX, random_observable, random_selection_pair
 from weakmeas.core import Observable, PureState, branch_weights, weak_value
+from weakmeas.errors import GridTooCoarse
 from weakmeas.collective import (
     CollectiveSetup,
     collective_conditional_density,
@@ -81,7 +82,7 @@ class TestReductionToSingleMeasurement:
             conditional_meter_mean(setup, BASIS_XPRIME), abs=1e-12
         )
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(
         dim=st.integers(2, 16),
         seed=st.integers(0, 2**32 - 1),
@@ -199,3 +200,26 @@ class TestPostselectionRatio:
         assert collective_conditional_mean(cs, BASIS_XPRIME) == pytest.approx(
             a_w.imag, abs=1e-9
         )
+
+
+class TestGridEdge:
+    """The fixed x' grid must hold the whole profile, or the setup is refused."""
+
+    @pytest.mark.parametrize("coupling", [3.0, 5.0])
+    def test_profile_cut_by_the_edge_is_refused(self, coupling):
+        # at N = 10^6 the profile sits near lam Im(A_w) = -3.2 lam: at lam = 3
+        # its edge density is 2.5e-3 of the peak, at lam = 5 the edge is the peak
+        cs = CollectiveSetup(Observable(SX), coupling, PSI0, PHI_COMPLEX, 10**6)
+        with pytest.raises(GridTooCoarse, match="grid edge"):
+            collective_postselection_ratio(cs)
+        with pytest.raises(GridTooCoarse):
+            collective_conditional_mean(cs, BASIS_XPRIME)
+        with pytest.raises(GridTooCoarse):
+            collective_conditional_density(cs, BASIS_X, np.zeros(3))
+
+    @pytest.mark.parametrize("coupling", [0.1, 1.0])
+    def test_profile_inside_the_grid_is_computed(self, coupling):
+        a_w = weak_value(Observable(SX), PSI0, PHI_COMPLEX).value
+        limit = math.exp(coupling**2 * a_w.imag**2 / 2.0)
+        cs = CollectiveSetup(Observable(SX), coupling, PSI0, PHI_COMPLEX, 100)
+        assert 1.0 < collective_postselection_ratio(cs) < limit

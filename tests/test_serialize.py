@@ -1,0 +1,186 @@
+"""Table writers: byte equality with the straightforward cell-by-cell writers.
+
+``reference_csv`` and ``reference_json`` are the writers the chunked column
+formatting replaced: ``csv.writer`` over ``format_cell`` cells, and
+``json.dumps(jsonable(payload), sort_keys=True, indent=2)``. Every case
+below must come out of ``write_csv``/``write_json`` with the same bytes.
+"""
+
+import csv
+import json
+import math
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from weakmeas import cli
+from weakmeas import montecarlo as mc
+from weakmeas.serialize import _CHUNK_ROWS, format_cell, jsonable, write_csv, write_json
+
+METADATA = "config_sha256=0123456789abcdef seed=7"
+
+
+def reference_csv(path, header, rows, metadata):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+        fh.write(f"# {metadata}\n")
+
+
+def reference_json(path, payload):
+    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
+
+
+def assert_table_bytes(out_dir, header, rows):
+    """Both formats of one table, laid out as the CLI lays tables out."""
+    rows = list(rows)
+    write_csv(out_dir / "got.csv", header, iter(rows), METADATA)
+    reference_csv(out_dir / "want.csv", header, rows, METADATA)
+    assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
+    assert_json_bytes(out_dir, {"columns": header, "rows": rows, "metadata": METADATA})
+
+
+def assert_json_bytes(out_dir, payload):
+    write_json(out_dir / "got.json", payload)
+    reference_json(out_dir / "want.json", payload)
+    assert (out_dir / "got.json").read_bytes() == (out_dir / "want.json").read_bytes()
+
+
+class TestSameBytes:
+    def test_mixed_rows_with_none_and_labels(self, tmp_path):
+        rows = [
+            ["lambda", 0.2, np.float64(0.5), 1, None],
+            ["lambda", 0.1, np.float64(-0.25), np.int64(2), None],
+            ["extrapolation", 0.0, None, 3, 1.5e-17],
+        ]
+        assert_table_bytes(tmp_path, ["row", "lambda", "prob", "n", "fit_residual"], rows)
+
+    def test_str_cells_that_need_quoting(self, tmp_path):
+        cells = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain", "", " lead"]
+        rows = [[c, i] for i, c in enumerate(cells)]
+        assert_table_bytes(tmp_path, ["label, quoted", "i"], rows)
+
+    def test_bool_and_numpy_scalar_cells(self, tmp_path):
+        rows = [
+            [True, np.float64(1.5), np.int64(3), np.float32(0.1), np.int32(-4), 2.5, 7],
+            [False, np.float64(-0.0), np.int64(-7), np.float32(2.0), np.int32(5), np.float64(3.0), np.int64(8)],
+        ]
+        assert_table_bytes(tmp_path, list("abcdefg"), rows)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_nan_and_infinities(self, tmp_path, kind):
+        values = [1.0, math.nan, math.inf, -math.inf, -0.0]
+        rows = [[kind(v), kind(-v), i] for i, v in enumerate(values)]
+        assert_table_bytes(tmp_path, ["x", "minus_x", "i"], rows)
+
+    def test_zero_rows(self, tmp_path):
+        assert_table_bytes(tmp_path, ["x", "postselected"], [])
+
+    def test_one_column_with_empty_cells(self, tmp_path):
+        # csv.writer quotes a row's only field when it is empty
+        assert_table_bytes(tmp_path, ["value"], [[None], [""], [1.0], ["x"]])
+
+    def test_rows_of_different_lengths(self, tmp_path):
+        assert_table_bytes(tmp_path, ["a", "b"], [[1.0, 2], [3.0], [], (4.0, 5, "c")])
+
+    def test_nested_and_complex_cells(self, tmp_path):
+        rows = [[1 + 2j, [0.5, None], "a"], [np.complex128(-1j), [1, 2], "b"]]
+        assert_table_bytes(tmp_path, ["z", "pair", "label"], rows)
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        kept = (rng.random(n) < 0.3).astype(np.int64)
+        rows = [list(r) for r in zip(x.tolist(), x, kept.tolist(), kept)]
+        rows[-1][0] = None  # the last chunk alone falls back to cell-by-cell
+        assert_table_bytes(tmp_path, ["x", "x64", "kept", "kept64"], rows)
+
+    def test_non_table_payloads(self, tmp_path):
+        assert_json_bytes(tmp_path, {})
+        assert_json_bytes(
+            tmp_path,
+            {
+                "means": (np.float64(0.25), None),
+                "array": np.arange(3.0),
+                "nested": {"z": 1, "a": [1.5, {"k": math.inf}], "empty": []},
+                "weak_value": 1 - 2j,
+                "label": 'quote " and é',
+                "rows": [{"b": 1, "a": 2}, 3, [4.0]],
+            },
+        )
+        assert_json_bytes(tmp_path, {"rows": "not a table", "metadata": METADATA})
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e-5, 0.1,
+    math.nan, math.inf, -math.inf,
+]
+floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("serialize")
+
+
+@given(
+    columns=st.lists(st.lists(floats, min_size=1, max_size=40), min_size=1, max_size=3),
+    numpy_scalars=st.booleans(),
+)
+def test_random_float_columns(out_dir, columns, numpy_scalars):
+    kind = np.float64 if numpy_scalars else float
+    n = min(map(len, columns))
+    rows = [[kind(col[i]) for col in columns] for i in range(n)]
+    assert_table_bytes(out_dir, [f"c{j}" for j in range(len(columns))], rows)
+
+
+class TestSimulateRecords:
+    """``simulate`` output against the reference writers fed record by record."""
+
+    TRIALS = 70_000  # two Monte Carlo blocks and many write chunks
+
+    @pytest.mark.parametrize("protocol", ["sequential", "single"])
+    def test_records_match_reference_writers(self, tmp_path, protocol):
+        doc = {
+            "protocol": protocol,
+            "observable": [[0, 0], [1, 0], [1, 0], [0, 0]],
+            "observable_b": [[1, 0], [0, 0], [0, 0], [-1, 0]],
+            "psi": [[1, 0], [0, 0]],
+            "phi": [[0.6, 0], [0, 0.8]],
+            "lambda": 0.3,
+            "trials": self.TRIALS,
+            "seed": 11,
+        }
+        cfg = cli.parse_config("simulate", json.dumps(doc))
+        records, stats = mc.run_plan(cli._build_plan(cfg.params))
+        two = "x2" in records.dtype.names
+        header = ["x", "x2", "postselected"] if two else ["x", "postselected"]
+        rows = [
+            [r["x"], r["x2"], int(r["postselected"])] if two else [r["x"], int(r["postselected"])]
+            for r in records
+        ]
+        metadata = cli._metadata(cfg)
+        want = tmp_path / "want"
+        want.mkdir()
+        reference_csv(want / "records.csv", header, rows, metadata)
+        reference_json(want / "records.json", {"columns": header, "rows": rows, "metadata": metadata})
+        reference_json(want / "stats.json", {**asdict(stats), "metadata": metadata})
+
+        for fmt in ("csv", "json"):
+            got = tmp_path / fmt
+            assert cli.main(["simulate", "--config", json.dumps(doc), "--out", str(got), "--format", fmt]) == 0
+            for name in (f"records.{fmt}", "stats.json"):
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+        with open(tmp_path / "csv" / "records.csv", newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        csv_rows = [[float(v) for v in row] for row in csv.reader(lines[1:])]
+        json_rows = json.loads((tmp_path / "json" / "records.json").read_text())["rows"]
+        assert len(json_rows) == self.TRIALS
+        assert json_rows == csv_rows
