@@ -1,4 +1,5 @@
-"""Shared helpers: Pauli matrices, seeded random setups, hypothesis profile.
+"""Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
+and the direct-kernel oracle for the collective x density.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -8,10 +9,13 @@ Every hypothesis test runs under one profile: derandomized, with no example
 database and no deadline, so each run of the suite draws the same examples.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from weakmeas.collective import CollectiveSetup
 from weakmeas.core import Observable, PureState
 
 settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
@@ -46,3 +50,13 @@ def random_selection_pair(
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def direct_x_density(cs: CollectiveSetup, xs) -> np.ndarray:
+    """The collective x density as the plain Fourier sum over the x' grid:
+    a len(xs) x grid-size kernel, for any xs, even or not."""
+    prof = cs._profile
+    kernel = np.exp(0.5j * np.outer(np.atleast_1d(xs), prof.grid))
+    step = prof.grid[1] - prof.grid[0]
+    amp = kernel @ prof.amplitude * step / math.sqrt(4.0 * math.pi)
+    return (amp.real**2 + amp.imag**2) / prof.norm

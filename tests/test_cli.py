@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import direct_x_density, random_observable, random_selection_pair
 from weakmeas import cli
 from weakmeas.cli import main, parse_config
+from weakmeas.collective import CollectiveSetup
+from weakmeas.core import weak_value
 from weakmeas.errors import FileError, SchemaError
+from weakmeas.pointer import gaussian_density
 
 SX_JSON = [[0, 0], [1, 0], [1, 0], [0, 0]]
 SY_JSON = [[0, 0], [0, -1], [0, 1], [0, 0]]
@@ -311,6 +315,31 @@ class TestArtifacts:
         lines = (tmp_path / "collective.csv").read_text().splitlines()
         assert lines[0] == "n,metric,value"
         assert len(lines) == 1 + 15 + 1  # header + 5 N values x 3 metrics + metadata
+
+    def test_collective_d16_default_n_grid_matches_direct_kernel(self, tmp_path, rng):
+        pairs = lambda z: [[float(v.real), float(v.imag)] for v in np.ravel(z)]
+        psi, phi = random_selection_pair(rng, 16)
+        doc = config(
+            observable=pairs(random_observable(rng, 16).matrix),
+            psi=pairs(psi.amplitudes),
+            phi=pairs(phi.amplitudes),
+            **{"lambda": 1.0},
+        )
+        assert main(["collective", "--config", doc, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "collective.csv").read_text().splitlines()
+        gaps = {
+            int(n): float(v)
+            for n, metric, v in (ln.split(",") for ln in lines[1:] if not ln.startswith("#"))
+            if metric == "x_density_supnorm_gap"
+        }
+        assert sorted(gaps) == list(cli.DEFAULT_N_GRID)
+        p = parse_config("collective", doc).params
+        a_w = weak_value(p["observable"], p["psi"], p["phi"]).value
+        xs = np.linspace(a_w.real - 8.0, a_w.real + 8.0, 512)
+        for n, gap in gaps.items():
+            cs = CollectiveSetup(p["observable"], 1.0, p["psi"], p["phi"], n)
+            want = np.max(np.abs(direct_x_density(cs, xs) - gaussian_density(xs - a_w.real)))
+            assert gap == pytest.approx(want, abs=1e-12)
 
     def test_anomalous_summary_values(self, tmp_path, capsys):
         code = main(

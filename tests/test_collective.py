@@ -1,12 +1,13 @@
 """Collective coupling of one meter to N identically prepared systems."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SX, random_observable, random_selection_pair
+from conftest import SX, direct_x_density, random_observable, random_selection_pair
 from weakmeas.core import Observable, PureState, branch_weights, weak_value
 from weakmeas.errors import GridTooCoarse
 from weakmeas.collective import (
@@ -166,6 +167,130 @@ class TestDensities:
             gaps.append(abs(collective_conditional_mean(cs, BASIS_XPRIME) - im_w))
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[0] / gaps[-1] > 5.0
+
+
+def random_collective_setup(dim, seed, coupling, n_systems) -> CollectiveSetup:
+    """A random collective setup, skipped when its profile leaves the grid."""
+    rng = np.random.default_rng(seed)
+    obs = random_observable(rng, dim)
+    psi, phi = random_selection_pair(rng, dim)
+    cs = CollectiveSetup(obs, coupling, psi, phi, n_systems)
+    try:
+        cs._profile
+    except GridTooCoarse:
+        assume(False)
+    return cs
+
+
+def x_window(cs: CollectiveSetup, halfwidth: float, points: int) -> np.ndarray:
+    """Evenly spaced x around the large-N centre lam Re(A_w), as the CLI takes."""
+    center = cs.coupling * weak_value(cs.observable, cs.preselect, cs.postselect).value.real
+    return np.linspace(center - halfwidth, center + halfwidth, points)
+
+
+RANDOM_SETUPS = dict(
+    dim=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    coupling=st.floats(1e-3, 20.0),
+    n_systems=st.sampled_from([1, 3, 25, 400, 10**6]),
+)
+
+
+class TestXSynthesis:
+    """The chirp-z x density against the plain Fourier sum over the grid."""
+
+    @settings(max_examples=25)
+    @given(**RANDOM_SETUPS, halfwidth=st.floats(0.5, 20.0), points=st.integers(1, 600))
+    def test_matches_direct_kernel_on_random_setups(
+        self, dim, seed, coupling, n_systems, halfwidth, points
+    ):
+        cs = random_collective_setup(dim, seed, coupling, n_systems)
+        xs = x_window(cs, halfwidth, points)
+        got = collective_conditional_density(cs, BASIS_X, xs)
+        # normalized densities: an absolute bound, since far from the mass
+        # the values fall to ~1e-31 and a relative one means nothing there
+        assert np.max(np.abs(got - direct_x_density(cs, xs))) <= 1e-12
+
+    def test_matches_mpmath_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        cs = CollectiveSetup(Observable(SX), 1.0, PSI0, PHI_COMPLEX, 100)
+        xs = x_window(cs, 2.5, 6)
+        a = cs.observable.eigensystem.eigenvalues
+        w = branch_weights(cs.observable, cs.preselect, cs.postselect)
+        with mpmath.workdps(40):
+            grid = [mpmath.mpf(float(g)) for g in cs._profile.grid]
+            shift = mpmath.mpf(cs.coupling) / (2 * cs.n_systems)
+            f = [
+                sum(mpmath.mpc(wi) * mpmath.expj(-shift * float(ai) * g) for ai, wi in zip(a, w))
+                ** cs.n_systems
+                * mpmath.exp(-g * g / 4)
+                for g in grid
+            ]
+            dens = [abs(v) ** 2 for v in f]
+            norm = sum((g1 - g0) * (d0 + d1) / 2 for g0, g1, d0, d1 in zip(grid, grid[1:], dens, dens[1:]))
+            step = (grid[-1] - grid[0]) / (len(grid) - 1)
+            want = [
+                float(
+                    abs(sum(v * mpmath.expj(mpmath.mpf(float(x)) * g / 2) for v, g in zip(f, grid)))
+                    ** 2 * step**2 / (4 * mpmath.pi) / norm
+                )
+                for x in xs
+            ]
+        got = collective_conditional_density(cs, BASIS_X, xs)
+        assert max(want) > 0.1
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_scalar_single_point_and_decreasing_x(self):
+        cs = CollectiveSetup(Observable(SX), 0.7, PSI0, PHI_COMPLEX, 25)
+        xs = np.linspace(3.0, -3.0, 7)
+        want = direct_x_density(cs, xs)
+        assert np.max(np.abs(collective_conditional_density(cs, BASIS_X, xs) - want)) <= 1e-12
+        got = collective_conditional_density(cs, BASIS_X, 1.0)
+        assert isinstance(got, float) and got == pytest.approx(want[2], abs=1e-12)
+        got = collective_conditional_density(cs, BASIS_X, np.array([1.0]))
+        assert got.shape == (1,) and got[0] == pytest.approx(want[2], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [0.0, 1.0, 3.0],
+            np.geomspace(0.1, 4.0, 50),
+            np.linspace(-4.0, 4.0, 64) + 1e-9 * np.arange(64) ** 2,
+        ],
+    )
+    def test_uneven_x_is_refused(self, xs):
+        cs = CollectiveSetup(Observable(SX), 0.7, PSI0, PHI_COMPLEX, 25)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            collective_conditional_density(cs, BASIS_X, xs)
+
+
+class TestQuadratureError:
+    """Every other grid point (4096 of 8192) moves no result beyond its bound."""
+
+    @settings(max_examples=25)
+    @given(**RANDOM_SETUPS)
+    def test_halving_the_grid(self, dim, seed, coupling, n_systems):
+        cs = random_collective_setup(dim, seed, coupling, n_systems)
+        prof = cs._profile
+        grid, density = prof.grid[::2], prof.density[::2]
+        coarse = dataclasses.replace(cs)  # same setup, no cached profile
+        coarse.__dict__["_profile"] = dataclasses.replace(
+            prof,
+            grid=grid,
+            amplitude=prof.amplitude[::2],
+            density=density,
+            norm=float(np.trapezoid(density, grid)),
+            local_weak_value=prof.local_weak_value[::2],
+        )
+        assert collective_postselection_ratio(coarse) == pytest.approx(
+            collective_postselection_ratio(cs), rel=1e-12
+        )
+        assert collective_conditional_mean(coarse, BASIS_XPRIME) == pytest.approx(
+            collective_conditional_mean(cs, BASIS_XPRIME), abs=1e-12
+        )
+        xs = x_window(cs, 8.0, 512)
+        fine = collective_conditional_density(cs, BASIS_X, xs)
+        assert np.max(np.abs(collective_conditional_density(coarse, BASIS_X, xs) - fine)) <= 1e-10
 
 
 class TestPostselectionRatio:
