@@ -108,7 +108,6 @@ from .lindblad import (
     second_order_coefficient,
 )
 from .montecarlo import (
-    ExperimentRecord,
     TrialPlan,
     TrialStatistics,
     run_kick,

@@ -72,15 +72,6 @@ class TrialPlan:
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One run: meter outcome(s) and whether post-selection succeeded."""
-
-    x: float
-    postselected: bool
-    x2: float | None = None
-
-
-@dataclass(frozen=True)
 class TrialStatistics:
     """Aggregates over the post-selected runs of one plan."""
 
@@ -95,17 +86,6 @@ class TrialStatistics:
     def __post_init__(self):
         if self.n_postselected > self.n_total:
             raise ValueError("n_postselected exceeds n_total")
-
-
-def iter_records(records: np.ndarray):
-    """View a structured record array as ExperimentRecord objects."""
-    two = "x2" in (records.dtype.names or ())
-    for row in records:
-        yield ExperimentRecord(
-            x=float(row["x"]),
-            postselected=bool(row["postselected"]),
-            x2=float(row["x2"]) if two else None,
-        )
 
 
 def _eigen_arrays(observable: Observable, psi_vec: np.ndarray):
@@ -234,14 +214,25 @@ def run_sequential(plan: TrialPlan):
     drawn from the second mixture of the collapsed state, the system
     collapses again, and post-selection is decided on the twice-disturbed
     state. Cross covariance comes with a delete-one jackknife error.
+
+    The collapsed state chi1 is kept in coordinates of an orthonormal
+    eigenbasis of B, fixed once per plan. The second collapse then only
+    reweights those coordinates by sqrt(g2) of their eigenspace: branch
+    probabilities are eigenspace sums of |coords|^2 and the post-selection
+    amplitude is one dot product with <phi|v_m>. A block of n trials costs
+    O(n d^2) and holds only (n, d) arrays; no (k2, n, d) stack of projector
+    images is formed.
     """
     a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
-    second = plan.second_observable
-    b_system = second.eigensystem
+    b_system = plan.second_observable.eigensystem
     b_vals = b_system.eigenvalues
-    b_projs = b_system.projectors
+    vals, vecs = np.linalg.eigh(b_system.projectors)
+    group, cols = np.nonzero(vals > 0.5)  # projector eigenvalues are 0 or 1
+    basis = vecs[group, :, cols].T  # orthonormal; column m lies in eigenspace group[m]
+    comps_rot = comps_a @ np.conj(basis)  # <v_m|P_i|psi>
+    phi_rot = basis.T @ np.conj(plan.postselect.amplitudes)  # <phi|v_m>
+    member = (group[:, None] == np.arange(b_vals.size)).astype(np.float64)
     lam1, lam2 = plan.coupling, plan.second_coupling
-    phi = np.conj(plan.postselect.amplitudes)
 
     def block(rng: np.random.Generator, n: int) -> np.ndarray:
         u1 = rng.random(n)
@@ -253,19 +244,17 @@ def run_sequential(plan: TrialPlan):
         branch1 = _categorical(u1, probs_a)
         x1 = lam1 * a_vals[branch1] + z1
         g1 = gaussian_density(x1[:, None] - lam1 * a_vals)
-        chi1 = np.sqrt(g1) @ comps_a  # (n, d), unnormalized
-        chi1 /= np.linalg.norm(chi1, axis=1)[:, None]
-
-        proj_images = np.stack([chi1 @ p.T for p in b_projs])  # (k2, n, d)
-        q = np.real(np.einsum("jnd,jnd->nj", np.conj(proj_images), proj_images))
+        coords = np.sqrt(g1) @ comps_rot  # chi1 in B's eigenbasis, unnormalized
+        weight = coords.real**2 + coords.imag**2
+        norm2 = weight.sum(axis=1)
+        q = (weight @ member) / norm2[:, None]
         branch2 = _row_categorical(u2, q)
         x2 = lam2 * b_vals[branch2] + z2
         g2 = gaussian_density(x2[:, None] - lam2 * b_vals)
-        chi2 = np.einsum("nj,jnd->nd", np.sqrt(g2), proj_images)
         p2 = np.einsum("nj,nj->n", g2, q)
 
-        amp = chi2 @ phi
-        p_acc = (amp.real**2 + amp.imag**2) / p2
+        amp = (coords * np.sqrt(g2)[:, group]) @ phi_rot
+        p_acc = (amp.real**2 + amp.imag**2) / (norm2 * p2)
         out = np.empty(n, dtype=_DTYPE_TWO)
         out["x"] = x1
         out["x2"] = x2

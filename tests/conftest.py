@@ -1,5 +1,6 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
-and the direct-kernel oracle for the collective x density.
+the direct-kernel oracle for the collective x density and the projector-stack
+oracle for the sequential Monte Carlo records.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -17,6 +18,15 @@ from hypothesis import settings
 
 from weakmeas.collective import CollectiveSetup
 from weakmeas.core import Observable, PureState
+from weakmeas.montecarlo import (
+    BLOCK_SIZE,
+    TrialPlan,
+    _DTYPE_TWO,
+    _categorical,
+    _eigen_arrays,
+    _row_categorical,
+)
+from weakmeas.pointer import gaussian_density, stream_rng
 
 settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
 settings.load_profile("weakmeas")
@@ -60,3 +70,46 @@ def direct_x_density(cs: CollectiveSetup, xs) -> np.ndarray:
     step = prof.grid[1] - prof.grid[0]
     amp = kernel @ prof.amplitude * step / math.sqrt(4.0 * math.pi)
     return (amp.real**2 + amp.imag**2) / prof.norm
+
+
+def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:
+    """Sequential-protocol records with the collapse written out in the
+    system basis: chi1 normalized, then a (k2, n, d) stack of its images
+    P_j chi1. Draws as the runner does: block b of BLOCK_SIZE trials from
+    stream_rng(seed, b), five draws in a fixed order."""
+    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    b_system = plan.second_observable.eigensystem
+    b_vals, b_projs = b_system.eigenvalues, b_system.projectors
+    lam1, lam2 = plan.coupling, plan.second_coupling
+    phi = np.conj(plan.postselect.amplitudes)
+    parts = []
+    for b, start in enumerate(range(0, plan.trials, BLOCK_SIZE)):
+        rng, n = stream_rng(plan.seed, b), min(BLOCK_SIZE, plan.trials - start)
+        u1 = rng.random(n)
+        z1 = rng.standard_normal(n)
+        u2 = rng.random(n)
+        z2 = rng.standard_normal(n)
+        u3 = rng.random(n)
+
+        branch1 = _categorical(u1, probs_a)
+        x1 = lam1 * a_vals[branch1] + z1
+        g1 = gaussian_density(x1[:, None] - lam1 * a_vals)
+        chi1 = np.sqrt(g1) @ comps_a
+        chi1 /= np.linalg.norm(chi1, axis=1)[:, None]
+
+        proj_images = np.stack([chi1 @ p.T for p in b_projs])  # (k2, n, d)
+        q = np.real(np.einsum("jnd,jnd->nj", np.conj(proj_images), proj_images))
+        branch2 = _row_categorical(u2, q)
+        x2 = lam2 * b_vals[branch2] + z2
+        g2 = gaussian_density(x2[:, None] - lam2 * b_vals)
+        chi2 = np.einsum("nj,jnd->nd", np.sqrt(g2), proj_images)
+        p2 = np.einsum("nj,nj->n", g2, q)
+
+        amp = chi2 @ phi
+        p_acc = (amp.real**2 + amp.imag**2) / p2
+        out = np.empty(n, dtype=_DTYPE_TWO)
+        out["x"] = x1
+        out["x2"] = x2
+        out["postselected"] = u3 < p_acc
+        parts.append(out)
+    return np.concatenate(parts)

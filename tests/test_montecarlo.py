@@ -1,18 +1,27 @@
 """Stochastic runners against their analytic targets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from conftest import SX, SY, SZ
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    projector_stack_sequential,
+    random_observable,
+    random_selection_pair,
+)
 from weakmeas.core import Observable, PureState
 from weakmeas.errors import NoPostselectedRuns, OrthogonalPostselection
 from weakmeas.montecarlo import (
+    BLOCK_SIZE,
     TrialPlan,
     TrialStatistics,
-    iter_records,
     run_kick,
     run_plan,
     run_sequential,
@@ -178,6 +187,76 @@ class TestRunSequential:
         assert within_se(stats.cross_covariance, target, stats.cross_covariance_se)
 
 
+def degenerate_observable(rng: np.random.Generator, dim: int, levels: int) -> Observable:
+    """Random eigenbasis carrying `levels` distinct eigenvalues in [-1, 1],
+    each at least once: rank-1 eigenspaces at levels = dim, a multiple of
+    the identity at levels = 1."""
+    values = np.sort(rng.uniform(-1.0, 1.0, levels))
+    level_of = np.r_[np.arange(levels), rng.integers(levels, size=dim - levels)]
+    spectrum = values[rng.permutation(level_of)]
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    obs = Observable((basis * spectrum) @ basis.conj().T)
+    assert obs.eigensystem.eigenvalues.size == levels
+    return obs
+
+
+def sequential_plan(rng, dim, trials, a, b, lam1=0.1, lam2=0.1, threads=1) -> TrialPlan:
+    psi, phi = random_selection_pair(rng, dim)
+    return TrialPlan(
+        "sequential", a, lam1, psi, phi, trials, int(rng.integers(2**31)),
+        second_observable=b, second_coupling=lam2, threads=threads,
+    )
+
+
+class TestSequentialAgainstProjectorStack:
+    """The eigenbasis collapse in run_sequential gives the same records, byte
+    for byte, as the collapse through a (k2, n, d) stack of projector images."""
+
+    @settings(max_examples=50)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam1=st.floats(1e-3, 20.0),
+        lam2=st.floats(1e-3, 20.0),
+        trials=st.integers(1, 4096),
+        data=st.data(),
+    )
+    def test_records_match_on_degenerate_spectra(self, dim, seed, lam1, lam2, trials, data):
+        rng = np.random.default_rng(seed)
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_a"))
+        b = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_b"))
+        plan = sequential_plan(rng, dim, trials, a, b, lam1, lam2)
+        expected = projector_stack_sequential(plan)
+        if not expected["postselected"].any():
+            with pytest.raises(NoPostselectedRuns):
+                run_sequential(plan)
+            return
+        records, _ = run_sequential(plan)
+        assert records.dtype == expected.dtype
+        assert records.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_blocks_at_d16(self, threads):
+        rng = np.random.default_rng(70_000)
+        a, b = random_observable(rng, 16), random_observable(rng, 16)
+        plan = sequential_plan(rng, 16, 70_000, a, b, threads=threads)
+        records, _ = run_sequential(plan)
+        assert records.tobytes() == projector_stack_sequential(plan).tobytes()
+
+    def test_block_memory_stays_linear_in_d(self):
+        # a (k2, n, d) complex stack alone is 268 MB for one block at d = 16
+        rng = np.random.default_rng(65_536)
+        a, b = random_observable(rng, 16), random_observable(rng, 16)
+        plan = sequential_plan(rng, 16, BLOCK_SIZE, a, b)
+        tracemalloc.start()
+        try:
+            run_sequential(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20
+
+
 class TestRunThreshold:
     def test_mean_exceeds_threshold(self):
         plan = TrialPlan("threshold", OBS, 0.05, PSI, None, 50_000, 13, threshold_multiple=10.0)
@@ -252,14 +331,6 @@ class TestPlanAndRecords:
     def test_statistics_validation(self):
         with pytest.raises(ValueError):
             TrialStatistics(10, 11, 1.1, (0.0,), (1.0,))
-
-    def test_iter_records_views(self):
-        plan = TrialPlan("single", OBS, 0.1, PSI, PHI, 50, 0)
-        records, _ = run_single(plan)
-        items = list(iter_records(records))
-        assert len(items) == 50
-        assert items[0].x == records["x"][0]
-        assert items[0].x2 is None
 
     def test_run_plan_dispatch(self):
         plan = TrialPlan("kick", OBS, 0.1, PSI, PHI, 100, 0)
