@@ -411,18 +411,12 @@ def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     )
     xs = np.linspace(-6.0 - abs(p["lambda"]), 6.0 + abs(p["lambda"]), 101)
     dens2 = proto.sequential_joint_density(sq_grid, xs, xs)
-    _write_table(
-        cfg,
-        out_dir,
-        "sequential_density",
-        ["x1", "x2", "density"],
-        (
-            [xs[i], xs[j], dens2[i, j]]
-            for i in range(xs.size)
-            for j in range(xs.size)
-        ),
-        fmt,
+    # one grid row of Python floats at a time, not all 10,201 cells at once
+    x_list = xs.tolist()
+    grid_rows = (
+        (x1, x2, d) for x1, row in zip(x_list, dens2) for x2, d in zip(x_list, row.tolist())
     )
+    _write_table(cfg, out_dir, "sequential_density", ["x1", "x2", "density"], grid_rows, fmt)
     sq0 = proto.SequentialSetup(
         p["observable"], lams[0], p["observable_b"], lams[0], p["psi"], p["phi"], bases
     )

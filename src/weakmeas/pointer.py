@@ -114,10 +114,7 @@ class PointerWavefunction:
     def amplitude(self, x) -> np.ndarray:
         """Complex wavefunction value at x (scalar or array)."""
         w, c, k = self._arrays
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        phases = np.exp(1j * np.outer(x, k))
-        envelopes = WAVEFUNCTION_NORM * np.exp(-((x[:, None] - c[None, :]) ** 2) / 4.0)
-        return (phases * envelopes) @ w
+        return _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k) @ w
 
     def to_json(self) -> dict:
         return {
@@ -135,6 +132,28 @@ class PointerWavefunction:
         return cls(terms, data["basis"])
 
 
+def _term_values(x: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(len(x), len(c)) values of the unit-weight terms (c, k) at the points x."""
+    phases = np.exp(1j * np.outer(x, k))
+    envelopes = WAVEFUNCTION_NORM * np.exp(-((x[:, None] - c[None, :]) ** 2) / 4.0)
+    return phases * envelopes
+
+
+def _pair_kernel(ca: np.ndarray, ka: np.ndarray, cb: np.ndarray, kb: np.ndarray):
+    """The pair integrals of bra terms (ca, ka) against ket terms (cb, kb).
+
+    Returns (base, m, dk), each (len(ca), len(cb)): ``base`` is the closed
+    form of the module docstring, and ``m`` and ``dk`` build the moment
+    polynomials. This is the one copy of the kernel; every pair sum of the
+    package goes through it.
+    """
+    dc = ca[:, None] - cb[None, :]
+    dk = kb[None, :] - ka[:, None]
+    m = (ca[:, None] + cb[None, :]) / 2.0
+    base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
+    return base, m, dk
+
+
 def initial_meter() -> PointerWavefunction:
     """The initial meter state sqrt(G(x)): one term at the origin."""
     return PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),), BASIS_X)
@@ -143,10 +162,7 @@ def initial_meter() -> PointerWavefunction:
 def _pair_matrices(a: PointerWavefunction, b: PointerWavefunction):
     wa, ca, ka = a._arrays
     wb, cb, kb = b._arrays
-    dc = ca[:, None] - cb[None, :]
-    dk = kb[None, :] - ka[:, None]
-    m = (ca[:, None] + cb[None, :]) / 2.0
-    base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
+    base, m, dk = _pair_kernel(ca, ka, cb, kb)
     coeff = np.conj(wa)[:, None] * wb[None, :]
     return coeff, base, m, dk
 

@@ -1,12 +1,16 @@
 """Measurement protocols: von Neumann coupling, post-selection, kicks, sequences.
 
-The joint system+meters state after any number of von Neumann interactions is
-kept exactly, as a finite list of branches. Each branch carries a complex
-amplitude, a normalized system vector (an eigenprojector image of the initial
-state) and one (center, phase_slope) pair per meter; the meter factor of a
-branch is a product of displaced Gaussians. Densities, overlaps and moments
-then come from the closed forms in :mod:`weakmeas.pointer` with no grids or
-truncation.
+The joint system+meter state after a von Neumann interaction is kept exactly,
+as a finite list of branches. Each branch carries a complex amplitude, a
+normalized system vector (an eigenprojector image of the initial state) and
+one (center, phase_slope) pair per meter; the meter factor of a branch is a
+product of displaced Gaussians. Densities, overlaps and moments then come
+from the closed forms in :mod:`weakmeas.pointer` with no grids or truncation.
+
+The post-selected sequential (two-meter) state is a product form instead:
+W[i, j] = <phi|Q_j P_i|psi> over the eigenprojectors of the two observables,
+with one Gaussian term per eigenvalue on each meter (see
+:class:`MultiMeterWavefunction`).
 
 Order convention for sequential measurements: ``first`` acts first, i.e. its
 unitary is applied to the initial state before ``second``'s.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +49,8 @@ from .pointer import (
     BASIS_XPRIME,
     GaussianTerm,
     PointerWavefunction,
-    WAVEFUNCTION_NORM,
+    _pair_kernel,
+    _term_values,
     density as pointer_density,
     gaussian_density,
     moment,
@@ -118,24 +124,14 @@ class JointState:
     def total_squared_norm(self) -> float:
         """Exact norm^2 of the represented joint state."""
         amps = np.array([b.amplitude for b in self.branches])
-        gram = np.array(
-            [
-                [
-                    complex(np.vdot(self.system_vectors[a.vector_index], self.system_vectors[b.vector_index]))
-                    for b in self.branches
-                ]
-                for a in self.branches
-            ]
-        )
+        vectors = np.stack([self.system_vectors[b.vector_index] for b in self.branches])
+        # gram[a,b] = <v_a|v_b>; bra side conjugates the amplitude only
+        gram = np.conj(vectors) @ vectors.T
         meters = np.ones_like(gram)
         for mu in range(self.meter_count):
-            ca = np.array([b.centers[mu] for b in self.branches])
-            ka = np.array([b.phase_slopes[mu] for b in self.branches])
-            dc = ca[:, None] - ca[None, :]
-            dk = ka[None, :] - ka[:, None]
-            m = (ca[:, None] + ca[None, :]) / 2.0
-            meters = meters * np.exp(-(dc * dc) / 8.0 + 1j * dk * m - (dk * dk) / 2.0)
-        # gram[a,b] = <v_a|v_b>; bra side conjugates the amplitude only
+            c = np.array([b.centers[mu] for b in self.branches])
+            k = np.array([b.phase_slopes[mu] for b in self.branches])
+            meters = meters * _pair_kernel(c, k, c, k)[0]
         return float(np.real((np.conj(amps)[:, None] * amps[None, :] * gram * meters).sum()))
 
 
@@ -237,113 +233,96 @@ def apply_von_neumann(
 
 @dataclass(frozen=True)
 class MultiMeterWavefunction:
-    """Superposition of products of Gaussian terms, one factor per meter."""
+    """Post-selected two-meter state in product form.
 
-    weights: np.ndarray  # (T,)
-    centers: np.ndarray  # (T, M)
-    phase_slopes: np.ndarray  # (T, M)
-    bases: tuple[str, ...]
+    The amplitude is sum_ij weights[i, j] f_i(x1) g_j(x2), where meter 1's
+    term f_i has center ``centers[0][i]`` and phase slope
+    ``phase_slopes[0][i]``, and meter 2's term g_j likewise with index 1.
+    Every pair sum then factorizes: with one k x k pair kernel per meter,
+    S(K, L) = sum conj(W) * (K W L^T), and the first moment of a meter puts
+    the polynomial (m + i dk) on that meter's kernel. The amplitude on an
+    outer grid is F1 W F2^T, with F the term values at the grid points.
+    """
 
-    @property
-    def meter_count(self) -> int:
-        return self.centers.shape[1]
+    weights: np.ndarray  # (k1, k2)
+    centers: tuple[np.ndarray, np.ndarray]
+    phase_slopes: tuple[np.ndarray, np.ndarray]
+    bases: tuple[str, str] = (BASIS_X, BASIS_X)
 
-    def _pair_base(self) -> np.ndarray:
-        base = np.ones((self.weights.size, self.weights.size), dtype=np.complex128)
-        for mu in range(self.meter_count):
-            c = self.centers[:, mu]
-            k = self.phase_slopes[:, mu]
-            dc = c[:, None] - c[None, :]
-            dk = k[None, :] - k[:, None]
-            m = (c[:, None] + c[None, :]) / 2.0
-            base *= np.exp(-(dc * dc) / 8.0 + 1j * dk * m - (dk * dk) / 2.0)
-        return np.conj(self.weights)[:, None] * self.weights[None, :] * base
+    @cached_property
+    def _kernels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per meter: its pair kernel and the kernel times (m + i dk)."""
+        kernels = []
+        for c, k in zip(self.centers, self.phase_slopes):
+            base, m, dk = _pair_kernel(c, k, c, k)
+            kernels.append((base, base * (m + 1j * dk)))
+        return tuple(kernels)
+
+    def _pair_sum(self, first: np.ndarray, second: np.ndarray) -> np.float64:
+        w = self.weights
+        return (np.conj(w) * (first @ w @ second.T)).sum().real
 
     def squared_norm(self) -> float:
-        return max(float(self._pair_base().sum().real), 0.0)
-
-    def _poly1(self, mu: int) -> np.ndarray:
-        c = self.centers[:, mu]
-        k = self.phase_slopes[:, mu]
-        dk = k[None, :] - k[:, None]
-        m = (c[:, None] + c[None, :]) / 2.0
-        return m + 1j * dk
+        (k1, _), (k2, _) = self._kernels
+        return max(float(self._pair_sum(k1, k2)), 0.0)
 
     def first_moment(self, mu: int) -> float:
-        pair = self._pair_base()
-        return float((pair * self._poly1(mu)).sum().real / pair.sum().real)
+        """E[x_mu] of the normalized density."""
+        (k1, m1), (k2, m2) = self._kernels
+        num = self._pair_sum(m1, k2) if mu == 0 else self._pair_sum(k1, m2)
+        return float(num / self._pair_sum(k1, k2))
 
-    def cross_moment(self, mu: int, nu: int) -> float:
-        """E[x_mu * x_nu] of the normalized density (mu != nu)."""
-        pair = self._pair_base()
-        return float((pair * self._poly1(mu) * self._poly1(nu)).sum().real / pair.sum().real)
+    def cross_moment(self) -> float:
+        """E[x1 x2] of the normalized density."""
+        (k1, m1), (k2, m2) = self._kernels
+        return float(self._pair_sum(m1, m2) / self._pair_sum(k1, k2))
 
     def transform_meter(self, mu: int) -> "MultiMeterWavefunction":
         """Take meter mu to the x' basis (same rule as the 1-meter transform)."""
         if self.bases[mu] != BASIS_X:
             raise ValueError(f"meter {mu} is already in the x' basis")
-        w = self.weights * np.exp(1j * self.phase_slopes[:, mu] * self.centers[:, mu])
-        centers = self.centers.copy()
-        slopes = self.phase_slopes.copy()
-        new_c = 2.0 * self.phase_slopes[:, mu]
-        new_k = -self.centers[:, mu] / 2.0
-        centers[:, mu] = new_c
-        slopes[:, mu] = new_k
-        bases = tuple(BASIS_XPRIME if i == mu else b for i, b in enumerate(self.bases))
-        return MultiMeterWavefunction(w, centers, slopes, bases)
+        c, k = self.centers[mu], self.phase_slopes[mu]
+        phase = np.exp(1j * k * c)
+        weights = self.weights * (phase[:, None] if mu == 0 else phase[None, :])
+        centers, slopes, bases = list(self.centers), list(self.phase_slopes), list(self.bases)
+        centers[mu], slopes[mu], bases[mu] = 2.0 * k, -c / 2.0, BASIS_XPRIME
+        return MultiMeterWavefunction(weights, tuple(centers), tuple(slopes), tuple(bases))
 
-    def amplitude_grid(self, *axes) -> np.ndarray:
-        """Joint amplitude on an outer-product grid (one axis per meter)."""
-        if len(axes) != self.meter_count:
-            raise ValueError("one coordinate array per meter required")
-        factors = []
-        for mu, x in enumerate(axes):
-            x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-            c = self.centers[:, mu]
-            k = self.phase_slopes[:, mu]
-            factors.append(
-                np.exp(1j * np.outer(x, k))
-                * WAVEFUNCTION_NORM
-                * np.exp(-((x[:, None] - c[None, :]) ** 2) / 4.0)
-            )
-        if self.meter_count == 2:
-            return np.einsum("it,jt,t->ij", factors[0], factors[1], self.weights)
-        out = factors[0] * self.weights[None, :]
-        return out.sum(axis=1)
+    def amplitude_grid(self, x1, x2) -> np.ndarray:
+        """Joint amplitude on the outer-product grid x1 x x2."""
+        f1, f2 = (
+            _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k)
+            for x, c, k in zip((x1, x2), self.centers, self.phase_slopes)
+        )
+        return f1 @ self.weights @ f2.T
 
-    def density_grid(self, *axes) -> np.ndarray:
-        amp = self.amplitude_grid(*axes)
+    def density_grid(self, x1, x2) -> np.ndarray:
+        amp = self.amplitude_grid(x1, x2)
         return amp.real**2 + amp.imag**2
 
 
-def postselect(js: JointState, phi: PureState):
-    """Contract the system with <phi|.
+def postselect(js: JointState, phi: PureState) -> tuple[PointerWavefunction, float]:
+    """Contract a one-meter joint state with <phi|.
 
-    Returns (meter_state, probability): a PointerWavefunction for one meter,
-    a MultiMeterWavefunction otherwise, both unnormalized so that their
-    squared norm is the post-selection probability. A probability near zero
-    is legal here; downstream consumers flag it instead of failing.
+    Returns (meter_state, probability): the PointerWavefunction unnormalized,
+    so that its squared norm is the post-selection probability. A
+    probability near zero is legal here; downstream consumers flag it
+    instead of failing.
     """
+    if js.meter_count != 1:
+        raise ValueError("postselect takes a one-meter joint state")
     if phi.dim != js.system_vectors[0].shape[0]:
         raise DimensionMismatch("post-selection state dimension mismatch")
-    weights = np.array(
-        [
-            b.amplitude * complex(np.vdot(phi.amplitudes, js.system_vectors[b.vector_index]))
-            for b in js.branches
-        ],
-        dtype=np.complex128,
-    )
-    if js.meter_count == 1:
-        terms = tuple(
-            GaussianTerm(weights[i], js.branches[i].centers[0], js.branches[i].phase_slopes[0])
-            for i in range(len(js.branches))
+    terms = tuple(
+        GaussianTerm(
+            b.amplitude * complex(np.vdot(phi.amplitudes, js.system_vectors[b.vector_index])),
+            b.centers[0],
+            b.phase_slopes[0],
         )
-        state = PointerWavefunction(terms, BASIS_X)
-        return state, squared_norm(state)
-    centers = np.array([b.centers for b in js.branches], dtype=np.float64)
-    slopes = np.array([b.phase_slopes for b in js.branches], dtype=np.float64)
-    state = MultiMeterWavefunction(weights, centers, slopes, (BASIS_X,) * js.meter_count)
-    return state, state.squared_norm()
+        for b in js.branches
+    )
+    state = PointerWavefunction(terms, BASIS_X)
+    return state, squared_norm(state)
 
 
 @dataclass(frozen=True)
@@ -453,15 +432,24 @@ def delayed_choice(setup: MeasurementSetup, choice: str) -> PointerWavefunction:
 
 
 def sequential_meter_state(sq: SequentialSetup) -> tuple[MultiMeterWavefunction, float]:
-    """Two-meter post-selected state (meter bases applied) and probability."""
-    js = initial_joint_state(sq.preselect, meter_count=2)
-    js = apply_von_neumann(js, sq.first, sq.first_coupling, meter=0)
-    js = apply_von_neumann(js, sq.second, sq.second_coupling, meter=1)
-    state, prob = postselect(js, sq.postselect)
+    """Two-meter post-selected state (meter bases applied) and probability.
+
+    W[i, j] = <Q_j phi|P_i psi> from the projector images of psi and phi;
+    meter 1's terms sit at first_coupling * a_i, meter 2's at
+    second_coupling * b_j, all with phase slope 0.
+    """
+    first, second = sq.first.eigensystem, sq.second.eigensystem
+    images_a = first.projectors @ sq.preselect.amplitudes
+    images_b = second.projectors @ sq.postselect.amplitudes
+    state = MultiMeterWavefunction(
+        images_a @ np.conj(images_b).T,
+        (sq.first_coupling * first.eigenvalues, sq.second_coupling * second.eigenvalues),
+        (np.zeros(first.eigenvalues.size), np.zeros(second.eigenvalues.size)),
+    )
     for mu, basis in enumerate(sq.meter_bases):
         if basis == BASIS_XPRIME:
             state = state.transform_meter(mu)
-    return state, prob
+    return state, state.squared_norm()
 
 
 def sequential_joint_density(sq: SequentialSetup, x1, x2):
@@ -479,7 +467,7 @@ def sequential_joint_density(sq: SequentialSetup, x1, x2):
 def sequential_cross_covariance(sq: SequentialSetup) -> float:
     """Exact E[x1 x2] - E[x1] E[x2] of the conditional joint density."""
     state, _ = sequential_meter_state(sq)
-    return state.cross_moment(0, 1) - state.first_moment(0) * state.first_moment(1)
+    return state.cross_moment() - state.first_moment(0) * state.first_moment(1)
 
 
 def sequential_means(sq: SequentialSetup) -> tuple[float, float]:

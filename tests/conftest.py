@@ -1,6 +1,7 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
-the direct-kernel oracle for the collective x density and the projector-stack
-oracle for the sequential Monte Carlo records.
+the direct-kernel oracle for the collective x density, the projector-stack
+oracle for the sequential Monte Carlo records and the branch-sum oracle for
+the sequential closed forms.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -26,7 +27,8 @@ from weakmeas.montecarlo import (
     _eigen_arrays,
     _row_categorical,
 )
-from weakmeas.pointer import gaussian_density, stream_rng
+from weakmeas.pointer import BASIS_XPRIME, WAVEFUNCTION_NORM, gaussian_density, stream_rng
+from weakmeas.protocols import SequentialSetup, apply_von_neumann, initial_joint_state
 
 settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
 settings.load_profile("weakmeas")
@@ -46,6 +48,23 @@ def random_observable(rng: np.random.Generator, dim: int) -> Observable:
     h = (m + m.conj().T) / 2.0
     radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
     return Observable(h / radius)
+
+
+def degenerate_observable(
+    rng: np.random.Generator, dim: int, levels: int, scale: float = 1.0, basis=None
+) -> Observable:
+    """`levels` distinct eigenvalues in [-scale, scale], each at least once:
+    rank-1 eigenspaces at levels = dim, a multiple of the identity at
+    levels = 1. The eigenbasis is random unless a unitary `basis` is given,
+    so that observables built on one basis commute."""
+    values = scale * np.sort(rng.uniform(-1.0, 1.0, levels))
+    level_of = np.r_[np.arange(levels), rng.integers(levels, size=dim - levels)]
+    spectrum = values[rng.permutation(level_of)]
+    if basis is None:
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    obs = Observable((basis * spectrum) @ basis.conj().T)
+    assert obs.eigensystem.eigenvalues.size == levels
+    return obs
 
 
 def random_selection_pair(
@@ -113,3 +132,49 @@ def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:
         out["postselected"] = u3 < p_acc
         parts.append(out)
     return np.concatenate(parts)
+
+
+def branch_sum_sequential(sq: SequentialSetup, x1, x2) -> dict:
+    """The sequential closed forms summed over pairs of joint branches.
+
+    Builds the JointState of both couplings, post-selects it branch by
+    branch, takes each x' meter through (w, c, k) -> (w e^{ikc}, 2k, -c/2)
+    and sums one (T, T) Gaussian pair kernel over all T branches. Returns the
+    post-selection probability, both means, E[x1 x2] and the normalized
+    density on the outer grid x1 x x2."""
+    js = initial_joint_state(sq.preselect, meter_count=2)
+    js = apply_von_neumann(js, sq.first, sq.first_coupling, meter=0)
+    js = apply_von_neumann(js, sq.second, sq.second_coupling, meter=1)
+    w = np.array(
+        [
+            b.amplitude * complex(np.vdot(sq.postselect.amplitudes, js.system_vectors[b.vector_index]))
+            for b in js.branches
+        ]
+    )
+    c = np.array([b.centers for b in js.branches], dtype=np.float64)
+    k = np.array([b.phase_slopes for b in js.branches], dtype=np.float64)
+    for mu, basis in enumerate(sq.meter_bases):
+        if basis == BASIS_XPRIME:
+            w = w * np.exp(1j * k[:, mu] * c[:, mu])
+            c[:, mu], k[:, mu] = 2.0 * k[:, mu], -c[:, mu] / 2.0
+    pair = np.conj(w)[:, None] * w[None, :]
+    polys, factors = [], []
+    for mu, x in enumerate((x1, x2)):
+        cm, km = c[:, mu], k[:, mu]
+        dc = cm[:, None] - cm[None, :]
+        dk = km[None, :] - km[:, None]
+        m = (cm[:, None] + cm[None, :]) / 2.0
+        pair = pair * np.exp(-(dc * dc) / 8.0 + 1j * dk * m - (dk * dk) / 2.0)
+        polys.append(m + 1j * dk)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        factors.append(
+            np.exp(1j * np.outer(x, km)) * WAVEFUNCTION_NORM * np.exp(-((x[:, None] - cm[None, :]) ** 2) / 4.0)
+        )
+    prob = pair.sum().real
+    amp = np.einsum("it,jt,t->ij", factors[0], factors[1], w)
+    return {
+        "probability": prob,
+        "means": tuple((pair * p).sum().real / prob for p in polys),
+        "cross_moment": (pair * polys[0] * polys[1]).sum().real / prob,
+        "density": (amp.real**2 + amp.imag**2) / prob,
+    }

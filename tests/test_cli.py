@@ -6,13 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_x_density, random_observable, random_selection_pair
+from conftest import (
+    branch_sum_sequential,
+    direct_x_density,
+    random_observable,
+    random_selection_pair,
+)
 from weakmeas import cli
 from weakmeas.cli import main, parse_config
 from weakmeas.collective import CollectiveSetup
 from weakmeas.core import weak_value
 from weakmeas.errors import FileError, SchemaError
 from weakmeas.pointer import gaussian_density
+from weakmeas.protocols import SequentialSetup, extrapolate_to_zero_coupling
 
 SX_JSON = [[0, 0], [1, 0], [1, 0], [0, 0]]
 SY_JSON = [[0, 0], [0, -1], [0, 1], [0, 0]]
@@ -215,6 +221,15 @@ class TestParser:
         assert "--no-such-flag" in capsys.readouterr().err
 
 
+def read_rows(out_dir, name: str, fmt: str) -> list[list]:
+    """Rows of a written table; empty CSV cells read as None, numbers as floats."""
+    if fmt == "json":
+        return json.loads((out_dir / f"{name}.json").read_text())["rows"]
+    lines = (out_dir / f"{name}.csv").read_text().splitlines()[1:-1]
+    cell = lambda v: None if v == "" else v if v[0].isalpha() else float(v)
+    return [[cell(v) for v in ln.split(",")] for ln in lines]
+
+
 class TestArtifacts:
     def test_density_integrates_to_one(self, tmp_path):
         code = main(
@@ -340,6 +355,45 @@ class TestArtifacts:
             cs = CollectiveSetup(p["observable"], 1.0, p["psi"], p["phi"], n)
             want = np.max(np.abs(direct_x_density(cs, xs) - gaussian_density(xs - a_w.real)))
             assert gap == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("basis", ["x", "xprime"])
+    def test_sequential_d16_matches_branch_sum_oracle(self, tmp_path, rng, fmt, basis):
+        pairs = lambda z: [[float(v.real), float(v.imag)] for v in np.ravel(z)]
+        psi, phi = random_selection_pair(rng, 16)
+        doc = config(
+            observable=pairs(random_observable(rng, 16).matrix),
+            observable_b=pairs(random_observable(rng, 16).matrix),
+            psi=pairs(psi.amplitudes),
+            phi=pairs(phi.amplitudes),
+            basis=basis,
+        )
+        assert main(["sequential", "--config", doc, "--out", str(tmp_path), "--format", fmt]) == 0
+        p = parse_config("sequential", doc).params
+        bases = (basis, basis)
+        rows = read_rows(tmp_path, "sequential", fmt)
+        assert len(rows) == len(cli.DEFAULT_LAMBDA_GRID) + 1
+        coeffs = []
+        for (kind, lam, cov, coeff, resid), want_lam in zip(rows, cli.DEFAULT_LAMBDA_GRID):
+            sq = SequentialSetup(p["observable"], lam, p["observable_b"], lam, p["psi"], p["phi"], bases)
+            want = branch_sum_sequential(sq, 0.0, 0.0)
+            (m1, m2), m12 = want["means"], want["cross_moment"]
+            scale = 1e-12 * (abs(m12) + abs(m1 * m2))
+            assert (kind, lam, resid) == ("lambda", want_lam, None)
+            assert cov == pytest.approx(m12 - m1 * m2, abs=scale)
+            assert coeff == pytest.approx((m12 - m1 * m2) / (lam * lam / 2.0), abs=scale / (lam * lam / 2.0))
+            coeffs.append((m12 - m1 * m2) / (lam * lam / 2.0))
+        intercept, resid = extrapolate_to_zero_coupling(cli.DEFAULT_LAMBDA_GRID, coeffs)
+        assert rows[-1][:3] == ["extrapolation", 0.0, None]
+        assert rows[-1][3:] == pytest.approx([intercept, resid], abs=1e-12)
+
+        lam = cli.DEFAULT_LAMBDA
+        xs = np.linspace(-6.0 - lam, 6.0 + lam, 101)
+        sq = SequentialSetup(p["observable"], lam, p["observable_b"], lam, p["psi"], p["phi"], bases)
+        want = branch_sum_sequential(sq, xs, xs)["density"]
+        x1, x2, dens = np.array(read_rows(tmp_path, "sequential_density", fmt)).T
+        assert np.array_equal(x1, np.repeat(xs, xs.size)) and np.array_equal(x2, np.tile(xs, xs.size))
+        assert np.max(np.abs(dens - want.ravel())) <= 1e-12 * np.max(want)
 
     def test_anomalous_summary_values(self, tmp_path, capsys):
         code = main(

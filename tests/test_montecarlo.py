@@ -12,6 +12,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    degenerate_observable,
     projector_stack_sequential,
     random_observable,
     random_selection_pair,
@@ -185,19 +186,6 @@ class TestRunSequential:
         sq = SequentialSetup(Observable(SZ), 0.3, Observable(SZ), 0.3, ket(0.8, 0.6), self.phi)
         target = sequential_cross_covariance(sq)
         assert within_se(stats.cross_covariance, target, stats.cross_covariance_se)
-
-
-def degenerate_observable(rng: np.random.Generator, dim: int, levels: int) -> Observable:
-    """Random eigenbasis carrying `levels` distinct eigenvalues in [-1, 1],
-    each at least once: rank-1 eigenspaces at levels = dim, a multiple of
-    the identity at levels = 1."""
-    values = np.sort(rng.uniform(-1.0, 1.0, levels))
-    level_of = np.r_[np.arange(levels), rng.integers(levels, size=dim - levels)]
-    spectrum = values[rng.permutation(level_of)]
-    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    obs = Observable((basis * spectrum) @ basis.conj().T)
-    assert obs.eigensystem.eigenvalues.size == levels
-    return obs
 
 
 def sequential_plan(rng, dim, trials, a, b, lam1=0.1, lam2=0.1, threads=1) -> TrialPlan:

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import SX, SY, SZ, random_observable, random_selection_pair, random_state
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    branch_sum_sequential,
+    degenerate_observable,
+    random_observable,
+    random_selection_pair,
+    random_state,
+)
 from weakmeas.core import (
     Observable,
     PureState,
@@ -50,6 +60,7 @@ from weakmeas.protocols import (
     postselection_probability,
     sequential_cross_covariance,
     sequential_joint_density,
+    sequential_meter_state,
     sequential_order_gap,
     unconditional_meter_density,
 )
@@ -153,6 +164,12 @@ class TestPostselect:
         js = apply_von_neumann(initial_joint_state(psi, 1), obs, 0.0, 0)
         _, prob = postselect(js, phi)
         assert prob == pytest.approx(abs(phi.overlap(psi)) ** 2, abs=1e-13)
+
+    def test_two_meter_state_refused(self, rng):
+        psi, phi = random_selection_pair(rng, 2)
+        js = apply_von_neumann(initial_joint_state(psi, 2), Observable(SX), 0.3, 0)
+        with pytest.raises(ValueError):
+            postselect(js, phi)
 
     def test_closed_form_instance(self):
         setup = MeasurementSetup(Observable(SX), 0.1, ket(1, 0), ket(1, 0))
@@ -405,6 +422,79 @@ class TestSequential:
         single = conditional_meter_density(setup, BASIS_X, xs)
         factorized = np.outer(single, gaussian_density(xs))
         assert np.max(np.abs(joint - factorized)) < 1e-12
+
+
+# exact zeros and subnormal values: one eigenvalue of B, or an underflowed kernel
+SUBNORMAL_FLOOR = 1e-300
+
+meter_bases = st.tuples(st.sampled_from((BASIS_X, BASIS_XPRIME)), st.sampled_from((BASIS_X, BASIS_XPRIME)))
+
+
+class TestSequentialProductForm:
+    """The product form W[i, j] with one kernel per meter gives the sums over
+    pairs of joint branches to rounding, on degenerate spectra of any scale."""
+
+    @settings(max_examples=120)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam1=st.floats(1e-3, 20.0),
+        lam2=st.floats(1e-3, 20.0),
+        scale=st.floats(0.1, 100.0),
+        bases=meter_bases,
+        data=st.data(),
+    )
+    def test_matches_branch_sum_oracle(self, dim, seed, lam1, lam2, scale, bases, data):
+        rng = np.random.default_rng(seed)
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_a"), scale)
+        b = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_b"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        sq = SequentialSetup(a, lam1, b, lam2, psi, phi, bases)
+        xs = np.linspace(-6.0 - max(lam1, lam2), 6.0 + max(lam1, lam2), 101)
+        want = branch_sum_sequential(sq, xs, xs)
+
+        state, prob = sequential_meter_state(sq)
+        means = state.first_moment(0), state.first_moment(1)
+        cross = state.cross_moment()
+        assert prob == pytest.approx(want["probability"], rel=1e-12)
+        for got, expected, lam, obs in zip(means, want["means"], (lam1, lam2), (a, b)):
+            assert abs(got - expected) <= 1e-12 * (abs(expected) + lam * obs.spectral_radius)
+        assert abs(cross - want["cross_moment"]) <= 1e-12 * abs(want["cross_moment"]) + SUBNORMAL_FLOOR
+        want_cov = want["cross_moment"] - want["means"][0] * want["means"][1]
+        cov_scale = abs(want["cross_moment"]) + abs(want["means"][0] * want["means"][1])
+        assert abs(sequential_cross_covariance(sq) - want_cov) <= 1e-12 * cov_scale + SUBNORMAL_FLOOR
+        dens = sequential_joint_density(sq, xs, xs)
+        assert np.max(np.abs(dens - want["density"])) <= 1e-12 * np.max(want["density"]) + SUBNORMAL_FLOOR
+
+    @settings(max_examples=40)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam1=st.floats(1e-3, 20.0),
+        lam2=st.floats(1e-3, 20.0),
+        scale=st.floats(0.1, 100.0),
+        bases=meter_bases,
+        data=st.data(),
+    )
+    def test_commuting_pair_is_order_free(self, dim, seed, lam1, lam2, scale, bases, data):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_a"), scale, basis)
+        b = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels_b"), scale, basis)
+        psi, phi = random_selection_pair(rng, dim)
+        fwd = SequentialSetup(a, lam1, b, lam2, psi, phi, bases)
+        rev = SequentialSetup(b, lam2, a, lam1, psi, phi, bases[::-1])
+        # rounding scale of <phi|(BA - AB)|psi> / <phi|psi>
+        gap_scale = a.spectral_radius * b.spectral_radius / abs(phi.overlap(psi))
+        assert abs(sequential_order_gap(fwd)) <= 1e-12 * gap_scale
+        # the scale of x1 x2 for unit-width readouts at their means: in mixed
+        # bases the covariance can sit far below the rounding of E[x1 x2],
+        # since W[i, j] = <phi|Q_j P_i|psi> off the shared eigenspaces is
+        # zero only to rounding
+        state, _ = sequential_meter_state(fwd)
+        cov_scale = (1.0 + abs(state.first_moment(0))) * (1.0 + abs(state.first_moment(1)))
+        gap = sequential_cross_covariance(fwd) - sequential_cross_covariance(rev)
+        assert abs(gap) <= 1e-12 * cov_scale
 
 
 class TestConditionalSystemState:
