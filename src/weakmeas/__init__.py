@@ -5,9 +5,10 @@ Layers:
 
 * :mod:`weakmeas.core` - states, Hermitian observables, weak values;
 * :mod:`weakmeas.pointer` - Gaussian meter wavefunctions with closed-form
-  overlaps, moments and a verified inverse-CDF sampler;
-* :mod:`weakmeas.protocols` - von Neumann coupling, post-selection, kick
-  protocols, sequential measurements, disturbance diagnostics;
+  overlaps, moments and the x/x' basis change;
+* :mod:`weakmeas.protocols` - post-selected meter states built from the
+  eigenbranch weights <phi|P_i|psi>: von Neumann coupling, kick protocol,
+  sequential measurements, disturbance diagnostics;
 * :mod:`weakmeas.collective` - one meter coupled to N identical systems;
 * :mod:`weakmeas.lindblad` - Kraus family and the joint = P^w + error split;
 * :mod:`weakmeas.montecarlo` - per-run stochastic simulation of everything;
@@ -48,51 +49,36 @@ from .pointer import (
     BASIS_XPRIME,
     GaussianTerm,
     PointerWavefunction,
-    SamplerConfig,
-    initial_meter,
     overlap,
     density,
     moment,
-    normalize,
-    sample,
     squared_norm,
     stream_rng,
-    to_x_basis,
     to_xprime_basis,
 )
 from .protocols import (
     ConditionalMeter,
     DisturbanceReport,
-    JointBranch,
-    JointState,
     MeasurementSetup,
     MultiMeterWavefunction,
     SequentialSetup,
-    apply_von_neumann,
     conditional_meter_density,
     conditional_meter_mean,
     conditional_meter_state,
-    conditional_system_state,
-    delayed_choice,
     disturbance_report,
     extrapolate_to_zero_coupling,
-    initial_joint_state,
-    kick_in_x_protocol,
     kick_postselection_probability,
     kick_protocol_conditional_density,
     nonselective_state,
-    postselect,
     postselection_probability,
     sequential_cross_covariance,
     sequential_joint_density,
     sequential_order_gap,
-    unconditional_meter_density,
 )
 from .collective import (
     CollectiveSetup,
     collective_conditional_density,
     collective_conditional_mean,
-    collective_log_postselection_probability,
     collective_postselection_ratio,
 )
 from .lindblad import (
@@ -100,10 +86,8 @@ from .lindblad import (
     GdiReport,
     KrausFamily,
     error_term_density,
-    first_moment_operator,
     gdi_diagnostic,
     joint_probability_density,
-    kraus_at,
     pw_density,
     second_order_coefficient,
 )

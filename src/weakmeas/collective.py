@@ -150,12 +150,6 @@ def _x_synthesis_density(prof: _Profile, x: np.ndarray) -> np.ndarray:
     return amp.real**2 + amp.imag**2
 
 
-def collective_log_postselection_probability(cs: CollectiveSetup) -> float:
-    """log P_lambda(phi^N | psi^N), assembled fully in the log domain."""
-    ov = branch_weights(cs.observable, cs.preselect, cs.postselect).sum()
-    return 2.0 * cs.n_systems * math.log(abs(ov)) + _log_ratio(cs)
-
-
 def _log_ratio(cs: CollectiveSetup) -> float:
     prof = cs._profile
     return 2.0 * prof.scale + math.log(prof.norm)

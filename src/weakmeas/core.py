@@ -39,7 +39,7 @@ DENSITY_EIGENVALUE_FLOOR = -1e-10
 
 def _finite_complex_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr
@@ -89,10 +89,6 @@ class PureState:
 
     def to_json(self) -> list:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
-    @classmethod
-    def from_json(cls, data) -> "PureState":
-        return cls(np.array([complex(re, im) for re, im in data]))
 
 
 @dataclass(frozen=True)
@@ -160,18 +156,6 @@ class Observable:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigensystem.eigenvalues)))
 
-    def to_json(self) -> list:
-        return [[float(v.real), float(v.imag)] for v in self.matrix.ravel()]
-
-    @classmethod
-    def from_json(cls, data, dim: int | None = None) -> "Observable":
-        flat = np.array([complex(re, im) for re, im in data])
-        if dim is None:
-            dim = round(len(flat) ** 0.5)
-        if dim * dim != len(flat):
-            raise ValueError("row-major matrix data has non-square length")
-        return cls(flat.reshape(dim, dim))
-
 
 def eigendecompose(observable: Observable | np.ndarray) -> EigenSystem:
     """Spectral decomposition with degenerate eigenvalues merged.
@@ -233,10 +217,6 @@ class DensityMatrix:
         v = state.amplitudes
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return cls(state.projector())
-
 
 @dataclass(frozen=True)
 class WeakValueResult:
@@ -257,14 +237,22 @@ def postselection_overlap(psi: PureState, phi: PureState) -> complex:
     return ov
 
 
+def branch_components(observable: Observable, psi: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Projector images P_i psi, shape (k, d), and their squared norms, (k,).
+
+    One row per distinct eigenvalue, in ascending order. Every eigenbranch
+    quantity of the package (weights, outcome mixtures, collapsed states,
+    the non-selective map) is built from these.
+    """
+    images = np.stack([p @ psi.amplitudes for p in observable.eigensystem.projectors])
+    norms_sq = np.array([float(np.vdot(c, c).real) for c in images])
+    return images, norms_sq
+
+
 def branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np.ndarray:
     """Eigenbranch weights w_i = <phi|P_i|psi>, one per distinct eigenvalue."""
-    return np.array(
-        [
-            complex(np.vdot(phi.amplitudes, p @ psi.amplitudes))
-            for p in observable.eigensystem.projectors
-        ]
-    )
+    images, _ = branch_components(observable, psi)
+    return np.array([complex(np.vdot(phi.amplitudes, c)) for c in images])
 
 
 def matrix_weak_value(matrix: np.ndarray, psi: PureState, phi: PureState) -> complex:

@@ -6,8 +6,9 @@ Three families, matching the CLI exit-code contract:
 * ``DomainError`` (exit 3): physics preconditions violated (non-Hermitian
   observable, orthogonal post-selection, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
-  cannot be carried out at acceptable numerical quality (sampling grid too
-  coarse, disturbance identity violated, empty post-selected sample).
+  cannot be carried out at acceptable numerical quality (collective profile
+  cut by its grid edge, disturbance identity violated, empty post-selected
+  sample).
 """
 
 
@@ -64,7 +65,7 @@ class NumericalQualityError(WeakmeasError):
 
 
 class GridTooCoarse(NumericalQualityError):
-    """Sampling grid leaves more than the tolerated probability mass outside."""
+    """A grid leaves more than the tolerated share of a profile outside it."""
 
 
 class NoPostselectedRuns(NumericalQualityError):

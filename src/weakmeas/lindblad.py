@@ -67,14 +67,9 @@ class KrausFamily:
     observable: Observable
     coupling: float
 
-    def at(self, x: float) -> np.ndarray:
-        """M_x = sum_i sqrt(G(x - lam a_i)) P_i."""
-        system = self.observable.eigensystem
-        amp = np.sqrt(gaussian_density(x - self.coupling * system.eigenvalues))
-        return np.einsum("i,ijk->jk", amp, system.projectors)
-
     def at_many(self, xs) -> np.ndarray:
-        """Stack of M_x over an outcome array, shape (len(xs), d, d)."""
+        """M_x = sum_i sqrt(G(x - lam a_i)) P_i over an outcome array, shape
+        (len(xs), d, d)."""
         system = self.observable.eigensystem
         xs = np.asarray(xs, dtype=np.float64)
         amp = np.sqrt(gaussian_density(xs[:, None] - self.coupling * system.eigenvalues))
@@ -87,10 +82,6 @@ class KrausFamily:
         m = self.at_many(xs)
         gram = np.einsum("n,nji,njk->ik", wts, np.conj(m), m)
         return float(np.max(np.abs(gram - np.eye(self.observable.dim))))
-
-
-def kraus_at(observable: Observable, coupling: float, x: float) -> np.ndarray:
-    return KrausFamily(observable, coupling).at(x)
 
 
 def joint_probability_density(
@@ -131,12 +122,6 @@ def error_term_density(
     v = psi.amplitudes
     vals = np.real(np.einsum("a,nab,b->n", np.conj(v), lind, v))
     return float(vals[0]) if scalar else vals
-
-
-def first_moment_operator(observable: Observable, coupling: float) -> np.ndarray:
-    """Int x M_x^dag M_x dx in closed form: exactly coupling * A."""
-    system = observable.eigensystem
-    return np.einsum("i,ijk->jk", coupling * system.eigenvalues, system.projectors)
 
 
 @dataclass(frozen=True)

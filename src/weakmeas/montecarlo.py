@@ -7,10 +7,9 @@ mirrors how the disturbance enters a laboratory experiment; nothing is drawn
 from the final conditional distribution directly.
 
 Meter outcomes are mixtures of unit-variance Gaussians, so a draw is an
-eigenbranch choice (categorical in the branch weights) plus a standard normal
-(exact; no grid). The grid-based inverse-CDF sampler in
-:mod:`weakmeas.pointer` remains the tool for sampling coherent interference
-densities.
+eigenbranch choice (categorical in the branch probabilities |P_i psi|^2 of
+:func:`weakmeas.core.branch_components`) plus a standard normal: exact, with
+no grid.
 
 Reproducibility contract: trials are generated in fixed blocks of
 ``BLOCK_SIZE``; block b uses the generator ``stream_rng(seed, b)`` and a fixed
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PureState, postselection_overlap
+from .core import Observable, PureState, branch_components, postselection_overlap
 from .errors import DimensionMismatch, NoPostselectedRuns
 from .pointer import gaussian_density, gaussian_upper_tail, stream_rng
 
@@ -88,11 +87,9 @@ class TrialStatistics:
             raise ValueError("n_postselected exceeds n_total")
 
 
-def _eigen_arrays(observable: Observable, psi_vec: np.ndarray):
-    system = observable.eigensystem
-    comps = np.stack([p @ psi_vec for p in system.projectors])
-    probs = np.array([float(np.vdot(c, c).real) for c in comps])
-    return system.eigenvalues, comps, probs
+def _eigen_arrays(observable: Observable, psi: PureState):
+    comps, probs = branch_components(observable, psi)
+    return observable.eigensystem.eigenvalues, comps, probs
 
 
 def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -159,7 +156,7 @@ def run_single(plan: TrialPlan):
     Per trial: draw x from the unconditional outcome mixture, form the
     conditional system state, and accept with |<phi|chi_x>|^2.
     """
-    eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect)
     w_phi = comps @ np.conj(plan.postselect.amplitudes)  # <phi|P_i|psi>
     lam = plan.coupling
 
@@ -188,7 +185,7 @@ def run_kick(plan: TrialPlan):
     The recorded outcome is the pre-drawn x'; it is never modified, only
     selected on, yet its conditional distribution shifts by lam * Im(A_w).
     """
-    eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
     w_phi = comps @ np.conj(plan.postselect.amplitudes)
     lam = plan.coupling
 
@@ -223,7 +220,7 @@ def run_sequential(plan: TrialPlan):
     O(n d^2) and holds only (n, d) arrays; no (k2, n, d) stack of projector
     images is formed.
     """
-    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
     b_system = plan.second_observable.eigensystem
     b_vals = b_system.eigenvalues
     vals, vecs = np.linalg.eigh(b_system.projectors)
@@ -298,7 +295,7 @@ def run_threshold(plan: TrialPlan):
     No system post-selection happens; the selection acts on the meter record
     alone, yet the kept-run mean exceeds the full-ensemble mean by order one.
     """
-    eigenvalues, _, probs = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    eigenvalues, _, probs = _eigen_arrays(plan.observable, plan.preselect)
     lam = plan.coupling
     threshold = plan.threshold_multiple * lam
 
@@ -320,11 +317,8 @@ def truncated_mean_prediction(
     observable: Observable, coupling: float, psi: PureState, threshold: float
 ) -> float:
     """Exact E[x | x >= threshold] of the unconditional outcome mixture."""
-    system = observable.eigensystem
-    probs = np.array(
-        [float(np.linalg.norm(p @ psi.amplitudes) ** 2) for p in system.projectors]
-    )
-    mus = coupling * system.eigenvalues
+    _, probs = branch_components(observable, psi)
+    mus = coupling * observable.eigensystem.eigenvalues
     tails = np.array([gaussian_upper_tail(threshold - mu) for mu in mus])
     numer = float((probs * (gaussian_density(threshold - mus) + mus * tails)).sum())
     denom = float((probs * tails).sum())

@@ -17,12 +17,11 @@ and ``(m^2 + 2 i m dk + 1 - dk^2)``.
 
 The x'-basis (x' = 2p, Fourier convention <p|x> ~ exp(-i p x)) maps a term
 ``(w, c, k)`` to ``(w exp(i k c), 2k, -c/2)``; the initial meter is form
-invariant under this map. The transform is exactly invertible via
-:func:`to_x_basis`.
+invariant under this map.
 
-Sampling is inverse-CDF on a uniform grid (interference densities admit no
-simple rejection envelope). Parallel callers must derive per-stream
-generators with :func:`stream_rng` so results do not depend on thread count.
+Random draws are not made here: :mod:`weakmeas.montecarlo` draws exact
+Gaussian mixtures. Parallel callers must derive per-stream generators with
+:func:`stream_rng` so results do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -33,14 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BasisMismatch, GridTooCoarse, ZeroProbabilityOutcome
+from .errors import BasisMismatch, ZeroProbabilityOutcome
 
 BASIS_X = "x"
 BASIS_XPRIME = "xprime"
 
 WAVEFUNCTION_NORM = (2.0 * math.pi) ** (-0.25)
 TERM_MERGE_TOL = 1e-12
-TAIL_MASS_TOL = 1e-9
 
 
 def gaussian_density(x):
@@ -116,21 +114,6 @@ class PointerWavefunction:
         w, c, k = self._arrays
         return _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k) @ w
 
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                [[t.weight.real, t.weight.imag], t.center, t.phase_slope] for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "PointerWavefunction":
-        terms = tuple(
-            GaussianTerm(complex(w[0], w[1]), c, k) for w, c, k in data["terms"]
-        )
-        return cls(terms, data["basis"])
-
 
 def _term_values(x: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
     """(len(x), len(c)) values of the unit-weight terms (c, k) at the points x."""
@@ -152,11 +135,6 @@ def _pair_kernel(ca: np.ndarray, ka: np.ndarray, cb: np.ndarray, kb: np.ndarray)
     m = (ca[:, None] + cb[None, :]) / 2.0
     base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
     return base, m, dk
-
-
-def initial_meter() -> PointerWavefunction:
-    """The initial meter state sqrt(G(x)): one term at the origin."""
-    return PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),), BASIS_X)
 
 
 def _pair_matrices(a: PointerWavefunction, b: PointerWavefunction):
@@ -220,47 +198,6 @@ def to_xprime_basis(w: PointerWavefunction) -> PointerWavefunction:
     return PointerWavefunction(terms, BASIS_XPRIME)
 
 
-def to_x_basis(w: PointerWavefunction) -> PointerWavefunction:
-    """Inverse of :func:`to_xprime_basis`; round trips are exact."""
-    if w.basis != BASIS_XPRIME:
-        raise BasisMismatch("wavefunction is already in the x basis")
-    terms = tuple(
-        GaussianTerm(
-            t.weight * np.exp(1j * t.phase_slope * t.center),
-            -2.0 * t.phase_slope,
-            t.center / 2.0,
-        )
-        for t in w.terms
-    )
-    return PointerWavefunction(terms, BASIS_X)
-
-
-def normalize(w: PointerWavefunction) -> PointerWavefunction:
-    """Rescale to unit norm."""
-    nrm = math.sqrt(squared_norm(w))
-    if nrm == 0.0:
-        raise ZeroProbabilityOutcome("cannot normalize a zero wavefunction")
-    return PointerWavefunction(
-        tuple(GaussianTerm(t.weight / nrm, t.center, t.phase_slope) for t in w.terms),
-        w.basis,
-    )
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Inverse-CDF sampling grid. Engineering defaults, not physics."""
-
-    grid_halfwidth: float = 10.0
-    grid_points: int = 16384
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grid_points < 256:
-            raise ValueError("grid_points must be >= 256")
-        if self.grid_halfwidth < 6.0:
-            raise ValueError("grid_halfwidth must be >= 6")
-
-
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic per-stream generator: SeedSequence(seed, spawn_key=(stream,)).
 
@@ -268,63 +205,3 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     depend only on (seed, stream), never on scheduling.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-
-
-def sample_grid(w: PointerWavefunction, cfg: SamplerConfig) -> np.ndarray:
-    _, c, _ = w._arrays
-    lo = float(np.min(c)) - cfg.grid_halfwidth
-    hi = float(np.max(c)) + cfg.grid_halfwidth
-    return np.linspace(lo, hi, cfg.grid_points)
-
-
-def _tail_mass_bound(w: PointerWavefunction, lo: float, hi: float) -> float:
-    # Cauchy-Schwarz envelope: |psi|^2 <= (sum|w|) * sum |w_t| G(x - c_t)
-    wts, c, _ = w._arrays
-    absw = np.abs(wts)
-    tails = np.array(
-        [gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in c]
-    )
-    return float(absw.sum() * (absw * tails).sum())
-
-
-def cumulative_distribution(
-    w: PointerWavefunction, cfg: SamplerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and trapezoid CDF (normalized to 1 at the right edge).
-
-    Raises GridTooCoarse when the envelope bound on the probability mass
-    outside the grid exceeds TAIL_MASS_TOL of the total.
-    """
-    grid = sample_grid(w, cfg)
-    pdf = density(w, grid)
-    seg = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
-    cdf = np.concatenate(([0.0], np.cumsum(seg)))
-    total = squared_norm(w)
-    if total <= 0.0:
-        raise ZeroProbabilityOutcome("cannot sample a zero wavefunction")
-    tail = _tail_mass_bound(w, grid[0], grid[-1]) / total
-    if tail > TAIL_MASS_TOL:
-        raise GridTooCoarse(
-            f"tail mass bound {tail:.3e} outside grid exceeds {TAIL_MASS_TOL}"
-        )
-    return grid, cdf / cdf[-1]
-
-
-def sample(
-    w: PointerWavefunction,
-    cfg: SamplerConfig,
-    count: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Draw i.i.d. positions from the normalized density of ``w``.
-
-    Inverse-CDF on the uniform grid with linear interpolation; deterministic
-    for a given ``cfg.seed`` (or caller-supplied generator).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if rng is None:
-        rng = stream_rng(cfg.seed)
-    grid, cdf = cumulative_distribution(w, cfg)
-    u = rng.random(count)
-    return np.interp(u, cdf, grid)

@@ -1,13 +1,15 @@
 """Measurement protocols: von Neumann coupling, post-selection, kicks, sequences.
 
-The joint system+meter state after a von Neumann interaction is kept exactly,
-as a finite list of branches. Each branch carries a complex amplitude, a
-normalized system vector (an eigenprojector image of the initial state) and
-one (center, phase_slope) pair per meter; the meter factor of a branch is a
-product of displaced Gaussians. Densities, overlaps and moments then come
-from the closed forms in :mod:`weakmeas.pointer` with no grids or truncation.
+Every post-selected meter state is built from the eigenbranch weights
+w_i = <phi|P_i|psi> of :func:`weakmeas.core.branch_weights`, with one
+Gaussian term per distinct eigenvalue a_i:
 
-The post-selected sequential (two-meter) state is a product form instead:
+* von Neumann coupling exp(-i lam A p): term (w_i, lam a_i, 0) in x;
+* random kick exp(-i lam A x'/2): term (w_i, 0, -lam a_i / 2) in x'.
+
+Densities, overlaps and moments then come from the closed forms in
+:mod:`weakmeas.pointer` with no grids or truncation. The post-selected
+sequential (two-meter) state is the product form
 W[i, j] = <phi|Q_j P_i|psi> over the eigenprojectors of the two observables,
 with one Gaussian term per eigenvalue on each meter (see
 :class:`MultiMeterWavefunction`).
@@ -34,16 +36,13 @@ from .core import (
     DensityMatrix,
     Observable,
     PureState,
+    branch_components,
     branch_weights,
     matrix_weak_value,
     postselection_overlap,
     weak_value,
 )
-from .errors import (
-    DimensionMismatch,
-    NumericalQualityError,
-    ZeroProbabilityOutcome,
-)
+from .errors import DimensionMismatch, NumericalQualityError
 from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
@@ -52,15 +51,12 @@ from .pointer import (
     _pair_kernel,
     _term_values,
     density as pointer_density,
-    gaussian_density,
     moment,
-    normalize,
     squared_norm,
     to_xprime_basis,
 )
 
 LOW_PROBABILITY_FLOOR = 1e-12
-_BRANCH_MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,135 +96,6 @@ class SequentialSetup:
             if b not in (BASIS_X, BASIS_XPRIME):
                 raise ValueError(f"unknown meter basis {b!r}")
         postselection_overlap(self.preselect, self.postselect)
-
-
-@dataclass(frozen=True)
-class JointBranch:
-    """One eigenpath of the entangled system+meters state."""
-
-    amplitude: complex
-    eigen_indices: tuple[int, ...]
-    centers: tuple[float, ...]
-    phase_slopes: tuple[float, ...]
-    vector_index: int
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Branch decomposition of system (x) meters after interactions."""
-
-    branches: tuple[JointBranch, ...]
-    system_vectors: tuple[np.ndarray, ...]
-    meter_count: int
-
-    def total_squared_norm(self) -> float:
-        """Exact norm^2 of the represented joint state."""
-        amps = np.array([b.amplitude for b in self.branches])
-        vectors = np.stack([self.system_vectors[b.vector_index] for b in self.branches])
-        # gram[a,b] = <v_a|v_b>; bra side conjugates the amplitude only
-        gram = np.conj(vectors) @ vectors.T
-        meters = np.ones_like(gram)
-        for mu in range(self.meter_count):
-            c = np.array([b.centers[mu] for b in self.branches])
-            k = np.array([b.phase_slopes[mu] for b in self.branches])
-            meters = meters * _pair_kernel(c, k, c, k)[0]
-        return float(np.real((np.conj(amps)[:, None] * amps[None, :] * gram * meters).sum()))
-
-
-def initial_joint_state(psi: PureState, meter_count: int = 1) -> JointState:
-    """System in psi, every meter in the initial Gaussian."""
-    if meter_count < 1:
-        raise ValueError("meter_count must be >= 1")
-    branch = JointBranch(
-        amplitude=1.0 + 0.0j,
-        eigen_indices=(),
-        centers=(0.0,) * meter_count,
-        phase_slopes=(0.0,) * meter_count,
-        vector_index=0,
-    )
-    return JointState((branch,), (psi.amplitudes,), meter_count)
-
-
-def _merge_branches(js: JointState) -> JointState:
-    """Combine branches whose meter factors coincide (same centers/slopes).
-
-    Such branches share a meter state, so their amplitude-weighted system
-    vectors add; this keeps lambda = 0 interactions from splitting the state.
-    The merged branch keeps the first branch's eigen indices.
-    """
-    order = sorted(range(len(js.branches)), key=lambda i: (js.branches[i].centers, js.branches[i].phase_slopes))
-    groups: list[list[int]] = []
-    for idx in order:
-        b = js.branches[idx]
-        if groups:
-            ref = js.branches[groups[-1][0]]
-            if all(
-                abs(c1 - c2) <= _BRANCH_MERGE_TOL for c1, c2 in zip(b.centers, ref.centers)
-            ) and all(
-                abs(k1 - k2) <= _BRANCH_MERGE_TOL for k1, k2 in zip(b.phase_slopes, ref.phase_slopes)
-            ):
-                groups[-1].append(idx)
-                continue
-        groups.append([idx])
-    if len(groups) == len(js.branches):
-        return js
-    branches: list[JointBranch] = []
-    vectors: list[np.ndarray] = []
-    for g in groups:
-        first = js.branches[g[0]]
-        vec = np.zeros_like(js.system_vectors[0])
-        for idx in g:
-            b = js.branches[idx]
-            vec = vec + b.amplitude * js.system_vectors[b.vector_index]
-        nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0:
-            continue
-        vectors.append(vec / nrm)
-        branches.append(
-            JointBranch(
-                amplitude=complex(nrm),
-                eigen_indices=first.eigen_indices,
-                centers=first.centers,
-                phase_slopes=first.phase_slopes,
-                vector_index=len(vectors) - 1,
-            )
-        )
-    return JointState(tuple(branches), tuple(vectors), js.meter_count)
-
-
-def apply_von_neumann(
-    js: JointState, observable: Observable, coupling: float, meter: int = 0
-) -> JointState:
-    """Entangle the system with one meter: each branch splits over the
-    observable's distinct eigenvalues and the meter center shifts by
-    coupling * eigenvalue. Exactly norm preserving."""
-    if not (0 <= meter < js.meter_count):
-        raise ValueError(f"meter index {meter} out of range")
-    if observable.dim != js.system_vectors[0].shape[0]:
-        raise DimensionMismatch("observable dimension does not match the system")
-    system = observable.eigensystem
-    branches: list[JointBranch] = []
-    vectors: list[np.ndarray] = list(js.system_vectors)
-    for b in js.branches:
-        v = js.system_vectors[b.vector_index]
-        for i, a_i in enumerate(system.eigenvalues):
-            u = system.projectors[i] @ v
-            comp = float(np.linalg.norm(u))
-            if comp < 1e-14:
-                continue
-            vectors.append(u / comp)
-            centers = list(b.centers)
-            centers[meter] += coupling * float(a_i)
-            branches.append(
-                JointBranch(
-                    amplitude=b.amplitude * comp,
-                    eigen_indices=b.eigen_indices + (i,),
-                    centers=tuple(centers),
-                    phase_slopes=b.phase_slopes,
-                    vector_index=len(vectors) - 1,
-                )
-            )
-    return _merge_branches(JointState(tuple(branches), tuple(vectors), js.meter_count))
 
 
 @dataclass(frozen=True)
@@ -301,30 +168,6 @@ class MultiMeterWavefunction:
         return amp.real**2 + amp.imag**2
 
 
-def postselect(js: JointState, phi: PureState) -> tuple[PointerWavefunction, float]:
-    """Contract a one-meter joint state with <phi|.
-
-    Returns (meter_state, probability): the PointerWavefunction unnormalized,
-    so that its squared norm is the post-selection probability. A
-    probability near zero is legal here; downstream consumers flag it
-    instead of failing.
-    """
-    if js.meter_count != 1:
-        raise ValueError("postselect takes a one-meter joint state")
-    if phi.dim != js.system_vectors[0].shape[0]:
-        raise DimensionMismatch("post-selection state dimension mismatch")
-    terms = tuple(
-        GaussianTerm(
-            b.amplitude * complex(np.vdot(phi.amplitudes, js.system_vectors[b.vector_index])),
-            b.centers[0],
-            b.phase_slopes[0],
-        )
-        for b in js.branches
-    )
-    state = PointerWavefunction(terms, BASIS_X)
-    return state, squared_norm(state)
-
-
 @dataclass(frozen=True)
 class ConditionalMeter:
     """Post-selected (unnormalized) meter state with its probability."""
@@ -334,11 +177,23 @@ class ConditionalMeter:
     low_probability: bool
 
 
+def _eigenbranch_pointer(setup: MeasurementSetup, centers, slopes, basis: str) -> PointerWavefunction:
+    """Terms (w_i, centers[i], slopes[i]) over the eigenbranch weights
+    w_i = <phi|P_i|psi>, unnormalized: the squared norm is the post-selection
+    probability."""
+    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
+    return PointerWavefunction(tuple(map(GaussianTerm, w, centers, slopes)), basis)
+
+
 def conditional_meter_state(setup: MeasurementSetup, basis: str = BASIS_X) -> ConditionalMeter:
-    """Meter state after coupling and post-selection, in the requested basis."""
-    js = initial_joint_state(setup.preselect, meter_count=1)
-    js = apply_von_neumann(js, setup.observable, setup.coupling, meter=0)
-    state, prob = postselect(js, setup.postselect)
+    """Meter state after coupling and post-selection, in the requested basis.
+
+    In the x basis, term i sits at coupling * a_i with phase slope 0. A
+    probability near zero is legal here; it is flagged rather than refused.
+    """
+    a = setup.observable.eigensystem.eigenvalues
+    state = _eigenbranch_pointer(setup, setup.coupling * a, np.zeros_like(a), BASIS_X)
+    prob = squared_norm(state)
     if basis == BASIS_XPRIME:
         state = to_xprime_basis(state)
     elif basis != BASIS_X:
@@ -363,19 +218,6 @@ def conditional_meter_mean(setup: MeasurementSetup, basis: str = BASIS_X) -> flo
     return moment(cm.pointer, 1)
 
 
-def unconditional_meter_density(
-    observable: Observable, coupling: float, psi: PureState, x
-):
-    """Mixture of displaced Gaussians: sum_i |<a_i|psi>|^2 G(x - coupling a_i)."""
-    system = observable.eigensystem
-    weights = np.array(
-        [float(np.linalg.norm(p @ psi.amplitudes) ** 2) for p in system.projectors]
-    )
-    x = np.asarray(x, dtype=np.float64)
-    vals = gaussian_density(x[..., None] - coupling * system.eigenvalues) @ weights
-    return float(vals) if vals.ndim == 0 else vals
-
-
 def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
     """Unnormalized x' amplitude of the random-kick protocol.
 
@@ -383,13 +225,8 @@ def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
     eigenbasis: branch i carries weight <phi|P_i|psi> and phase slope
     -lam a_i / 2 on top of the initial Gaussian.
     """
-    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
-    eigenvalues = setup.observable.eigensystem.eigenvalues
-    terms = tuple(
-        GaussianTerm(w[i], 0.0, -setup.coupling * float(eigenvalues[i]) / 2.0)
-        for i in range(len(eigenvalues))
-    )
-    return PointerWavefunction(terms, BASIS_XPRIME)
+    a = setup.observable.eigensystem.eigenvalues
+    return _eigenbranch_pointer(setup, np.zeros_like(a), -setup.coupling * a / 2.0, BASIS_XPRIME)
 
 
 def kick_postselection_probability(setup: MeasurementSetup) -> float:
@@ -401,34 +238,6 @@ def kick_protocol_conditional_density(setup: MeasurementSetup, xprime):
     """Conditional distribution of the pre-drawn kick size x'."""
     state = kick_pointer_state(setup)
     return pointer_density(state, xprime) / squared_norm(state)
-
-
-def kick_in_x_protocol(setup: MeasurementSetup, x):
-    """Conditional x density for the swapped interaction exp(-i lam A x/2).
-
-    Same closed form as the kick protocol with the roles of x and x'
-    interchanged: the meter keeps its initial envelope and the interaction
-    only imprints eigenvalue-dependent phase slopes.
-    """
-    state = PointerWavefunction(kick_pointer_state(setup).terms, BASIS_X)
-    return pointer_density(state, x) / squared_norm(state)
-
-
-def kick_in_x_postselection_probability(setup: MeasurementSetup) -> float:
-    return squared_norm(PointerWavefunction(kick_pointer_state(setup).terms, BASIS_X))
-
-
-def delayed_choice(setup: MeasurementSetup, choice: str) -> PointerWavefunction:
-    """Post-select first, then hand back the normalized meter state in the
-    basis chosen afterwards; measuring it reproduces the conditional density
-    of that basis exactly."""
-    cm = conditional_meter_state(setup, basis=BASIS_X)
-    state = normalize(cm.pointer)
-    if choice == BASIS_XPRIME:
-        state = to_xprime_basis(state)
-    elif choice != BASIS_X:
-        raise ValueError(f"unknown basis {choice!r}")
-    return state
 
 
 def sequential_meter_state(sq: SequentialSetup) -> tuple[MultiMeterWavefunction, float]:
@@ -487,21 +296,6 @@ def sequential_order_gap(sq: SequentialSetup) -> float:
     return float((ba - ab).real)
 
 
-def conditional_system_state(
-    observable: Observable, coupling: float, psi: PureState, x: float
-) -> PureState:
-    """System state conditioned on meter outcome x (normalized)."""
-    system = observable.eigensystem
-    comps = np.stack([p @ psi.amplitudes for p in system.projectors])
-    weights = np.array([float(np.vdot(c, c).real) for c in comps])
-    gx = gaussian_density(x - coupling * system.eigenvalues)
-    prob = float(weights @ gx)
-    if prob <= 0.0:
-        raise ZeroProbabilityOutcome(f"P(x={x}) vanishes; conditional state undefined")
-    vec = (np.sqrt(gx) @ comps) / math.sqrt(prob)
-    return PureState.normalized(vec)
-
-
 def nonselective_state(
     observable: Observable, coupling: float, psi: PureState
 ) -> DensityMatrix:
@@ -512,7 +306,7 @@ def nonselective_state(
     eigenstate.
     """
     system = observable.eigensystem
-    comps = np.stack([p @ psi.amplitudes for p in system.projectors])
+    comps, _ = branch_components(observable, psi)
     damp = np.exp(
         -(coupling**2)
         * (system.eigenvalues[:, None] - system.eigenvalues[None, :]) ** 2

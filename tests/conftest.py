@@ -1,7 +1,8 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
-the direct-kernel oracle for the collective x density, the projector-stack
-oracle for the sequential Monte Carlo records and the branch-sum oracle for
-the sequential closed forms.
+and the test oracles: the direct-kernel collective x density, the
+projector-stack sequential Monte Carlo records, the branch-sum sequential
+closed forms, the x'-to-x basis change, the collapsed system state and the
+grid CDF of a meter density.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import settings
 
 from weakmeas.collective import CollectiveSetup
-from weakmeas.core import Observable, PureState
+from weakmeas.core import Observable, PureState, branch_components
+from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
 from weakmeas.montecarlo import (
     BLOCK_SIZE,
     TrialPlan,
@@ -27,8 +29,19 @@ from weakmeas.montecarlo import (
     _eigen_arrays,
     _row_categorical,
 )
-from weakmeas.pointer import BASIS_XPRIME, WAVEFUNCTION_NORM, gaussian_density, stream_rng
-from weakmeas.protocols import SequentialSetup, apply_von_neumann, initial_joint_state
+from weakmeas.pointer import (
+    BASIS_X,
+    BASIS_XPRIME,
+    WAVEFUNCTION_NORM,
+    GaussianTerm,
+    PointerWavefunction,
+    density,
+    gaussian_density,
+    gaussian_upper_tail,
+    squared_norm,
+    stream_rng,
+)
+from weakmeas.protocols import SequentialSetup
 
 settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
 settings.load_profile("weakmeas")
@@ -96,7 +109,7 @@ def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:
     system basis: chi1 normalized, then a (k2, n, d) stack of its images
     P_j chi1. Draws as the runner does: block b of BLOCK_SIZE trials from
     stream_rng(seed, b), five draws in a fixed order."""
-    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect.amplitudes)
+    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
     b_system = plan.second_observable.eigensystem
     b_vals, b_projs = b_system.eigenvalues, b_system.projectors
     lam1, lam2 = plan.coupling, plan.second_coupling
@@ -137,22 +150,28 @@ def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:
 def branch_sum_sequential(sq: SequentialSetup, x1, x2) -> dict:
     """The sequential closed forms summed over pairs of joint branches.
 
-    Builds the JointState of both couplings, post-selects it branch by
-    branch, takes each x' meter through (w, c, k) -> (w e^{ikc}, 2k, -c/2)
-    and sums one (T, T) Gaussian pair kernel over all T branches. Returns the
-    post-selection probability, both means, E[x1 x2] and the normalized
-    density on the outer grid x1 x x2."""
-    js = initial_joint_state(sq.preselect, meter_count=2)
-    js = apply_von_neumann(js, sq.first, sq.first_coupling, meter=0)
-    js = apply_von_neumann(js, sq.second, sq.second_coupling, meter=1)
+    Joint branch (i, j) has system vector Q_j P_i psi and meter centers
+    (lam1 a_i, lam2 b_j); its post-selected weight is <phi|Q_j P_i|psi>.
+    Each x' meter goes through (w, c, k) -> (w e^{ikc}, 2k, -c/2), and one
+    (T, T) Gaussian pair kernel is summed over all T = k_A k_B branches.
+    Returns the post-selection probability, both means, E[x1 x2] and the
+    normalized density on the outer grid x1 x x2."""
+    first, second = sq.first.eigensystem, sq.second.eigensystem
     w = np.array(
         [
-            b.amplitude * complex(np.vdot(sq.postselect.amplitudes, js.system_vectors[b.vector_index]))
-            for b in js.branches
+            np.vdot(sq.postselect.amplitudes, q @ (p @ sq.preselect.amplitudes))
+            for p in first.projectors
+            for q in second.projectors
         ]
     )
-    c = np.array([b.centers for b in js.branches], dtype=np.float64)
-    k = np.array([b.phase_slopes for b in js.branches], dtype=np.float64)
+    c = np.array(
+        [
+            (sq.first_coupling * a, sq.second_coupling * b)
+            for a in first.eigenvalues
+            for b in second.eigenvalues
+        ]
+    )
+    k = np.zeros_like(c)
     for mu, basis in enumerate(sq.meter_bases):
         if basis == BASIS_XPRIME:
             w = w * np.exp(1j * k[:, mu] * c[:, mu])
@@ -178,3 +197,52 @@ def branch_sum_sequential(sq: SequentialSetup, x1, x2) -> dict:
         "cross_moment": (pair * polys[0] * polys[1]).sum().real / prob,
         "density": (amp.real**2 + amp.imag**2) / prob,
     }
+
+
+def to_x_basis(w: PointerWavefunction) -> PointerWavefunction:
+    """Inverse of pointer.to_xprime_basis: (w, c, k) -> (w e^{ikc}, -2k, c/2)."""
+    if w.basis != BASIS_XPRIME:
+        raise BasisMismatch("wavefunction is already in the x basis")
+    terms = tuple(
+        GaussianTerm(t.weight * np.exp(1j * t.phase_slope * t.center), -2.0 * t.phase_slope, t.center / 2.0)
+        for t in w.terms
+    )
+    return PointerWavefunction(terms, BASIS_X)
+
+
+def conditional_system_state(observable: Observable, coupling: float, psi: PureState, x: float) -> PureState:
+    """System state after the meter reads x, normalized: the collapse that
+    montecarlo draws from inline, written out in the system basis."""
+    comps, weights = branch_components(observable, psi)
+    gx = gaussian_density(x - coupling * observable.eigensystem.eigenvalues)
+    prob = float(weights @ gx)
+    if prob <= 0.0:
+        raise ZeroProbabilityOutcome(f"P(x={x}) vanishes; conditional state undefined")
+    return PureState.normalized((np.sqrt(gx) @ comps) / math.sqrt(prob))
+
+
+CDF_HALFWIDTH = 10.0  # grid margin beyond the outermost term center
+CDF_POINTS = 16384
+CDF_TAIL_TOL = 1e-9  # envelope bound on the mass outside the grid, relative
+
+
+def _tail_mass_bound(w: PointerWavefunction, lo: float, hi: float) -> float:
+    # Cauchy-Schwarz envelope: |psi|^2 <= (sum|w|) * sum |w_t| G(x - c_t)
+    wts, c, _ = w._arrays
+    absw = np.abs(wts)
+    tails = np.array([gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in c])
+    return float(absw.sum() * (absw * tails).sum())
+
+
+def cumulative_distribution(w: PointerWavefunction) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and trapezoid CDF of the density of ``w``, 1 at the right edge.
+
+    The grid spans the term centers plus CDF_HALFWIDTH on each side; the
+    envelope bound on the mass outside it must stay below CDF_TAIL_TOL."""
+    _, c, _ = w._arrays
+    grid = np.linspace(float(np.min(c)) - CDF_HALFWIDTH, float(np.max(c)) + CDF_HALFWIDTH, CDF_POINTS)
+    pdf = density(w, grid)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    tail = _tail_mass_bound(w, grid[0], grid[-1]) / squared_norm(w)
+    assert tail <= CDF_TAIL_TOL, f"tail mass bound {tail:.3e} outside the CDF grid"
+    return grid, cdf / cdf[-1]

@@ -12,6 +12,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    cumulative_distribution,
     degenerate_observable,
     projector_stack_sequential,
     random_observable,
@@ -41,7 +42,6 @@ from weakmeas.protocols import (
     sequential_cross_covariance,
     squared_norm,
 )
-from weakmeas.pointer import cumulative_distribution, normalize, SamplerConfig
 
 
 def ket(*vals) -> PureState:
@@ -105,8 +105,8 @@ class TestRunSingle:
         plan = TrialPlan("single", OBS, lam, PSI, PHI, TRIALS, 21)
         records, _ = run_single(plan)
         kept = records[records["postselected"]]["x"]
-        meter = normalize(conditional_meter_state(MeasurementSetup(OBS, lam, PSI, PHI)).pointer)
-        grid, cdf = cumulative_distribution(meter, SamplerConfig(seed=0))
+        meter = conditional_meter_state(MeasurementSetup(OBS, lam, PSI, PHI)).pointer
+        grid, cdf = cumulative_distribution(meter)
         stat = kstest(kept, lambda x: np.interp(x, grid, cdf)).statistic
         assert stat < 1.628 / math.sqrt(kept.size)  # 1% critical value
 

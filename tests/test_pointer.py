@@ -1,34 +1,33 @@
-"""Meter wavefunction algebra: overlaps, moments, basis change, sampling."""
+"""Meter wavefunction algebra: overlaps, moments, basis change."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
 
-from weakmeas.errors import BasisMismatch, GridTooCoarse
+from conftest import to_x_basis
+from weakmeas.errors import BasisMismatch
 from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
     GaussianTerm,
     PointerWavefunction,
-    SamplerConfig,
     WAVEFUNCTION_NORM,
-    cumulative_distribution,
     density,
-    initial_meter,
     moment,
-    normalize,
     overlap,
-    sample,
     squared_norm,
     stream_rng,
-    to_x_basis,
     to_xprime_basis,
 )
 
 INV_SQRT_2PI = (2 * math.pi) ** -0.5
+
+
+def initial_meter() -> PointerWavefunction:
+    """The unit meter sqrt(G(x)): one unit-weight term at the origin."""
+    return PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),), BASIS_X)
 
 
 def term_value(x, t: GaussianTerm):
@@ -224,60 +223,10 @@ class TestMerging:
 
 
 class TestSampler:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(grid_points=100)
-        with pytest.raises(ValueError):
-            SamplerConfig(grid_halfwidth=4.0)
-
-    def test_initial_meter_mean_and_variance(self):
-        cfg = SamplerConfig(seed=11)
-        draws = sample(initial_meter(), cfg, 100_000)
-        assert abs(draws.mean()) < 4.0 * math.sqrt(1e-5)
-        assert draws.var() == pytest.approx(1.0, rel=0.05)
-
-    def test_deterministic_given_seed(self):
-        cfg = SamplerConfig(seed=99)
-        a = sample(initial_meter(), cfg, 1000)
-        b = sample(initial_meter(), cfg, 1000)
-        assert np.array_equal(a, b)
-
-    def test_grid_too_coarse_at_minimum_halfwidth(self):
-        # 6 sigma leaves ~2e-9 > 1e-9 outside the grid
-        with pytest.raises(GridTooCoarse):
-            sample(initial_meter(), SamplerConfig(grid_halfwidth=6.0, seed=1), 10)
-
-    def test_interference_state_passes_ks(self):
-        w = normalize(
-            PointerWavefunction(
-                (GaussianTerm(1.0, -1.5, 0.0), GaussianTerm(1.0, 1.5, 0.3))
-            )
-        )
-        grid, cdf = cumulative_distribution(w, SamplerConfig(seed=0))
-
-        def exact_cdf(x):
-            return np.interp(x, grid, cdf)
-
-        passes = 0
-        runs, n = 20, 20_000
-        for stream in range(runs):
-            draws = sample(w, SamplerConfig(seed=5), n, rng=stream_rng(5, stream))
-            stat = kstest(draws, exact_cdf).statistic
-            critical = 1.628 / math.sqrt(n)  # 1% level
-            passes += stat < critical
-        assert passes >= int(0.95 * runs)
+    """Per-stream generators, which the Monte Carlo runners draw from."""
 
     def test_stream_rng_distinct_and_reproducible(self):
         a = stream_rng(7, 0).random(5)
         b = stream_rng(7, 1).random(5)
         assert not np.allclose(a, b)
         assert np.array_equal(a, stream_rng(7, 0).random(5))
-
-
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        w = random_wavefunction(rng, 3)
-        again = PointerWavefunction.from_json(w.to_json())
-        assert again.basis == w.basis
-        xs = np.linspace(-6, 6, 50)
-        assert np.max(np.abs(density(again, xs) - density(w, xs))) < 1e-14

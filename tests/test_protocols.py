@@ -1,4 +1,4 @@
-"""Protocol layer: von Neumann branches, post-selection, kicks, sequences."""
+"""Protocol layer: eigenbranch meter states, post-selection, kicks, sequences."""
 
 import math
 
@@ -12,6 +12,7 @@ from conftest import (
     SY,
     SZ,
     branch_sum_sequential,
+    conditional_system_state,
     degenerate_observable,
     random_observable,
     random_selection_pair,
@@ -20,6 +21,8 @@ from conftest import (
 from weakmeas.core import (
     Observable,
     PureState,
+    branch_components,
+    branch_weights,
     expectation,
     matrix_weak_value,
     weak_value,
@@ -29,40 +32,24 @@ from weakmeas.errors import (
     OrthogonalPostselection,
     ZeroProbabilityOutcome,
 )
-from weakmeas.lindblad import gauss_legendre
-from weakmeas.pointer import (
-    BASIS_X,
-    BASIS_XPRIME,
-    density,
-    gaussian_density,
-    initial_meter,
-    moment,
-    squared_norm,
-)
+from weakmeas.lindblad import KrausFamily, gauss_legendre
+from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density
 from weakmeas.protocols import (
     MeasurementSetup,
     SequentialSetup,
-    apply_von_neumann,
     conditional_meter_density,
     conditional_meter_mean,
     conditional_meter_state,
-    conditional_system_state,
-    delayed_choice,
     disturbance_report,
     extrapolate_to_zero_coupling,
-    initial_joint_state,
-    kick_in_x_postselection_probability,
-    kick_in_x_protocol,
     kick_postselection_probability,
     kick_protocol_conditional_density,
     nonselective_state,
-    postselect,
     postselection_probability,
     sequential_cross_covariance,
     sequential_joint_density,
     sequential_meter_state,
     sequential_order_gap,
-    unconditional_meter_density,
 )
 
 LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
@@ -101,75 +88,65 @@ def fft_displaced_meter(samples: np.ndarray, xs: np.ndarray, shift: float) -> np
 
 
 class TestApplyVonNeumann:
+    """The von Neumann route: one Gaussian term (w_i, lam a_i, 0) per
+    eigenbranch, with w_i = <phi|P_i|psi>."""
+
     def test_zero_coupling_merges_back(self, rng):
-        psi = random_state(rng, 2)
-        js = initial_joint_state(psi, 1)
-        out = apply_von_neumann(js, Observable(SX), 0.0, 0)
-        assert len(out.branches) == 1
-        assert out.branches[0].centers == (0.0,)
-        vec = out.branches[0].amplitude * out.system_vectors[out.branches[0].vector_index]
-        assert np.allclose(vec, psi.amplitudes, atol=1e-12)
+        psi, phi = random_selection_pair(rng, 2)
+        pointer = conditional_meter_state(MeasurementSetup(Observable(SX), 0.0, psi, phi)).pointer
+        assert len(pointer.terms) == 1
+        assert pointer.terms[0].center == 0.0
+        assert pointer.terms[0].phase_slope == 0.0
+        assert abs(pointer.terms[0].weight - phi.overlap(psi)) < 1e-12
 
     def test_eigenstate_single_branch(self):
         psi = ket(1, 0)
-        out = apply_von_neumann(initial_joint_state(psi, 1), Observable(SZ), 0.7, 0)
-        assert len(out.branches) == 1
-        assert out.branches[0].centers[0] == pytest.approx(0.7)
-        vec = out.system_vectors[out.branches[0].vector_index]
-        assert np.allclose(vec, psi.amplitudes, atol=1e-12)
+        phi = ket(0.6, 0.8j)
+        pointer = conditional_meter_state(MeasurementSetup(Observable(SZ), 0.7, psi, phi)).pointer
+        assert len(pointer.terms) == 1
+        assert pointer.terms[0].center == pytest.approx(0.7, abs=1e-15)
+        assert abs(pointer.terms[0].weight - phi.overlap(psi)) < 1e-15
 
-    def test_against_fft_tensor_oracle(self):
-        lam, psi = 0.3, ket(1, 0)
-        out = apply_von_neumann(initial_joint_state(psi, 1), Observable(SX), lam, 0)
+    def test_against_fft_tensor_oracle(self, rng):
+        lam = 0.3
         xs = np.linspace(-20, 20, 4096)
         meter = (2 * math.pi) ** -0.25 * np.exp(-(xs**2) / 4.0)
-        system = Observable(SX).eigensystem
-        oracle = np.zeros((2, xs.size), dtype=complex)
-        for i, a_i in enumerate(system.eigenvalues):
-            comp = system.projectors[i] @ psi.amplitudes
-            oracle += np.outer(comp, fft_displaced_meter(meter, xs, lam * float(a_i)))
-        got = np.zeros_like(oracle)
-        for b in out.branches:
-            vec = b.amplitude * out.system_vectors[b.vector_index]
-            envelope = (2 * math.pi) ** -0.25 * np.exp(
-                1j * b.phase_slopes[0] * xs - ((xs - b.centers[0]) ** 2) / 4.0
+        for dim in (2, 8, 16):
+            obs = random_observable(rng, dim)
+            psi, phi = random_selection_pair(rng, dim)
+            w = branch_weights(obs, psi, phi)
+            oracle = sum(
+                w_i * fft_displaced_meter(meter, xs, lam * float(a_i))
+                for w_i, a_i in zip(w, obs.eigensystem.eigenvalues)
             )
-            got += np.outer(vec, envelope)
-        assert np.max(np.abs(got - oracle)) < 1e-9
-        assert out.total_squared_norm() == pytest.approx(1.0, abs=1e-12)
+            got = conditional_meter_state(MeasurementSetup(obs, lam, psi, phi)).pointer.amplitude(xs)
+            assert np.max(np.abs(got - oracle)) < 1e-9
 
     def test_norm_preserved_random(self, rng):
-        for dim in (2, 3):
+        # the joint state keeps unit norm: post-selection probabilities over
+        # an orthonormal basis of the system sum to one
+        for dim in (2, 3, 8):
             psi = random_state(rng, dim)
             obs = random_observable(rng, dim)
-            js = apply_von_neumann(initial_joint_state(psi, 2), obs, 0.9, 0)
-            js = apply_von_neumann(js, random_observable(rng, dim), 0.4, 1)
-            assert js.total_squared_norm() == pytest.approx(1.0, abs=1e-12)
+            basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            total = sum(
+                postselection_probability(MeasurementSetup(obs, 0.9, psi, PureState(basis[:, n])))
+                for n in range(dim)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self, rng):
-        js = initial_joint_state(random_state(rng, 3), 1)
+        psi, phi = random_selection_pair(rng, 3)
         with pytest.raises(DimensionMismatch):
-            apply_von_neumann(js, Observable(SX), 0.1, 0)
-
-    def test_bad_meter_index(self, rng):
-        js = initial_joint_state(random_state(rng, 2), 1)
-        with pytest.raises(ValueError):
-            apply_von_neumann(js, Observable(SX), 0.1, 1)
+            MeasurementSetup(Observable(SX), 0.1, psi, phi)
 
 
 class TestPostselect:
     def test_zero_coupling_probability(self, rng):
         psi, phi = random_selection_pair(rng, 3)
         obs = random_observable(rng, 3)
-        js = apply_von_neumann(initial_joint_state(psi, 1), obs, 0.0, 0)
-        _, prob = postselect(js, phi)
+        prob = postselection_probability(MeasurementSetup(obs, 0.0, psi, phi))
         assert prob == pytest.approx(abs(phi.overlap(psi)) ** 2, abs=1e-13)
-
-    def test_two_meter_state_refused(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        js = apply_von_neumann(initial_joint_state(psi, 2), Observable(SX), 0.3, 0)
-        with pytest.raises(ValueError):
-            postselect(js, phi)
 
     def test_closed_form_instance(self):
         setup = MeasurementSetup(Observable(SX), 0.1, ket(1, 0), ket(1, 0))
@@ -243,14 +220,22 @@ class TestConditionalDensity:
         assert cm.probability < 1e-12
 
 
+def unconditional_density(obs, lam, psi, x):
+    """<psi|M_x^dag M_x|psi> from the Kraus family: the outcome density of
+    the meter without post-selection."""
+    m = KrausFamily(obs, lam).at_many(np.atleast_1d(x))
+    v = m @ psi.amplitudes
+    return np.real(np.einsum("nd,nd->n", np.conj(v), v))
+
+
 class TestUnconditionalDensity:
     def test_eigenstate_single_gaussian(self):
         xs = np.linspace(-4, 4, 51)
-        got = unconditional_meter_density(Observable(SZ), 0.5, ket(1, 0), xs)
+        got = unconditional_density(Observable(SZ), 0.5, ket(1, 0), xs)
         assert np.max(np.abs(got - gaussian_density(xs - 0.5))) < 1e-14
 
     def test_strong_coupling_resolves_peaks(self):
-        got = unconditional_meter_density(Observable(SX), 10.0, ket(1, 0), np.array([-10.0, 0.0, 10.0]))
+        got = unconditional_density(Observable(SX), 10.0, ket(1, 0), np.array([-10.0, 0.0, 10.0]))
         assert got[0] == pytest.approx(0.5 * gaussian_density(0.0), abs=1e-12)
         assert got[2] == pytest.approx(0.5 * gaussian_density(0.0), abs=1e-12)
         assert got[1] < 1e-12
@@ -259,7 +244,7 @@ class TestUnconditionalDensity:
         psi = random_state(rng, 2)
         lam = 0.37
         xs = np.linspace(-12, 12, 4001)
-        dens = unconditional_meter_density(Observable(SX), lam, psi, xs)
+        dens = unconditional_density(Observable(SX), lam, psi, xs)
         mean = np.trapezoid(xs * dens, xs)
         assert mean == pytest.approx(lam * expectation(Observable(SX), psi), abs=1e-10)
 
@@ -295,57 +280,6 @@ class TestKickProtocol:
             scaled.append(np.trapezoid(xs * dens, xs) / lam)
         intercept, _ = extrapolate_to_zero_coupling(LAMBDA_GRID, scaled)
         assert intercept == pytest.approx(-1.0, abs=1e-3)
-
-
-class TestKickInXProtocol:
-    def test_zero_coupling_is_gaussian(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        setup = MeasurementSetup(Observable(SX), 0.0, psi, phi)
-        xs = np.linspace(-4, 4, 21)
-        assert np.max(np.abs(kick_in_x_protocol(setup, xs) - gaussian_density(xs))) < 1e-13
-
-    def test_mean_shifts_by_im_weak_value(self):
-        psi, phi = ket(1, 0), ket(1, 1j)
-        xs = np.linspace(-10, 10, 2001)
-        scaled = []
-        for lam in LAMBDA_GRID:
-            setup = MeasurementSetup(Observable(SX), lam, psi, phi)
-            dens = kick_in_x_protocol(setup, xs)
-            scaled.append(np.trapezoid(xs * dens, xs) / lam)
-        intercept, _ = extrapolate_to_zero_coupling(LAMBDA_GRID, scaled)
-        assert intercept == pytest.approx(-1.0, abs=1e-3)
-
-    def test_postselection_probability_matches_von_neumann(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        for lam in (0.1, 0.7, 2.0):
-            setup = MeasurementSetup(Observable(SX), lam, psi, phi)
-            assert kick_in_x_postselection_probability(setup) == pytest.approx(
-                postselection_probability(setup), abs=1e-12
-            )
-
-
-class TestDelayedChoice:
-    def test_reproduces_conditional_densities(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        setup = MeasurementSetup(Observable(SY), 0.6, psi, phi)
-        xs = np.linspace(-7, 7, 101)
-        for basis in (BASIS_X, BASIS_XPRIME):
-            state = delayed_choice(setup, basis)
-            assert np.max(
-                np.abs(density(state, xs) - conditional_meter_density(setup, basis, xs))
-            ) < 1e-12
-
-    def test_zero_coupling_returns_initial_meter(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        setup = MeasurementSetup(Observable(SX), 0.0, psi, phi)
-        state = delayed_choice(setup, BASIS_X)
-        xs = np.linspace(-5, 5, 51)
-        assert np.max(np.abs(density(state, xs) - density(initial_meter(), xs))) < 1e-12
-
-    def test_returned_state_normalized(self, rng):
-        psi, phi = random_selection_pair(rng, 3)
-        setup = MeasurementSetup(random_observable(rng, 3), 0.9, psi, phi)
-        assert squared_norm(delayed_choice(setup, BASIS_XPRIME)) == pytest.approx(1.0, abs=1e-12)
 
 
 def sequential_covariance_quadrature(sq: SequentialSetup) -> float:
@@ -560,13 +494,54 @@ class TestNonselectiveState:
         lam = 0.6
         half = 10.0 + lam * obs.spectral_radius
         xs, wts = gauss_legendre(-half, half, 240)
+        _, branch_probs = branch_components(obs, psi)
         acc = np.zeros((2, 2), dtype=complex)
         for x, wt in zip(xs, wts):
-            p_x = unconditional_meter_density(obs, lam, psi, float(x))
+            p_x = float(gaussian_density(x - lam * obs.eigensystem.eigenvalues) @ branch_probs)
             chi = conditional_system_state(obs, lam, psi, float(x))
             acc += wt * p_x * np.outer(chi.amplitudes, np.conj(chi.amplitudes))
         rho = nonselective_state(obs, lam, psi)
         assert np.max(np.abs(acc - rho.matrix)) < 1e-8
+
+
+class TestEigenbranchIdentities:
+    """Identities between routes that share the eigenbranch weights, on
+    degenerate spectra of any scale."""
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 20.0),
+        scale=st.floats(0.1, 100.0),
+        data=st.data(),
+    )
+    def test_kick_probability_equals_von_neumann(self, dim, seed, lam, scale, data):
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        setup = MeasurementSetup(obs, lam, psi, phi)
+        assert kick_postselection_probability(setup) == pytest.approx(
+            postselection_probability(setup), rel=1e-12
+        )
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 20.0),
+        scale=st.floats(0.1, 100.0),
+        data=st.data(),
+    )
+    def test_probability_shift_is_nonselective_disturbance(self, dim, seed, lam, scale, data):
+        # P_exact - |<phi|psi>|^2 = <phi|(rho_ns - |psi><psi|)|phi>
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        unperturbed = abs(phi.overlap(psi)) ** 2
+        lhs = postselection_probability(MeasurementSetup(obs, lam, psi, phi)) - unperturbed
+        rhs = nonselective_state(obs, lam, psi).expectation_in(phi) - unperturbed
+        assert abs(lhs - rhs) <= 1e-12
 
 
 class TestDisturbanceReport:
