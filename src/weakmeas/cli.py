@@ -233,6 +233,7 @@ def parse_config(command: str, source: str, overrides: dict | None = None) -> Ru
     params.setdefault("threads", 1)
     params.setdefault("threshold_multiple", 100.0)
     params.setdefault("n_grid", DEFAULT_N_GRID)
+    params.setdefault("grid", _parse_grid({}, "grid"))
     if command == "simulate":
         if params["protocol"] != "threshold" and "phi" not in params:
             raise SchemaError("phi", "required unless protocol is 'threshold'")
@@ -259,6 +260,14 @@ def _write_table(cfg: RunConfig, out_dir: Path, name: str, header, rows, fmt: st
         path = out_dir / f"{name}.csv"
         write_csv(path, list(header), rows, _metadata(cfg))
     return path
+
+
+def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
+    """The configured x grid; an edge the config leaves out is lo or hi."""
+    grid = p["grid"]
+    xmin = lo if grid["xmin"] is None else grid["xmin"]
+    xmax = hi if grid["xmax"] is None else grid["xmax"]
+    return np.linspace(xmin, xmax, grid["points"])
 
 
 def _density_window(observable: core.Observable, lam: float, a_w: complex) -> tuple[float, float]:
@@ -311,11 +320,7 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     setup = proto.MeasurementSetup(p["observable"], p["lambda"], p["psi"], p["phi"])
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    grid_cfg = p.get("grid", {"xmin": None, "xmax": None, "points": DEFAULT_GRID_POINTS})
-    lo, hi = _density_window(p["observable"], p["lambda"], a_w)
-    xmin = grid_cfg["xmin"] if grid_cfg["xmin"] is not None else lo
-    xmax = grid_cfg["xmax"] if grid_cfg["xmax"] is not None else hi
-    xs = np.linspace(xmin, xmax, grid_cfg["points"])
+    xs = _grid_points(p, *_density_window(p["observable"], p["lambda"], a_w))
     dens = proto.conditional_meter_density(setup, p["basis"], xs)
     _write_table(cfg, out_dir, "density", ["x", "density"], zip(xs, dens), fmt)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
@@ -335,7 +340,7 @@ def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     for lam in lams:
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
         prob = proto.postselection_probability(setup)
-        coeff = (prob - unperturbed) / lam**2
+        coeff = proto.postselection_shift(setup) / lam**2
         coeffs.append(coeff)
         rows.append(["lambda", lam, prob, unperturbed, coeff, None])
     intercept, resid = proto.extrapolate_to_zero_coupling(lams, coeffs)
@@ -459,11 +464,7 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 def _cmd_lindblad(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     lam = p["lambda"]
-    lo, hi = lb.integration_interval(p["observable"], lam)
-    grid_cfg = p.get("grid", {"xmin": None, "xmax": None, "points": DEFAULT_GRID_POINTS})
-    xmin = grid_cfg["xmin"] if grid_cfg["xmin"] is not None else lo
-    xmax = grid_cfg["xmax"] if grid_cfg["xmax"] is not None else hi
-    xs = np.linspace(xmin, xmax, grid_cfg["points"])
+    xs = _grid_points(p, *lb.integration_interval(p["observable"], lam))
     samples = lb.decompose_on_grid(p["observable"], lam, p["psi"], p["phi"], xs)
     _write_table(
         cfg,

@@ -22,24 +22,25 @@ exactly (no higher-order corrections for this family); the error term
 integrates to the post-selection probability shift and is O(lam^2) pointwise
 without being ignorable in the weak limit.
 
-x-integrals use Gauss-Legendre quadrature with 400 nodes over
-``|x| <= 10 + |lam| * spectral_radius``; closed forms are used where
-available and quadrature is kept as the oracle.
+The GDI report's integrals are closed forms (the pointer's first moment,
+lam * Re(A_w) and :func:`weakmeas.protocols.postselection_shift`). Only the
+largest |error| comes from a grid: evenly spaced points within
+MAX_ERROR_HALFWIDTH of each branch centre lam * a_i, however far apart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import Observable, PureState, branch_weights, matrix_weak_value, weak_value
 from .pointer import gaussian_density
+from .protocols import MeasurementSetup, conditional_meter_mean, postselection_shift
 
 GAUSS_LEGENDRE_NODES = 400
-MAX_ERROR_GRID_POINTS = 1024
+MAX_ERROR_GRID_POINTS = 1024  # per branch centre
+MAX_ERROR_HALFWIDTH = 10.0
 
 
 def integration_interval(observable: Observable, coupling: float) -> tuple[float, float]:
@@ -47,14 +48,9 @@ def integration_interval(observable: Observable, coupling: float) -> tuple[float
     return -half, half
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def gauss_legendre(lo: float, hi: float, n: int = GAUSS_LEGENDRE_NODES):
     """Nodes and weights for Gauss-Legendre quadrature on [lo, hi]."""
-    base_x, base_w = _leggauss(n)
+    base_x, base_w = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * base_w
     return x, w
@@ -74,14 +70,6 @@ class KrausFamily:
         xs = np.asarray(xs, dtype=np.float64)
         amp = np.sqrt(gaussian_density(xs[:, None] - self.coupling * system.eigenvalues))
         return np.einsum("ni,ijk->njk", amp, system.projectors)
-
-    def completeness_residual(self, nodes: int = GAUSS_LEGENDRE_NODES) -> float:
-        """max |Int M_x^dag M_x dx - 1| elementwise, by quadrature."""
-        lo, hi = integration_interval(self.observable, self.coupling)
-        xs, wts = gauss_legendre(lo, hi, nodes)
-        m = self.at_many(xs)
-        gram = np.einsum("n,nji,njk->ik", wts, np.conj(m), m)
-        return float(np.max(np.abs(gram - np.eye(self.observable.dim))))
 
 
 def joint_probability_density(
@@ -161,9 +149,9 @@ def decompose_on_grid(
 class GdiReport:
     """Numbers bearing on whether the error term may be neglected.
 
-    ``mean_pw`` equals ``coupling * Re(A_w)`` up to quadrature error for every
-    coupling; ``mean_full`` is the physically observed conditional mean. Their
-    gap is what neglecting the error term would hide. No verdict is encoded.
+    ``mean_pw`` equals ``coupling * Re(A_w)`` exactly for every coupling;
+    ``mean_full`` is the physically observed conditional mean. Their gap is
+    what neglecting the error term would hide. No verdict is encoded.
     """
 
     coupling: float
@@ -175,30 +163,31 @@ class GdiReport:
     weak_value_shift: float
 
 
+def _max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS) -> float:
+    """max |joint - pw| over ``points`` evenly spaced outcomes within
+    MAX_ERROR_HALFWIDTH of each branch centre lam * a_i."""
+    args = (setup.observable, setup.coupling, setup.preselect, setup.postselect)
+    offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, points)
+    xs = (setup.coupling * setup.observable.eigensystem.eigenvalues[:, None] + offsets).ravel()
+    return float(np.max(np.abs(joint_probability_density(*args, xs) - pw_density(*args, xs))))
+
+
 def gdi_diagnostic(
     observable: Observable, coupling: float, psi: PureState, phi: PureState
 ) -> GdiReport:
-    a_w = weak_value(observable, psi, phi).value
-    shift = coupling * a_w.real
+    shift = coupling * weak_value(observable, psi, phi).value.real
     if coupling == 0.0:
         return GdiReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    lo, hi = integration_interval(observable, coupling)
-    xs, wts = gauss_legendre(lo, hi)
-    joint = joint_probability_density(observable, coupling, psi, phi, xs)
-    pw = pw_density(observable, coupling, psi, phi, xs)
-    err = error_term_density(observable, coupling, psi, phi, xs)
-    grid = np.linspace(lo, hi, MAX_ERROR_GRID_POINTS)
-    err_grid = error_term_density(observable, coupling, psi, phi, grid)
+    setup = MeasurementSetup(observable, coupling, psi, phi)
     lam_sq = coupling * coupling
-    mean_full = float((wts * xs * joint).sum() / (wts * joint).sum())
-    mean_pw = float((wts * xs * pw).sum() / (wts * pw).sum())
+    mean_full = conditional_meter_mean(setup)
     return GdiReport(
         coupling=coupling,
-        max_error_over_coupling_sq=float(np.max(np.abs(err_grid)) / lam_sq),
-        integrated_error_over_coupling_sq=float((wts * err).sum() / lam_sq),
+        max_error_over_coupling_sq=_max_abs_error(setup) / lam_sq,
+        integrated_error_over_coupling_sq=postselection_shift(setup) / lam_sq,
         mean_full=mean_full,
-        mean_pw=mean_pw,
-        mean_gap=mean_full - mean_pw,
+        mean_pw=shift,
+        mean_gap=mean_full - shift,
         weak_value_shift=shift,
     )
 

@@ -206,6 +206,15 @@ def postselection_probability(setup: MeasurementSetup) -> float:
     return conditional_meter_state(setup).probability
 
 
+def postselection_shift(setup: MeasurementSetup) -> float:
+    """P_lambda(phi | psi) - |<phi|psi>|^2 without cancellation: the pair sum
+    of P with each damping exp(-lam^2 (a_i - a_j)^2 / 8) taken as expm1."""
+    a = setup.observable.eigensystem.eigenvalues
+    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
+    damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
+    return float((np.conj(w) @ damp @ w).real)
+
+
 def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
     """Exact conditional meter density in the x or x' basis (normalized)."""
     cm = conditional_meter_state(setup, basis)

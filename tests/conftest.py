@@ -1,8 +1,8 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
 and the test oracles: the direct-kernel collective x density, the
 projector-stack sequential Monte Carlo records, the branch-sum sequential
-closed forms, the x'-to-x basis change, the collapsed system state and the
-grid CDF of a meter density.
+closed forms, the x'-to-x basis change, the collapsed system state, the
+grid CDF of a meter density and the Kraus completeness residual.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -21,6 +21,7 @@ from hypothesis import settings
 from weakmeas.collective import CollectiveSetup
 from weakmeas.core import Observable, PureState, branch_components
 from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
+from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, KrausFamily, gauss_legendre, integration_interval
 from weakmeas.montecarlo import (
     BLOCK_SIZE,
     TrialPlan,
@@ -246,3 +247,18 @@ def cumulative_distribution(w: PointerWavefunction) -> tuple[np.ndarray, np.ndar
     tail = _tail_mass_bound(w, grid[0], grid[-1]) / squared_norm(w)
     assert tail <= CDF_TAIL_TOL, f"tail mass bound {tail:.3e} outside the CDF grid"
     return grid, cdf / cdf[-1]
+
+
+def completeness_residual(family: KrausFamily, nodes: int = GAUSS_LEGENDRE_NODES) -> float:
+    """max |Int M_x^dag M_x dx - 1| elementwise, by quadrature.
+
+    One Gauss-Legendre rule over ``integration_interval``. The default 400
+    nodes resolve it for lam * spectral_radius <= 100: over 200 random
+    observables with d in [2, 16] the worst residual is 4e-12 there, 9e-9 at
+    120 and 1e-6 at 140. Past about 150 the unit-width branch Gaussians fall
+    between the nodes and the residual grows to O(1)."""
+    lo, hi = integration_interval(family.observable, family.coupling)
+    xs, wts = gauss_legendre(lo, hi, nodes)
+    m = family.at_many(xs)
+    gram = np.einsum("n,nji,njk->ik", wts, np.conj(m), m)
+    return float(np.max(np.abs(gram - np.eye(family.observable.dim))))

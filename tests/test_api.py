@@ -22,6 +22,8 @@ KEPT_FOR_ACCEPTANCE = {
     ("protocols", "kick_protocol_conditional_density"),
     # tests/test_acceptance.py::test_criterion_10_monte_carlo_fidelity
     ("protocols", "sequential_means"),
+    # tests/test_acceptance.py::test_criterion_09_lindblad_decomposition
+    ("lindblad", "gauss_legendre"),
 }
 
 

@@ -1,15 +1,29 @@
 """Kraus family, joint = P^w + error decomposition, GDI diagnostics."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SX, SZ, random_observable, random_selection_pair, random_state
+from conftest import (
+    SX,
+    SZ,
+    completeness_residual,
+    degenerate_observable,
+    random_observable,
+    random_selection_pair,
+    random_state,
+)
+from weakmeas.cli import main
 from weakmeas.core import Observable, PureState, anomalous_pair, weak_value
 from weakmeas.lindblad import (
+    MAX_ERROR_GRID_POINTS,
     DecompositionSample,
+    GdiReport,
     KrausFamily,
+    _max_abs_error,
     decompose_on_grid,
     error_term_density,
     gauss_legendre,
@@ -24,7 +38,9 @@ from weakmeas.protocols import (
     MeasurementSetup,
     conditional_meter_density,
     disturbance_report,
+    nonselective_state,
     postselection_probability,
+    postselection_shift,
 )
 from weakmeas.pointer import BASIS_X
 
@@ -66,7 +82,7 @@ class TestKrausFamily:
     def test_completeness_by_quadrature(self, rng):
         for lam in (0.1, 1.0, 5.0):
             fam = KrausFamily(random_observable(rng, 2), lam)
-            assert fam.completeness_residual() < 1e-8
+            assert completeness_residual(fam) < 1e-8
 
 
 class TestJointDensity:
@@ -229,6 +245,125 @@ class TestGdiDiagnostic:
         coeff = second_order_coefficient(obs, psi, phi)
         rep = gdi_diagnostic(obs, 0.005, psi, phi)
         assert rep.integrated_error_over_coupling_sq == pytest.approx(coeff, abs=2e-5 + 0.01 * abs(coeff))
+
+
+# Branches at lam * (100, 3, -100) = (500, 15, -500), far wider apart than
+# the node spacing of one 400-node rule over the whole span. With
+# w = (0.36, -0.48, 0) the pair sums have no cross terms left: P = 0.36,
+# mean_full = (0.1296 * 500 + 0.2304 * 15) / 0.36 = 189.6,
+# lam Re A_w = 5 * (36 - 1.44) / (-0.12) = -1440 and
+# (P - |<phi|psi>|^2) / lam^2 = (0.36 - 0.0144) / 25 = 0.013824.
+SEPARATED = {
+    "observable": [[100, 0], [0, 0], [0, 0], [0, 0], [3, 0], [0, 0], [0, 0], [0, 0], [-100, 0]],
+    "psi": [[0.6, 0], [0.6, 0], [math.sqrt(0.28), 0]],
+    "phi": [[0.6, 0], [-0.8, 0], [0, 0]],
+    "lambda": 5.0,
+}
+
+
+def composite_rule(centres, half: float = 12.0, panel: float = 2.0, nodes: int = 20):
+    """Gauss-Legendre nodes and weights, ``nodes`` per panel of width at most
+    ``panel``, over the union of the windows [c - half, c + half]."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted((c - half, c + half) for c in centres):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = [], []
+    for lo, hi in merged:
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) / panel) + 1)
+        a, b = edges[:-1, None], edges[1:, None]
+        xs.append((0.5 * (b - a) * base_x + 0.5 * (b + a)).ravel())
+        ws.append((0.5 * (b - a) * base_w).ravel())
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class TestGdiClosedForms:
+    def assert_separated_report(self, rep):
+        assert rep.mean_pw == pytest.approx(-1440.0, rel=1e-9)
+        assert rep.mean_full == pytest.approx(189.6, rel=1e-9)
+        assert rep.integrated_error_over_coupling_sq == pytest.approx(0.013824, rel=1e-12)
+
+    def test_separated_branches_library(self):
+        obs = Observable(np.diag([100.0, 3.0, -100.0]).astype(complex))
+        psi = ket(0.6, 0.6, math.sqrt(0.28))
+        phi = ket(0.6, -0.8, 0.0)
+        self.assert_separated_report(gdi_diagnostic(obs, 5.0, psi, phi))
+
+    def test_separated_branches_cli(self, tmp_path, capsys):
+        assert main(["lindblad", "--config", json.dumps(SEPARATED), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "gdi.json").read_text())
+        self.assert_separated_report(GdiReport(**{k: v for k, v in doc.items() if k != "metadata"}))
+        assert "mean_pw=-1440.0" in capsys.readouterr().out
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 20.0),
+        scale=st.floats(0.1, 100.0),
+        data=st.data(),
+    )
+    def test_report_against_oracles(self, dim, seed, lam, scale, data):
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        setup = MeasurementSetup(obs, lam, psi, phi)
+        rep = gdi_diagnostic(obs, lam, psi, phi)
+        reach = lam * obs.spectral_radius
+        unperturbed = abs(phi.overlap(psi)) ** 2
+
+        xs, wts = composite_rule(lam * obs.eigensystem.eigenvalues)
+        joint = wts * joint_probability_density(obs, lam, psi, phi, xs)
+        mean = float((xs * joint).sum() / joint.sum())
+        assert abs(rep.mean_full - mean) <= 1e-10 * (abs(mean) + reach)
+
+        prob = postselection_probability(setup)
+        assert lam**2 * rep.integrated_error_over_coupling_sq + unperturbed == pytest.approx(
+            prob, rel=1e-12
+        )
+        # P - |<phi|psi>|^2 = <phi|(rho_ns - |psi><psi|)|phi>
+        disturbed = nonselective_state(obs, lam, psi).expectation_in(phi)
+        assert abs(postselection_shift(setup) - (disturbed - unperturbed)) <= 1e-12 * max(
+            disturbed, unperturbed
+        )
+
+        # halving the max grid's spacing; joint - pw cancels to about 1e-16
+        # of the densities, which is all an identically zero error leaves
+        fine = _max_abs_error(setup, 2 * MAX_ERROR_GRID_POINTS - 1) / lam**2
+        delta = abs(rep.max_error_over_coupling_sq - fine)
+        assert delta <= 5e-4 * fine + 1e-14 / lam**2
+
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 20.0),
+        data=st.data(),
+    )
+    def test_report_matches_uniform_quadrature(self, dim, seed, lam, data):
+        # one 400-node rule over |x| <= 10 + lam * radius resolves the
+        # branches while lam * radius <= 20
+        rng = np.random.default_rng(seed)
+        scale = data.draw(st.floats(0.1, 20.0 / lam), label="scale")
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        rep = gdi_diagnostic(obs, lam, psi, phi)
+
+        lo, hi = integration_interval(obs, lam)
+        xs, wts = gauss_legendre(lo, hi)
+        joint = wts * joint_probability_density(obs, lam, psi, phi, xs)
+        pw = wts * pw_density(obs, lam, psi, phi, xs)
+        err = float((wts * error_term_density(obs, lam, psi, phi, xs)).sum())
+        for got, want in (
+            (rep.mean_full, (xs * joint).sum() / joint.sum()),
+            (rep.mean_pw, (xs * pw).sum() / pw.sum()),
+        ):
+            # the rule's x-moments round on the scale of its half-width
+            assert abs(got - want) <= 1e-12 * (abs(want) + hi)
+        assert abs(lam**2 * rep.integrated_error_over_coupling_sq - err) <= 1e-13
 
 
 class TestDecompositionSamples:
