@@ -47,7 +47,6 @@ from .errors import (
 from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    GaussianTerm,
     PointerWavefunction,
     overlap,
     density,
@@ -71,6 +70,7 @@ from .protocols import (
     kick_protocol_conditional_density,
     nonselective_state,
     postselection_probability,
+    second_order_coefficient,
     sequential_cross_covariance,
     sequential_joint_density,
     sequential_order_gap,
@@ -89,7 +89,6 @@ from .lindblad import (
     gdi_diagnostic,
     joint_probability_density,
     pw_density,
-    second_order_coefficient,
 )
 from .montecarlo import (
     TrialPlan,

@@ -88,7 +88,7 @@ class RunConfig:
     raw: dict
     params: dict
 
-    @property
+    @functools.cached_property
     def hash(self) -> str:
         # threads is an execution detail: hashing it would make otherwise
         # identical runs look different across worker counts
@@ -340,7 +340,7 @@ def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     for lam in lams:
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
         prob = proto.postselection_probability(setup)
-        coeff = proto.postselection_shift(setup) / lam**2
+        coeff = proto.postselection_shift(setup) / proto.coupling_squared(lam)
         coeffs.append(coeff)
         rows.append(["lambda", lam, prob, unperturbed, coeff, None])
     intercept, resid = proto.extrapolate_to_zero_coupling(lams, coeffs)
@@ -353,7 +353,7 @@ def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
         rows,
         fmt,
     )
-    analytic = lb.second_order_coefficient(p["observable"], p["psi"], p["phi"])
+    analytic = proto.second_order_coefficient(p["observable"], p["psi"], p["phi"])
     return {
         "coeff_extrapolated": intercept,
         "coeff_analytic": analytic,
@@ -367,6 +367,7 @@ def _cmd_kick(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     rows = []
     scaled = []
     for lam in lams:
+        proto.coupling_squared(lam)  # refuses a lambda the table cannot divide by
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
         state = proto.kick_pointer_state(setup)
         mean = ptr.moment(state, 1)
@@ -397,7 +398,7 @@ def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
             p["observable"], lam, p["observable_b"], lam, p["psi"], p["phi"], bases
         )
         cov = proto.sequential_cross_covariance(sq)
-        coeff = cov / (lam * lam / 2.0)
+        coeff = cov / (proto.coupling_squared(lam) / 2.0)
         coeffs.append(coeff)
         rows.append(["lambda", lam, cov, coeff, None])
     intercept, resid = proto.extrapolate_to_zero_coupling(lams, coeffs)

@@ -4,7 +4,8 @@ Three families, matching the CLI exit-code contract:
 
 * ``ConfigurationError`` (exit 2): bad run configuration or input files.
 * ``DomainError`` (exit 3): physics preconditions violated (non-Hermitian
-  observable, orthogonal post-selection, ...).
+  observable, orthogonal post-selection, a coupling too small to divide
+  by, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
   cannot be carried out at acceptable numerical quality (collective profile
   cut by its grid edge, disturbance identity violated, empty post-selected

@@ -34,9 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PureState, branch_weights, matrix_weak_value, weak_value
+from .core import Observable, PureState, branch_weights, weak_value
 from .pointer import gaussian_density
-from .protocols import MeasurementSetup, conditional_meter_mean, postselection_shift
+from .protocols import (  # second_order_coefficient is re-exported for callers of this module
+    MeasurementSetup,
+    conditional_meter_mean,
+    coupling_squared,
+    postselection_shift,
+    second_order_coefficient,
+)
 
 GAUSS_LEGENDRE_NODES = 400
 MAX_ERROR_GRID_POINTS = 1024  # per branch centre
@@ -179,7 +185,7 @@ def gdi_diagnostic(
     if coupling == 0.0:
         return GdiReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     setup = MeasurementSetup(observable, coupling, psi, phi)
-    lam_sq = coupling * coupling
+    lam_sq = coupling_squared(coupling)
     mean_full = conditional_meter_mean(setup)
     return GdiReport(
         coupling=coupling,
@@ -189,16 +195,4 @@ def gdi_diagnostic(
         mean_pw=shift,
         mean_gap=mean_full - shift,
         weak_value_shift=shift,
-    )
-
-
-def second_order_coefficient(
-    observable: Observable, psi: PureState, phi: PureState
-) -> float:
-    """|<phi|psi>|^2 (|A_w|^2 - Re[(A^2)_w]) / 4, the lam^2 coefficient of the
-    post-selection probability and of the integrated error term."""
-    a_w = weak_value(observable, psi, phi)
-    a2_w = matrix_weak_value(observable.matrix @ observable.matrix, psi, phi)
-    return float(
-        abs(a_w.preselect_overlap) ** 2 * (abs(a_w.value) ** 2 - a2_w.real) / 4.0
     )

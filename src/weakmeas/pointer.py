@@ -4,7 +4,10 @@ A term is ``w * exp(i k x) * (2 pi)^(-1/4) * exp(-(x - c)^2 / 4)``: a
 unit-variance Gaussian wavepacket displaced to ``c`` with phase slope ``k``.
 The squared modulus of a single unit-weight term is the standard normal
 density ``G(x - c)``, which fixes the normalization convention once and for
-all; every closed form below is derived for this convention only.
+all; every closed form below is derived for this convention only. A
+:class:`PointerWavefunction` holds its terms as three arrays (weights,
+centres, slopes), and every pair sum runs over all term pairs, so terms that
+share a centre and slope need no merging.
 
 All overlaps and moments are exact. For a term pair (bra 1, ket 2), with
 ``dk = k2 - k1`` and ``m = (c1 + c2)/2``::
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +40,6 @@ BASIS_X = "x"
 BASIS_XPRIME = "xprime"
 
 WAVEFUNCTION_NORM = (2.0 * math.pi) ** (-0.25)
-TERM_MERGE_TOL = 1e-12
 
 
 def gaussian_density(x):
@@ -53,66 +54,37 @@ def gaussian_upper_tail(z) -> float:
 
 
 @dataclass(frozen=True)
-class GaussianTerm:
-    """One displaced, phase-modulated Gaussian wavepacket."""
-
-    weight: complex
-    center: float
-    phase_slope: float
-
-    def __post_init__(self):
-        w = complex(self.weight)
-        c = float(self.center)
-        k = float(self.phase_slope)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag) and math.isfinite(c) and math.isfinite(k)):
-            raise ValueError("GaussianTerm fields must be finite")
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "phase_slope", k)
-
-
-def _merge_terms(terms) -> tuple[GaussianTerm, ...]:
-    """Coalesce terms with (center, phase_slope) equal within TERM_MERGE_TOL."""
-    items = sorted(terms, key=lambda t: (t.center, t.phase_slope))
-    merged: list[GaussianTerm] = []
-    for t in items:
-        if merged and abs(t.center - merged[-1].center) <= TERM_MERGE_TOL and abs(
-            t.phase_slope - merged[-1].phase_slope
-        ) <= TERM_MERGE_TOL:
-            prev = merged[-1]
-            merged[-1] = GaussianTerm(prev.weight + t.weight, prev.center, prev.phase_slope)
-        else:
-            merged.append(t)
-    kept = tuple(t for t in merged if t.weight != 0.0)
-    return kept if kept else tuple(merged[:1])
-
-
-@dataclass(frozen=True)
 class PointerWavefunction:
-    """Finite superposition of Gaussian terms in the x or x' basis."""
+    """Finite superposition of Gaussian terms in the x or x' basis.
 
-    terms: tuple[GaussianTerm, ...]
+    Term t is (``weights[t]``, ``centers[t]``, ``phase_slopes[t]``); the three
+    are read-only 1-D arrays of one length, kept as given.
+    """
+
+    weights: np.ndarray
+    centers: np.ndarray
+    phase_slopes: np.ndarray
     basis: str = BASIS_X
 
     def __post_init__(self):
         if self.basis not in (BASIS_X, BASIS_XPRIME):
             raise ValueError(f"unknown basis {self.basis!r}")
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("wavefunction needs at least one term")
-        object.__setattr__(self, "terms", _merge_terms(terms))
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = np.array([t.weight for t in self.terms], dtype=np.complex128)
-        c = np.array([t.center for t in self.terms], dtype=np.float64)
-        k = np.array([t.phase_slope for t in self.terms], dtype=np.float64)
-        return w, c, k
+        terms = (
+            np.array(self.weights, dtype=np.complex128),
+            np.array(self.centers, dtype=np.float64),
+            np.array(self.phase_slopes, dtype=np.float64),
+        )
+        w, c, k = terms
+        if not (w.ndim == 1 and w.size and w.shape == c.shape == k.shape and np.isfinite(terms).all()):
+            raise ValueError("wavefunction needs one or more finite terms, as 1-D arrays of one length")
+        for name, a in zip(("weights", "centers", "phase_slopes"), terms):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def amplitude(self, x) -> np.ndarray:
         """Complex wavefunction value at x (scalar or array)."""
-        w, c, k = self._arrays
-        return _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k) @ w
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return _term_values(x, self.centers, self.phase_slopes) @ self.weights
 
 
 def _term_values(x: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -137,19 +109,12 @@ def _pair_kernel(ca: np.ndarray, ka: np.ndarray, cb: np.ndarray, kb: np.ndarray)
     return base, m, dk
 
 
-def _pair_matrices(a: PointerWavefunction, b: PointerWavefunction):
-    wa, ca, ka = a._arrays
-    wb, cb, kb = b._arrays
-    base, m, dk = _pair_kernel(ca, ka, cb, kb)
-    coeff = np.conj(wa)[:, None] * wb[None, :]
-    return coeff, base, m, dk
-
-
 def overlap(a: PointerWavefunction, b: PointerWavefunction) -> complex:
     """Exact inner product <a|b> from the closed-form pair integrals."""
     if a.basis != b.basis:
         raise BasisMismatch(f"cannot overlap {a.basis!r} with {b.basis!r}")
-    coeff, base, _, _ = _pair_matrices(a, b)
+    base, _, _ = _pair_kernel(a.centers, a.phase_slopes, b.centers, b.phase_slopes)
+    coeff = np.conj(a.weights)[:, None] * b.weights[None, :]
     return complex((coeff * base).sum())
 
 
@@ -170,7 +135,8 @@ def moment(w: PointerWavefunction, n: int) -> float:
     """n-th moment (n in {0,1,2}) of the normalized density, in closed form."""
     if n not in (0, 1, 2):
         raise ValueError("only moments n = 0, 1, 2 are supported")
-    coeff, base, m, dk = _pair_matrices(w, w)
+    base, m, dk = _pair_kernel(w.centers, w.phase_slopes, w.centers, w.phase_slopes)
+    coeff = np.conj(w.weights)[:, None] * w.weights[None, :]
     norm_sq = (coeff * base).sum().real
     if norm_sq <= 0.0:
         raise ZeroProbabilityOutcome("wavefunction has zero norm; moments undefined")
@@ -183,19 +149,17 @@ def moment(w: PointerWavefunction, n: int) -> float:
     return float((coeff * base * poly).sum().real / norm_sq)
 
 
+def _xprime_terms(w: np.ndarray, c: np.ndarray, k: np.ndarray):
+    """The x' = 2p image (w e^{ikc}, 2k, -c/2) of terms (w, c, k); the phase
+    broadcasts along the last axis of ``w``."""
+    return w * np.exp(1j * k * c), 2.0 * k, -c / 2.0
+
+
 def to_xprime_basis(w: PointerWavefunction) -> PointerWavefunction:
     """Exact change to the x' = 2p basis (unitary, norm preserving)."""
     if w.basis != BASIS_X:
         raise BasisMismatch("wavefunction is already in the x' basis")
-    terms = tuple(
-        GaussianTerm(
-            t.weight * np.exp(1j * t.phase_slope * t.center),
-            2.0 * t.phase_slope,
-            -t.center / 2.0,
-        )
-        for t in w.terms
-    )
-    return PointerWavefunction(terms, BASIS_XPRIME)
+    return PointerWavefunction(*_xprime_terms(w.weights, w.centers, w.phase_slopes), BASIS_XPRIME)
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:

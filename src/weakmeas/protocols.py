@@ -42,14 +42,14 @@ from .core import (
     postselection_overlap,
     weak_value,
 )
-from .errors import DimensionMismatch, NumericalQualityError
+from .errors import DimensionMismatch, DomainError, NumericalQualityError
 from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    GaussianTerm,
     PointerWavefunction,
     _pair_kernel,
     _term_values,
+    _xprime_terms,
     density as pointer_density,
     moment,
     squared_norm,
@@ -145,15 +145,17 @@ class MultiMeterWavefunction:
         return float(self._pair_sum(m1, m2) / self._pair_sum(k1, k2))
 
     def transform_meter(self, mu: int) -> "MultiMeterWavefunction":
-        """Take meter mu to the x' basis (same rule as the 1-meter transform)."""
+        """Take meter mu to the x' basis (the 1-meter map, on axis mu of W)."""
         if self.bases[mu] != BASIS_X:
             raise ValueError(f"meter {mu} is already in the x' basis")
-        c, k = self.centers[mu], self.phase_slopes[mu]
-        phase = np.exp(1j * k * c)
-        weights = self.weights * (phase[:, None] if mu == 0 else phase[None, :])
         centers, slopes, bases = list(self.centers), list(self.phase_slopes), list(self.bases)
-        centers[mu], slopes[mu], bases[mu] = 2.0 * k, -c / 2.0, BASIS_XPRIME
-        return MultiMeterWavefunction(weights, tuple(centers), tuple(slopes), tuple(bases))
+        weights, centers[mu], slopes[mu] = _xprime_terms(
+            np.moveaxis(self.weights, mu, -1), centers[mu], slopes[mu]
+        )
+        bases[mu] = BASIS_XPRIME
+        return MultiMeterWavefunction(
+            np.moveaxis(weights, -1, mu), tuple(centers), tuple(slopes), tuple(bases)
+        )
 
     def amplitude_grid(self, x1, x2) -> np.ndarray:
         """Joint amplitude on the outer-product grid x1 x x2."""
@@ -182,7 +184,7 @@ def _eigenbranch_pointer(setup: MeasurementSetup, centers, slopes, basis: str) -
     w_i = <phi|P_i|psi>, unnormalized: the squared norm is the post-selection
     probability."""
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
-    return PointerWavefunction(tuple(map(GaussianTerm, w, centers, slopes)), basis)
+    return PointerWavefunction(w, centers, slopes, basis)
 
 
 def conditional_meter_state(setup: MeasurementSetup, basis: str = BASIS_X) -> ConditionalMeter:
@@ -213,6 +215,21 @@ def postselection_shift(setup: MeasurementSetup) -> float:
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
     damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
     return float((np.conj(w) @ damp @ w).real)
+
+
+def coupling_squared(coupling: float) -> float:
+    """lam^2 for a diagnostic that divides by lam or lam^2.
+
+    Refused with DomainError unless lam^2 is a normal float: at lam = 0 the
+    ratio is undefined, and a subnormal lam^2 has already lost digits.
+    """
+    lam_sq = coupling * coupling
+    if not lam_sq >= np.finfo(np.float64).tiny:
+        raise DomainError(
+            f"coupling {coupling!r} is too small to divide by: lambda^2 = {lam_sq!r} "
+            "is zero or subnormal"
+        )
+    return lam_sq
 
 
 def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
@@ -343,16 +360,22 @@ class DisturbanceReport:
     identity_residual: float
 
 
+def second_order_coefficient(
+    observable: Observable, psi: PureState, phi: PureState
+) -> float:
+    """|<phi|psi>|^2 (|A_w|^2 - Re[(A^2)_w]) / 4, the lam^2 coefficient of the
+    post-selection probability and of the integrated error term."""
+    a_w = weak_value(observable, psi, phi)
+    a2_w = matrix_weak_value(observable.matrix @ observable.matrix, psi, phi)
+    return float(
+        abs(a_w.preselect_overlap) ** 2 * (abs(a_w.value) ** 2 - a2_w.real) / 4.0
+    )
+
+
 def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     prob_exact = postselection_probability(setup)
     ov = setup.postselect.overlap(setup.preselect)
     prob_unperturbed = float(abs(ov) ** 2)
-
-    a_w = weak_value(setup.observable, setup.preselect, setup.postselect).value
-    a2_w = matrix_weak_value(
-        setup.observable.matrix @ setup.observable.matrix, setup.preselect, setup.postselect
-    )
-    coeff = prob_unperturbed * (abs(a_w) ** 2 - a2_w.real) / 4.0
 
     rho = nonselective_state(setup.observable, setup.coupling, setup.preselect)
     purity = rho.purity()
@@ -368,7 +391,9 @@ def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     return DisturbanceReport(
         postselect_prob_exact=prob_exact,
         postselect_prob_unperturbed=prob_unperturbed,
-        second_order_coeff=coeff,
+        second_order_coeff=second_order_coefficient(
+            setup.observable, setup.preselect, setup.postselect
+        ),
         nonselective_purity=purity,
         fidelity_to_initial=fidelity,
         identity_residual=residual,

@@ -34,7 +34,6 @@ from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
     WAVEFUNCTION_NORM,
-    GaussianTerm,
     PointerWavefunction,
     density,
     gaussian_density,
@@ -204,11 +203,8 @@ def to_x_basis(w: PointerWavefunction) -> PointerWavefunction:
     """Inverse of pointer.to_xprime_basis: (w, c, k) -> (w e^{ikc}, -2k, c/2)."""
     if w.basis != BASIS_XPRIME:
         raise BasisMismatch("wavefunction is already in the x basis")
-    terms = tuple(
-        GaussianTerm(t.weight * np.exp(1j * t.phase_slope * t.center), -2.0 * t.phase_slope, t.center / 2.0)
-        for t in w.terms
-    )
-    return PointerWavefunction(terms, BASIS_X)
+    c, k = w.centers, w.phase_slopes
+    return PointerWavefunction(w.weights * np.exp(1j * k * c), -2.0 * k, c / 2.0, BASIS_X)
 
 
 def conditional_system_state(observable: Observable, coupling: float, psi: PureState, x: float) -> PureState:
@@ -229,9 +225,8 @@ CDF_TAIL_TOL = 1e-9  # envelope bound on the mass outside the grid, relative
 
 def _tail_mass_bound(w: PointerWavefunction, lo: float, hi: float) -> float:
     # Cauchy-Schwarz envelope: |psi|^2 <= (sum|w|) * sum |w_t| G(x - c_t)
-    wts, c, _ = w._arrays
-    absw = np.abs(wts)
-    tails = np.array([gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in c])
+    absw = np.abs(w.weights)
+    tails = np.array([gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in w.centers])
     return float(absw.sum() * (absw * tails).sum())
 
 
@@ -240,7 +235,7 @@ def cumulative_distribution(w: PointerWavefunction) -> tuple[np.ndarray, np.ndar
 
     The grid spans the term centers plus CDF_HALFWIDTH on each side; the
     envelope bound on the mass outside it must stay below CDF_TAIL_TOL."""
-    _, c, _ = w._arrays
+    c = w.centers
     grid = np.linspace(float(np.min(c)) - CDF_HALFWIDTH, float(np.max(c)) + CDF_HALFWIDTH, CDF_POINTS)
     pdf = density(w, grid)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))

@@ -1,8 +1,8 @@
 """Reachability guard: no public name in ``src/weakmeas`` that nothing uses.
 
 Walks the syntax trees of the package modules. Every public top-level
-function or class must be referenced from another top-level definition or
-statement of the package (``__init__.py``, which only re-exports, does not
+function, class or ALL_CAPS constant must be referenced from another
+top-level definition or statement of the package (``__init__.py``, which only re-exports, does not
 count), or be listed in ``KEPT_FOR_ACCEPTANCE`` with the acceptance test that
 keeps it. A reference is a bare name used in the defining module or imported
 from it, or an attribute of a module alias (``proto.conditional_meter_state``
@@ -36,11 +36,17 @@ def _modules() -> dict[str, ast.Module]:
 
 
 def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    return {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+        else:
+            continue
+        defs.update((name, node) for name in names if not name.startswith("_"))
+    return defs
 
 
 def _references(module: str, tree: ast.Module) -> dict[tuple[str, str], set[int]]:

@@ -196,6 +196,58 @@ class TestExitCodes:
         assert code == 4
         assert "grid edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["postselect-prob", "kick", "sequential"])
+    def test_zero_in_lambda_grid_is_3(self, tmp_path, capsys, command):
+        # each of these tables divides by lambda or lambda^2
+        code = main(
+            [
+                command,
+                "--config",
+                config(observable=SX_JSON, observable_b=SY_JSON, psi=KET0, phi=PHI68)
+                if command == "sequential"
+                else config(observable=SX_JSON, psi=KET0, phi=PHI68),
+                "--lambda-grid",
+                "0,0.1",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 3
+        assert "zero or subnormal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["1e-160", "1e-170"])
+    def test_lindblad_lambda_sq_below_normal_is_3(self, tmp_path, capsys, lam):
+        # lambda^2 is subnormal at 1e-160 and zero at 1e-170
+        code = main(
+            [
+                "lindblad",
+                "--config",
+                config(observable=SX_JSON, psi=KET0, phi=PHI68),
+                "--lambda",
+                lam,
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 3
+        assert "zero or subnormal" in capsys.readouterr().err
+
+    def test_lindblad_zero_lambda_reports_zeros(self, tmp_path):
+        code = main(
+            [
+                "lindblad",
+                "--config",
+                config(observable=SX_JSON, psi=KET0, phi=PHI68),
+                "--lambda",
+                "0",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "gdi.json").read_text())
+        assert report["mean_full"] == report["integrated_error_over_coupling_sq"] == 0.0
+
 
 class TestParser:
     def test_one_parser_serves_every_call(self, tmp_path):
@@ -250,6 +302,38 @@ class TestArtifacts:
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:-1]])
         integral = np.trapezoid(data[:, 1], data[:, 0])
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+    def test_density_tiny_lambda_mean_is_weak_value_shift(self, tmp_path, capsys):
+        # lambda Re(A_w) = 1.33e-13, with the branch centres 2e-13 apart
+        code = main(
+            [
+                "density",
+                "--config",
+                config(observable=SX_JSON, psi=KET0, phi=PHI68),
+                "--lambda",
+                "1e-13",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert "conditional_mean=1.3333333333333336e-13 " in capsys.readouterr().out
+
+    def test_lindblad_tiny_lambda_means_agree(self, tmp_path):
+        code = main(
+            [
+                "lindblad",
+                "--config",
+                config(observable=SX_JSON, psi=KET0, phi=PHI68),
+                "--lambda",
+                "1e-150",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "gdi.json").read_text())
+        assert report["mean_full"] == pytest.approx(report["mean_pw"], rel=1e-12, abs=0.0)
 
     def test_lambda_grid_emits_extrapolation_row(self, tmp_path):
         code = main(

@@ -19,7 +19,6 @@ from weakmeas.collective import (
 from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    GaussianTerm,
     PointerWavefunction,
     density,
     gaussian_density,
@@ -49,12 +48,9 @@ def two_system_pointer(cs: CollectiveSetup) -> PointerWavefunction:
     lam (a_i + a_j) / 2, unnormalized so its squared norm is P."""
     w = branch_weights(cs.observable, cs.preselect, cs.postselect)
     a = cs.observable.eigensystem.eigenvalues
-    terms = tuple(
-        GaussianTerm(w[i] * w[j], cs.coupling * float(a[i] + a[j]) / 2.0, 0.0)
-        for i in range(len(a))
-        for j in range(len(a))
-    )
-    return PointerWavefunction(terms, BASIS_X)
+    weights = np.outer(w, w).ravel()
+    centers = (cs.coupling * (a[:, None] + a[None, :]) / 2.0).ravel()
+    return PointerWavefunction(weights, centers, np.zeros_like(centers), BASIS_X)
 
 
 class TestReductionToSingleMeasurement:

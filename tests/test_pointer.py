@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import to_x_basis
@@ -11,7 +12,6 @@ from weakmeas.errors import BasisMismatch
 from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    GaussianTerm,
     PointerWavefunction,
     WAVEFUNCTION_NORM,
     density,
@@ -27,18 +27,18 @@ INV_SQRT_2PI = (2 * math.pi) ** -0.5
 
 def initial_meter() -> PointerWavefunction:
     """The unit meter sqrt(G(x)): one unit-weight term at the origin."""
-    return PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),), BASIS_X)
+    return PointerWavefunction([1.0], [0.0], [0.0], BASIS_X)
 
 
-def term_value(x, t: GaussianTerm):
+def term_value(x, weight, center, phase_slope):
     """Independent re-evaluation of one Gaussian term."""
-    return t.weight * np.exp(1j * t.phase_slope * x) * WAVEFUNCTION_NORM * np.exp(
-        -((x - t.center) ** 2) / 4.0
+    return weight * np.exp(1j * phase_slope * x) * WAVEFUNCTION_NORM * np.exp(
+        -((x - center) ** 2) / 4.0
     )
 
 
 def wavefunction_value(x, w: PointerWavefunction):
-    return sum(term_value(x, t) for t in w.terms)
+    return sum(term_value(x, *t) for t in zip(w.weights, w.centers, w.phase_slopes))
 
 
 def overlap_quadrature(a: PointerWavefunction, b: PointerWavefunction) -> complex:
@@ -48,15 +48,24 @@ def overlap_quadrature(a: PointerWavefunction, b: PointerWavefunction) -> comple
 
 
 def random_wavefunction(rng, n_terms=3, basis=BASIS_X) -> PointerWavefunction:
-    terms = tuple(
-        GaussianTerm(
-            rng.normal() + 1j * rng.normal(),
-            2.0 * rng.normal(),
-            rng.normal(),
-        )
-        for _ in range(n_terms)
-    )
-    return PointerWavefunction(terms, basis)
+    terms = [(rng.normal() + 1j * rng.normal(), 2.0 * rng.normal(), rng.normal()) for _ in range(n_terms)]
+    return PointerWavefunction(*zip(*terms), basis)
+
+
+term_lists = st.lists(
+    st.tuples(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+        st.floats(-6.0, 6.0),
+        st.floats(-2.0, 2.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def weight_scale(w: PointerWavefunction) -> float:
+    """(sum |w_t|)^2: bounds |<w|w>| and every rounding error of its pair sum."""
+    return float(np.sum(np.abs(w.weights))) ** 2
 
 
 class TestInitialMeter:
@@ -79,15 +88,15 @@ class TestOverlap:
         assert overlap(m, m) == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
     def test_displaced_pair_closed_form(self):
-        a = PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),))
-        b = PointerWavefunction((GaussianTerm(1.0, 2.0, 0.0),))
+        a = PointerWavefunction([1.0], [0.0], [0.0])
+        b = PointerWavefunction([1.0], [2.0], [0.0])
         got = overlap(a, b)
         assert got == pytest.approx(0.6065306597126334, abs=1e-12)
         assert got == pytest.approx(overlap_quadrature(a, b), abs=1e-10)
 
     def test_phase_slope_pair_closed_form(self):
-        a = PointerWavefunction((GaussianTerm(1.0, 0.0, 0.0),))
-        b = PointerWavefunction((GaussianTerm(1.0, 0.0, 1.0),))
+        a = PointerWavefunction([1.0], [0.0], [0.0])
+        b = PointerWavefunction([1.0], [0.0], [1.0])
         got = overlap(a, b)
         assert abs(got) == pytest.approx(math.exp(-0.5), abs=1e-12)
         assert got == pytest.approx(overlap_quadrature(a, b), abs=1e-10)
@@ -114,13 +123,11 @@ class TestOverlap:
 
 class TestDensity:
     def test_translation_invariance(self):
-        shifted = PointerWavefunction((GaussianTerm(1.0, 3.0, 0.0),))
+        shifted = PointerWavefunction([1.0], [3.0], [0.0])
         assert density(shifted, 3.0) == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
     def test_interference_against_direct_sum(self, rng):
-        w = PointerWavefunction(
-            (GaussianTerm(1 / math.sqrt(2), -1.0, 0.0), GaussianTerm(1 / math.sqrt(2), 1.0, 0.0))
-        )
+        w = PointerWavefunction([1 / math.sqrt(2)] * 2, [-1.0, 1.0], [0.0, 0.0])
         xs = np.linspace(-4, 4, 41)
         direct = np.abs([wavefunction_value(x, w) for x in xs]) ** 2
         assert np.max(np.abs(density(w, xs) - direct)) < 1e-12
@@ -138,7 +145,7 @@ class TestDensity:
 
 class TestMoments:
     def test_translated_mean(self):
-        w = PointerWavefunction((GaussianTerm(1.0, 5.0, 0.0),))
+        w = PointerWavefunction([1.0], [5.0], [0.0])
         assert moment(w, 1) == pytest.approx(5.0, abs=1e-12)
 
     def test_closed_form_matches_quadrature_on_random_five_term(self, rng):
@@ -163,17 +170,17 @@ class TestBasisChange:
     def test_initial_meter_form_invariant(self):
         mp = to_xprime_basis(initial_meter())
         assert mp.basis == BASIS_XPRIME
-        assert len(mp.terms) == 1
-        assert mp.terms[0].weight == pytest.approx(1.0 + 0.0j)
-        assert mp.terms[0].center == pytest.approx(0.0)
-        assert mp.terms[0].phase_slope == pytest.approx(0.0)
+        assert mp.weights.shape == (1,)
+        assert mp.weights[0] == pytest.approx(1.0 + 0.0j)
+        assert mp.centers[0] == pytest.approx(0.0)
+        assert mp.phase_slopes[0] == pytest.approx(0.0)
 
     def test_displaced_term_becomes_phase_slope(self):
         lam_a = 0.8
-        w = PointerWavefunction((GaussianTerm(1.0, lam_a, 0.0),))
+        w = PointerWavefunction([1.0], [lam_a], [0.0])
         wp = to_xprime_basis(w)
-        assert wp.terms[0].center == pytest.approx(0.0)
-        assert wp.terms[0].phase_slope == pytest.approx(-lam_a / 2.0)
+        assert wp.centers[0] == pytest.approx(0.0)
+        assert wp.phase_slopes[0] == pytest.approx(-lam_a / 2.0)
 
     def test_against_fourier_quadrature(self, rng):
         # <x'|w> = (4 pi)^(-1/2) Int exp(-i x' x / 2) w(x) dx
@@ -185,15 +192,22 @@ class TestBasisChange:
             oracle = (re + 1j * im) / math.sqrt(4 * math.pi)
             assert wavefunction_value(xp, wp) == pytest.approx(oracle, abs=1e-10)
 
-    def test_round_trip_density(self, rng):
-        w = random_wavefunction(rng, 3)
+    @settings(max_examples=100)
+    @given(terms=term_lists)
+    def test_round_trip_density(self, terms):
+        w = PointerWavefunction(*zip(*terms))
         back = to_x_basis(to_xprime_basis(w))
-        xs = np.linspace(-8, 8, 100)
-        assert np.max(np.abs(density(back, xs) - density(w, xs))) < 1e-10
+        # halving and doubling are exact above the subnormal range
+        np.testing.assert_allclose(back.centers, w.centers, rtol=0, atol=1e-300)
+        np.testing.assert_allclose(back.phase_slopes, w.phase_slopes, rtol=0, atol=1e-300)
+        xs = np.linspace(-12, 12, 97)
+        assert np.max(np.abs(density(back, xs) - density(w, xs))) <= 1e-14 * weight_scale(w)
 
-    def test_norm_preserved(self, rng):
-        w = random_wavefunction(rng, 4)
-        assert squared_norm(to_xprime_basis(w)) == pytest.approx(squared_norm(w), abs=1e-12)
+    @settings(max_examples=100)
+    @given(terms=term_lists)
+    def test_norm_preserved(self, terms):
+        w = PointerWavefunction(*zip(*terms))
+        assert abs(squared_norm(to_xprime_basis(w)) - squared_norm(w)) <= 1e-14 * weight_scale(w)
 
     def test_wrong_basis_raises(self):
         with pytest.raises(BasisMismatch):
@@ -202,24 +216,65 @@ class TestBasisChange:
             to_x_basis(initial_meter())
 
 
-class TestMerging:
-    def test_duplicates_coalesce(self):
-        w = PointerWavefunction(
-            (GaussianTerm(0.3, 1.0, 0.5), GaussianTerm(0.7, 1.0, 0.5))
-        )
-        assert len(w.terms) == 1
-        assert w.terms[0].weight == pytest.approx(1.0 + 0.0j)
+class TestConstruction:
+    def test_terms_are_read_only_copies(self):
+        weights = np.array([1.0 + 0.5j, 0.3])
+        w = PointerWavefunction(weights, [0.0, 1.0], [0.0, 0.0])
+        weights[0] = 7.0
+        assert w.weights[0] == 1.0 + 0.5j
+        with pytest.raises(ValueError):
+            w.centers[0] = 2.0
 
-    def test_density_unchanged_by_merge(self):
-        split = (
-            GaussianTerm(0.3 + 0.1j, 1.0, 0.5),
-            GaussianTerm(0.7 - 0.1j, 1.0, 0.5),
-            GaussianTerm(0.2, -1.0, 0.0),
-        )
-        merged = PointerWavefunction(split)
-        xs = np.linspace(-5, 5, 64)
-        direct = np.abs([sum(term_value(x, t) for t in split) for x in xs]) ** 2
-        assert np.max(np.abs(density(merged, xs) - direct)) < 1e-12
+    @pytest.mark.parametrize(
+        "weights, centers, slopes",
+        [
+            ([], [], []),
+            ([1.0, 1.0], [0.0], [0.0]),
+            ([[1.0]], [[0.0]], [[0.0]]),
+            ([1.0], [math.inf], [0.0]),
+            ([complex(1.0, math.nan)], [0.0], [0.0]),
+        ],
+    )
+    def test_rejects_empty_ragged_or_non_finite_terms(self, weights, centers, slopes):
+        with pytest.raises(ValueError):
+            PointerWavefunction(weights, centers, slopes)
+
+
+@st.composite
+def split_terms(draw):
+    """Terms (w, c, k), and the same state with each term split into positive
+    shares of its weight, plus zero-weight terms, in a shuffled order."""
+    summed = draw(term_lists)
+    pieces = []
+    for weight, c, k in summed:
+        shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3)))
+        pieces += [(weight * f, c, k) for f in shares / shares.sum()]
+    zeros = draw(st.lists(st.sampled_from(summed), max_size=2))
+    pieces += [(0.0, c, k) for _, c, k in zeros]
+    if draw(st.booleans()):
+        pieces.append((0.0, draw(st.floats(-6.0, 6.0)), draw(st.floats(-2.0, 2.0))))
+    order = draw(st.permutations(range(len(pieces))))
+    return summed, [pieces[i] for i in order]
+
+
+class TestCoincidentTerms:
+    """Terms that share a centre and slope, and zero weights, need no merge:
+    the pair sums over all terms equal those of the hand-summed state."""
+
+    @settings(max_examples=200)
+    @given(split=split_terms())
+    def test_matches_hand_summed_form(self, split):
+        summed, pieces = split
+        whole = PointerWavefunction(*zip(*summed))
+        split_state = PointerWavefunction(*zip(*pieces))
+        scale = weight_scale(whole)
+        norm = squared_norm(whole)
+        assert abs(squared_norm(split_state) - norm) <= 1e-12 * scale
+        xs = np.linspace(-10, 10, 81)
+        assert np.max(np.abs(density(split_state, xs) - density(whole, xs))) <= 1e-12 * scale
+        assume(norm >= 1e-2 * scale)
+        reach = 1.0 + np.max(np.abs(whole.centers)) + np.max(np.abs(whole.phase_slopes))
+        assert abs(moment(split_state, 1) - moment(whole, 1)) <= 1e-12 * reach * scale / norm
 
 
 class TestSampler:

@@ -33,7 +33,7 @@ from weakmeas.errors import (
     ZeroProbabilityOutcome,
 )
 from weakmeas.lindblad import KrausFamily, gauss_legendre
-from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density
+from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density, moment
 from weakmeas.protocols import (
     MeasurementSetup,
     SequentialSetup,
@@ -42,6 +42,7 @@ from weakmeas.protocols import (
     conditional_meter_state,
     disturbance_report,
     extrapolate_to_zero_coupling,
+    kick_pointer_state,
     kick_postselection_probability,
     kick_protocol_conditional_density,
     nonselective_state,
@@ -91,21 +92,55 @@ class TestApplyVonNeumann:
     """The von Neumann route: one Gaussian term (w_i, lam a_i, 0) per
     eigenbranch, with w_i = <phi|P_i|psi>."""
 
-    def test_zero_coupling_merges_back(self, rng):
-        psi, phi = random_selection_pair(rng, 2)
-        pointer = conditional_meter_state(MeasurementSetup(Observable(SX), 0.0, psi, phi)).pointer
-        assert len(pointer.terms) == 1
-        assert pointer.terms[0].center == 0.0
-        assert pointer.terms[0].phase_slope == 0.0
-        assert abs(pointer.terms[0].weight - phi.overlap(psi)) < 1e-12
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 100.0),
+        data=st.data(),
+    )
+    def test_zero_coupling_gives_initial_meter(self, dim, seed, scale, data):
+        # every branch term sits at the origin: the meter is the initial
+        # Gaussian, post-selected with probability |<phi|psi>|^2
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        setup = MeasurementSetup(obs, 0.0, psi, phi)
+        w_abs = np.abs(branch_weights(obs, psi, phi)).sum()
+        assert abs(postselection_probability(setup) - abs(phi.overlap(psi)) ** 2) <= 1e-12 * w_abs**2
+        xs = np.linspace(-6, 6, 49)
+        for basis in (BASIS_X, BASIS_XPRIME):
+            dens = conditional_meter_density(setup, basis, xs)
+            assert np.max(np.abs(dens - gaussian_density(xs))) <= 1e-12
+            assert conditional_meter_mean(setup, basis) == 0.0
 
-    def test_eigenstate_single_branch(self):
-        psi = ket(1, 0)
-        phi = ket(0.6, 0.8j)
-        pointer = conditional_meter_state(MeasurementSetup(Observable(SZ), 0.7, psi, phi)).pointer
-        assert len(pointer.terms) == 1
-        assert pointer.terms[0].center == pytest.approx(0.7, abs=1e-15)
-        assert abs(pointer.terms[0].weight - phi.overlap(psi)) < 1e-15
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(-20.0, 20.0),
+        scale=st.floats(0.1, 100.0),
+        data=st.data(),
+    )
+    def test_eigenstate_single_branch(self, dim, seed, lam, scale, data):
+        # psi in the eigenspace of a_i: the meter moves to lam a_i in x and
+        # stays centred at 0 in x', whatever phi is
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        system = obs.eigensystem
+        i = data.draw(st.integers(0, system.eigenvalues.size - 1), label="branch")
+        while True:
+            psi = PureState.normalized(system.projectors[i] @ random_state(rng, dim).amplitudes)
+            phi = random_state(rng, dim)
+            if abs(phi.overlap(psi)) >= 0.25:
+                break
+        setup = MeasurementSetup(obs, lam, psi, phi)
+        shift = lam * float(system.eigenvalues[i])
+        xs = np.linspace(-6, 6, 49)
+        for basis, center in ((BASIS_X, shift), (BASIS_XPRIME, 0.0)):
+            dens = conditional_meter_density(setup, basis, xs + center)
+            assert np.max(np.abs(dens - gaussian_density(xs))) <= 1e-12
+            assert conditional_meter_mean(setup, basis) == pytest.approx(center, abs=1e-12 * (1.0 + abs(shift)))
 
     def test_against_fft_tensor_oracle(self, rng):
         lam = 0.3
@@ -212,6 +247,18 @@ class TestConditionalDensity:
         intercept, _ = extrapolate_to_zero_coupling(LAMBDA_GRID, scaled)
         assert intercept == pytest.approx(a_w.imag, abs=max(1e-3 * abs(a_w.imag), 1e-4))
 
+    def test_tiny_coupling_mean_is_weak_value(self):
+        # lam (a_i - a_j) far below 1e-12: the branch terms nearly coincide,
+        # and their pair sums still carry the O(lam) shift
+        psi, phi = ket(1, 0), ket(0.6, 0.48 + 0.64j)
+        a_w = weak_value(Observable(SX), psi, phi).value
+        for lam in (1e-12, 1e-13, 1e-14):
+            setup = MeasurementSetup(Observable(SX), lam, psi, phi)
+            assert conditional_meter_mean(setup, BASIS_X) / lam == pytest.approx(a_w.real, rel=1e-12)
+            assert conditional_meter_mean(setup, BASIS_XPRIME) / lam == pytest.approx(
+                a_w.imag, rel=1e-12
+            )
+
     def test_low_probability_flag(self):
         psi = ket(1, 0)
         phi = ket(1e-7, math.sqrt(1 - 1e-14))
@@ -280,6 +327,13 @@ class TestKickProtocol:
             scaled.append(np.trapezoid(xs * dens, xs) / lam)
         intercept, _ = extrapolate_to_zero_coupling(LAMBDA_GRID, scaled)
         assert intercept == pytest.approx(-1.0, abs=1e-3)
+
+    def test_tiny_coupling_mean_is_im_weak_value(self):
+        psi, phi = ket(1, 0), ket(0.6, 0.8j)
+        a_w = weak_value(Observable(SX), psi, phi).value
+        lam = 1e-12
+        state = kick_pointer_state(MeasurementSetup(Observable(SX), lam, psi, phi))
+        assert moment(state, 1) / lam == pytest.approx(a_w.imag, rel=1e-12)
 
 
 def sequential_covariance_quadrature(sq: SequentialSetup) -> float:
