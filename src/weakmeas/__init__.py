@@ -41,6 +41,7 @@ from .errors import (
     OrthogonalPostselection,
     ProportionalToIdentity,
     SchemaError,
+    SpectrumUnresolved,
     WeakmeasError,
     ZeroProbabilityOutcome,
 )
@@ -82,7 +83,6 @@ from .collective import (
     collective_postselection_ratio,
 )
 from .lindblad import (
-    DecompositionSample,
     GdiReport,
     KrausFamily,
     error_term_density,

@@ -247,19 +247,40 @@ def _metadata(cfg: RunConfig) -> str:
     return f"config_sha256={cfg.hash} seed={cfg.params.get('seed', 0)}"
 
 
-def _write_table(cfg: RunConfig, out_dir: Path, name: str, header, rows, fmt: str) -> Path:
+def _write_table(cfg: RunConfig, out_dir: Path, name: str, header, rows, fmt: str) -> None:
+    """``rows`` is a structured array or a list of rows (see ``serialize``)."""
     if fmt == "json":
-        path = out_dir / f"{name}.json"
-        payload = {
-            "columns": list(header),
-            "rows": list(rows),
-            "metadata": _metadata(cfg),
-        }
-        write_json(path, payload)
+        payload = {"columns": list(header), "rows": rows, "metadata": _metadata(cfg)}
+        write_json(out_dir / f"{name}.json", payload)
     else:
-        path = out_dir / f"{name}.csv"
-        write_csv(path, list(header), rows, _metadata(cfg))
-    return path
+        write_csv(out_dir / f"{name}.csv", list(header), rows, _metadata(cfg))
+
+
+def _write_columns(cfg: RunConfig, out_dir: Path, name: str, fmt: str, **columns) -> None:
+    """Write equal-length 1-D arrays as one table, a column each, in keyword order."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    table = np.empty(len(arrays[0]), dtype=[(k, a.dtype) for k, a in zip(columns, arrays)])
+    for key, array in zip(columns, arrays):
+        table[key] = array
+    _write_table(cfg, out_dir, name, list(columns), table, fmt)
+
+
+def _lambda_scan(cfg, out_dir, fmt, name, header, measure, fixed=(None,), fit=None) -> float:
+    """Write a row ``["lambda", lam, *cells, value, None]`` per coupling of the
+    grid, where ``cells, value = measure(lam)``, then the row
+    ``["extrapolation", 0.0, *fixed, intercept, residual]`` of ``fit`` (by
+    default the even-in-lambda ``extrapolate_to_zero_coupling``) to the
+    values at lam = 0. Returns the intercept."""
+    lams = cfg.params["lambda_grid"]
+    rows, values = [], []
+    for lam in lams:
+        cells, value = measure(lam)
+        values.append(value)
+        rows.append(["lambda", lam, *cells, value, None])
+    intercept, resid = (fit or proto.extrapolate_to_zero_coupling)(lams, values)
+    rows.append(["extrapolation", 0.0, *fixed, intercept, resid])
+    _write_table(cfg, out_dir, name, header, rows, fmt)
+    return intercept
 
 
 def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
@@ -322,10 +343,10 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
     xs = _grid_points(p, *_density_window(p["observable"], p["lambda"], a_w))
     dens = proto.conditional_meter_density(setup, p["basis"], xs)
-    _write_table(cfg, out_dir, "density", ["x", "density"], zip(xs, dens), fmt)
+    _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(seg)))
-    _write_table(cfg, out_dir, "cdf", ["x", "cdf"], zip(xs, cdf), fmt)
+    _write_columns(cfg, out_dir, "cdf", fmt, x=xs, cdf=cdf)
     integral = float(np.trapezoid(dens, xs))
     mean = proto.conditional_meter_mean(setup, p["basis"])
     return {"integral": integral, "conditional_mean": mean, "basis": p["basis"]}
@@ -333,25 +354,16 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
 def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
-    lams = p["lambda_grid"]
     unperturbed = float(abs(p["phi"].overlap(p["psi"])) ** 2)
-    rows = []
-    coeffs = []
-    for lam in lams:
+
+    def measure(lam):
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
         prob = proto.postselection_probability(setup)
-        coeff = proto.postselection_shift(setup) / proto.coupling_squared(lam)
-        coeffs.append(coeff)
-        rows.append(["lambda", lam, prob, unperturbed, coeff, None])
-    intercept, resid = proto.extrapolate_to_zero_coupling(lams, coeffs)
-    rows.append(["extrapolation", 0.0, None, unperturbed, intercept, resid])
-    _write_table(
-        cfg,
-        out_dir,
-        "postselect_prob",
-        ["row", "lambda", "prob", "prob_unperturbed", "coeff_lambda_sq", "fit_residual"],
-        rows,
-        fmt,
+        return [prob, unperturbed], proto.postselection_shift(setup) / proto.coupling_squared(lam)
+
+    header = ["row", "lambda", "prob", "prob_unperturbed", "coeff_lambda_sq", "fit_residual"]
+    intercept = _lambda_scan(
+        cfg, out_dir, fmt, "postselect_prob", header, measure, [None, unperturbed]
     )
     analytic = proto.second_order_coefficient(p["observable"], p["psi"], p["phi"])
     return {
@@ -363,26 +375,15 @@ def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
 def _cmd_kick(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
-    lams = p["lambda_grid"]
-    rows = []
-    scaled = []
-    for lam in lams:
+
+    def measure(lam):
         proto.coupling_squared(lam)  # refuses a lambda the table cannot divide by
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
-        state = proto.kick_pointer_state(setup)
-        mean = ptr.moment(state, 1)
-        scaled.append(mean / lam)
-        rows.append(["lambda", lam, mean, mean / lam, None])
-    intercept, resid = proto.extrapolate_to_zero_coupling(lams, scaled)
-    rows.append(["extrapolation", 0.0, None, intercept, resid])
-    _write_table(
-        cfg,
-        out_dir,
-        "kick",
-        ["row", "lambda", "conditional_mean", "mean_over_lambda", "fit_residual"],
-        rows,
-        fmt,
-    )
+        mean = ptr.moment(proto.kick_pointer_state(setup), 1)
+        return [mean], mean / lam
+
+    header = ["row", "lambda", "conditional_mean", "mean_over_lambda", "fit_residual"]
+    intercept = _lambda_scan(cfg, out_dir, fmt, "kick", header, measure)
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
     return {"im_weak_value_extrapolated": intercept, "im_weak_value": a_w.imag}
 
@@ -391,38 +392,24 @@ def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     bases = (p["basis"], p["basis"])
     lams = p["lambda_grid"]
-    rows = []
-    coeffs = []
-    for lam in lams:
+
+    def measure(lam):
         sq = proto.SequentialSetup(
             p["observable"], lam, p["observable_b"], lam, p["psi"], p["phi"], bases
         )
         cov = proto.sequential_cross_covariance(sq)
-        coeff = cov / (proto.coupling_squared(lam) / 2.0)
-        coeffs.append(coeff)
-        rows.append(["lambda", lam, cov, coeff, None])
-    intercept, resid = proto.extrapolate_to_zero_coupling(lams, coeffs)
-    rows.append(["extrapolation", 0.0, None, intercept, resid])
-    _write_table(
-        cfg,
-        out_dir,
-        "sequential",
-        ["row", "lambda", "cross_covariance", "coeff", "fit_residual"],
-        rows,
-        fmt,
-    )
+        return [cov], cov / (proto.coupling_squared(lam) / 2.0)
+
+    header = ["row", "lambda", "cross_covariance", "coeff", "fit_residual"]
+    intercept = _lambda_scan(cfg, out_dir, fmt, "sequential", header, measure)
     # joint conditional density grid at the single-lambda setting
     sq_grid = proto.SequentialSetup(
         p["observable"], p["lambda"], p["observable_b"], p["lambda"], p["psi"], p["phi"], bases
     )
     xs = np.linspace(-6.0 - abs(p["lambda"]), 6.0 + abs(p["lambda"]), 101)
     dens2 = proto.sequential_joint_density(sq_grid, xs, xs)
-    # one grid row of Python floats at a time, not all 10,201 cells at once
-    x_list = xs.tolist()
-    grid_rows = (
-        (x1, x2, d) for x1, row in zip(x_list, dens2) for x2, d in zip(x_list, row.tolist())
-    )
-    _write_table(cfg, out_dir, "sequential_density", ["x1", "x2", "density"], grid_rows, fmt)
+    grid = {"x1": np.repeat(xs, xs.size), "x2": np.tile(xs, xs.size), "density": dens2.ravel()}
+    _write_columns(cfg, out_dir, "sequential_density", fmt, **grid)
     sq0 = proto.SequentialSetup(
         p["observable"], lams[0], p["observable_b"], lams[0], p["psi"], p["phi"], bases
     )
@@ -466,15 +453,8 @@ def _cmd_lindblad(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     lam = p["lambda"]
     xs = _grid_points(p, *lb.integration_interval(p["observable"], lam))
-    samples = lb.decompose_on_grid(p["observable"], lam, p["psi"], p["phi"], xs)
-    _write_table(
-        cfg,
-        out_dir,
-        "lindblad_decomposition",
-        ["x", "joint", "pw", "error"],
-        ([s.x, s.joint_p, s.pw, s.error] for s in samples),
-        fmt,
-    )
+    x, joint, pw, error = lb.decompose_on_grid(p["observable"], lam, p["psi"], p["phi"], xs)
+    _write_columns(cfg, out_dir, "lindblad_decomposition", fmt, x=x, joint=joint, pw=pw, error=error)
     report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])
     write_json(out_dir / "gdi.json", {**asdict(report), "metadata": _metadata(cfg)})
     return {
@@ -517,17 +497,8 @@ def _build_plan(p: dict) -> mc.TrialPlan:
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     plan = _build_plan(cfg.params)
     records, stats = mc.run_plan(plan)
-    names = [name for name in ("x", "x2") if name in records.dtype.names]
-
-    def rows():
-        # Python scalars one block at a time, so memory does not grow with trials
-        for start in range(0, records.size, mc.BLOCK_SIZE):
-            block = records[start : start + mc.BLOCK_SIZE]
-            columns = [block[name].tolist() for name in names]
-            columns.append(block["postselected"].astype(np.int64).tolist())
-            yield from zip(*columns)
-
-    _write_table(cfg, out_dir, "records", [*names, "postselected"], rows(), fmt)
+    # fields x[, x2], postselected: the table as it stands, bools written as 0/1
+    _write_table(cfg, out_dir, "records", list(records.dtype.names), records, fmt)
     write_json(out_dir / "stats.json", {**asdict(stats), "metadata": _metadata(cfg)})
     summary = {
         "n_postselected": stats.n_postselected,
@@ -540,33 +511,24 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     return summary
 
 
+def _linear_fit(lams, values) -> tuple[float, float]:
+    """Intercept at lam = 0 and RMS residual of a straight-line fit."""
+    slope, intercept = np.polyfit(lams, values, 1)
+    resid = float(np.sqrt(np.mean((np.array(values) - (slope * np.array(lams) + intercept)) ** 2)))
+    return float(intercept), resid
+
+
 def _cmd_threshold(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     mult = p["threshold_multiple"]
-    lams = list(p["lambda_grid"])
-    rows = []
-    preds = {}
-    for lam in lams:
-        thr = mult * lam
-        pred = mc.truncated_mean_prediction(p["observable"], lam, p["psi"], thr)
-        preds[lam] = pred
-        rows.append(["lambda", lam, thr, pred, None])
+
+    def measure(lam):
+        return [mult * lam], mc.truncated_mean_prediction(p["observable"], lam, p["psi"], mult * lam)
+
     # threshold means are not even in lambda; extrapolate linearly in lambda
-    slope, intercept = np.polyfit(lams, [preds[l] for l in lams], 1)
-    resid = float(
-        np.sqrt(np.mean((np.array([preds[l] for l in lams]) - (slope * np.array(lams) + intercept)) ** 2))
-    )
-    rows.append(["extrapolation", 0.0, 0.0, float(intercept), resid])
-    _write_table(
-        cfg,
-        out_dir,
-        "threshold",
-        ["row", "lambda", "threshold", "predicted_mean", "fit_residual"],
-        rows,
-        fmt,
-    )
-    half_gauss = math.sqrt(2.0 / math.pi)
-    return {"predicted_mean_extrapolated": float(intercept), "half_gaussian_mean": half_gauss}
+    header = ["row", "lambda", "threshold", "predicted_mean", "fit_residual"]
+    intercept = _lambda_scan(cfg, out_dir, fmt, "threshold", header, measure, [0.0], _linear_fit)
+    return {"predicted_mean_extrapolated": intercept, "half_gaussian_mean": math.sqrt(2.0 / math.pi)}
 
 
 _HANDLERS = {

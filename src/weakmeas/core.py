@@ -27,6 +27,7 @@ from .errors import (
     NotHermitian,
     OrthogonalPostselection,
     ProportionalToIdentity,
+    SpectrumUnresolved,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -83,9 +84,6 @@ class PureState:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
     def to_json(self) -> list:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
@@ -162,7 +160,10 @@ def eigendecompose(observable: Observable | np.ndarray) -> EigenSystem:
 
     Eigenvalues within ``1e-10 * (spectral_radius + 1)`` of each other share a
     single projector, so branch bookkeeping downstream never splits a
-    displacement center across numerically equal eigenvalues.
+    displacement center across numerically equal eigenvalues. The spectral
+    sum must reproduce the matrix to within that same tolerance; a
+    decomposition that fails this or the projector checks raises
+    :class:`SpectrumUnresolved` (exit 3).
     """
     if not isinstance(observable, Observable):
         observable = Observable(observable)
@@ -178,10 +179,14 @@ def eigendecompose(observable: Observable | np.ndarray) -> EigenSystem:
     projectors = np.stack(
         [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
     ).astype(np.complex128)
-    system = EigenSystem(eigenvalues, projectors)
+    try:
+        system = EigenSystem(eigenvalues, projectors)
+    except ValueError as exc:
+        raise SpectrumUnresolved(f"eigendecomposition refused: {exc}") from exc
+    # a merge moves eigenvalues by up to merge_tol; eigh rounds at a few ulps of the radius
     recon_err = np.max(np.abs(system.reconstruct() - observable.matrix))
-    if recon_err > 1e-10:
-        raise ValueError(f"eigendecomposition reconstruction error {recon_err:.3e}")
+    if recon_err > merge_tol:
+        raise SpectrumUnresolved(f"reconstruction error {recon_err:.3e} exceeds {merge_tol:.3e}")
     return system
 
 

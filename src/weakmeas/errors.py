@@ -4,8 +4,8 @@ Three families, matching the CLI exit-code contract:
 
 * ``ConfigurationError`` (exit 2): bad run configuration or input files.
 * ``DomainError`` (exit 3): physics preconditions violated (non-Hermitian
-  observable, orthogonal post-selection, a coupling too small to divide
-  by, ...).
+  observable, unresolved spectrum, orthogonal post-selection, a coupling
+  too small to divide by, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
   cannot be carried out at acceptable numerical quality (collective profile
   cut by its grid edge, disturbance identity violated, empty post-selected
@@ -55,6 +55,10 @@ class BasisMismatch(DomainError):
 
 class DimensionMismatch(DomainError):
     """System dimensions of states/observables do not agree."""
+
+
+class SpectrumUnresolved(DomainError):
+    """Eigendecomposition of an observable fails its projector or reconstruction checks."""
 
 
 class ZeroProbabilityOutcome(DomainError):

@@ -75,7 +75,8 @@ class KrausFamily:
         system = self.observable.eigensystem
         xs = np.asarray(xs, dtype=np.float64)
         amp = np.sqrt(gaussian_density(xs[:, None] - self.coupling * system.eigenvalues))
-        return np.einsum("ni,ijk->njk", amp, system.projectors)
+        k, d, _ = system.projectors.shape
+        return (amp @ system.projectors.reshape(k, d * d)).reshape(len(xs), d, d)
 
 
 def joint_probability_density(
@@ -106,32 +107,21 @@ def pw_density(
 def error_term_density(
     observable: Observable, coupling: float, psi: PureState, phi: PureState, x
 ):
-    """<psi| L[M_x](|phi><phi|) |psi>, evaluated with dense matrix algebra."""
+    """<psi| L[M_x](|phi><phi|) |psi>, evaluated from the dense Kraus operators.
+
+    With O = |phi><phi| the super-operator expands to
+    |<phi|M psi>|^2 - Re(<psi|phi><M phi|M psi>), so each M_x is applied to
+    the two vectors and no d x d product is formed.
+    """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     m = KrausFamily(observable, coupling).at_many(xs)
-    md = np.conj(np.transpose(m, (0, 2, 1)))
-    op = phi.projector()[None, :, :]
-    lind = 0.5 * ((md @ op - op @ md) @ m + md @ (op @ m - m @ op))
-    v = psi.amplitudes
-    vals = np.real(np.einsum("a,nab,b->n", np.conj(v), lind, v))
+    m_psi = m @ psi.amplitudes
+    m_phi = m @ phi.amplitudes
+    outcome = m_psi @ np.conj(phi.amplitudes)
+    cross = np.sum(np.conj(m_phi) * m_psi, axis=1) * psi.overlap(phi)
+    vals = outcome.real**2 + outcome.imag**2 - cross.real
     return float(vals[0]) if scalar else vals
-
-
-@dataclass(frozen=True)
-class DecompositionSample:
-    """One outcome with its joint density split into pw + error."""
-
-    x: float
-    joint_p: float
-    pw: float
-    error: float
-
-    def __post_init__(self):
-        if self.joint_p < 0.0:
-            raise ValueError("joint density must be nonnegative")
-        if abs(self.joint_p - (self.pw + self.error)) > 1e-12:
-            raise ValueError("joint != pw + error beyond 1e-12")
 
 
 def decompose_on_grid(
@@ -140,15 +130,21 @@ def decompose_on_grid(
     psi: PureState,
     phi: PureState,
     xs,
-) -> list[DecompositionSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes x with the joint density and its pw and error parts there.
+
+    Raises ``ValueError`` if the joint density is negative anywhere or
+    differs from pw + error by more than 1e-12.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     joint = joint_probability_density(observable, coupling, psi, phi, xs)
     pw = pw_density(observable, coupling, psi, phi, xs)
     err = error_term_density(observable, coupling, psi, phi, xs)
-    return [
-        DecompositionSample(float(x), float(j), float(p), float(e))
-        for x, j, p, e in zip(xs, joint, pw, err)
-    ]
+    if np.any(joint < 0.0):
+        raise ValueError("joint density must be nonnegative")
+    if np.any(np.abs(joint - (pw + err)) > 1e-12):
+        raise ValueError("joint != pw + error beyond 1e-12")
+    return xs, joint, pw, err
 
 
 @dataclass(frozen=True)

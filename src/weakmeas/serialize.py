@@ -6,23 +6,21 @@ keys are sorted, floats go through repr (shortest round-trip), and no
 timestamps or environment data are written. Every CSV ends with a comment
 line carrying the config hash and seed so outputs are self-identifying.
 
-Tables are formatted a column at a time, ``_CHUNK_ROWS`` rows at a time, and
-each chunk is written as soon as it is formatted. A column of 64-bit floats
-(Python or numpy) goes through ``float.__repr__`` in one pass, a column of
-64-bit integers through ``str(int(v))``; any other column is formatted cell
-by cell, as ``format_cell`` plus RFC-4180 quoting in CSV and as
-``json.dumps`` in JSON. A JSON float column holding NaN or an infinity is
-such a column, so those cells read ``NaN``/``Infinity`` as ``json`` writes
-them. The bytes are exactly those of ``csv.writer`` over ``format_cell``
-cells, and of ``json.dumps(jsonable(payload), sort_keys=True, indent=2)``:
-the writers only get there without a Python call per cell.
+Tables are written by column, ``_CHUNK_ROWS`` rows at a time. A structured
+array is sliced by field; any other iterable of rows is cut into chunks that
+are transposed once. Each column slice is formatted in one pass: float64
+through ``float.__repr__`` (each distinct value once when a chunk repeats
+values), bool as ``0``/``1``, int64 through ``str``; any other column (labels,
+None, mixed, and in JSON NaN or infinities) cell by cell. The bytes are those
+of ``csv.writer`` over ``format_cell`` and of ``json.dumps(jsonable(payload),
+sort_keys=True, indent=2)``, a bool field of a structured array being written
+as the integers 0 and 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from itertools import islice
 from pathlib import Path
 
@@ -67,20 +65,55 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _chunks(rows):
-    it = iter(rows)
+def _column_chunks(table):
+    """(row count, columns) of each ``_CHUNK_ROWS`` rows of a table.
+
+    Rows of one length in a chunk are transposed once; rows of different
+    lengths each make a chunk of their own, so ``zip`` truncates nothing.
+    """
+    if isinstance(table, np.ndarray) and table.dtype.names:
+        for start in range(0, len(table), _CHUNK_ROWS):
+            block = table[start : start + _CHUNK_ROWS]
+            yield len(block), [block[name] for name in table.dtype.names]
+        return
+    it = iter(table)
     while chunk := list(islice(it, _CHUNK_ROWS)):
-        yield chunk
+        if type(chunk[0]) is np.void:  # records of a structured array, one at a time
+            yield from _column_chunks(np.array(chunk, dtype=chunk[0].dtype))
+        elif len(set(map(len, chunk))) == 1:
+            yield len(chunk), list(zip(*chunk))
+        else:
+            yield from ((1, [[value] for value in row]) for row in chunk)
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value; each distinct value once if fewer
+    than half the values are distinct."""
+    bits = column.view(np.int64)  # -0.0 and 0.0 differ here, as their texts do
+    if 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) < len(bits):
+        distinct, index = np.unique(bits, return_inverse=True)
+        texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+        return list(map(texts.__getitem__, index.tolist()))
+    return list(map(float.__repr__, column.tolist()))
 
 
 def _format_column(column, cell, finite_floats: bool = False) -> list[str]:
     """Text of every cell of one column; ``cell`` formats a column of other types."""
-    types = set(map(type, column))
-    if types <= _FLOAT_TYPES and (not finite_floats or all(map(math.isfinite, column))):
-        return list(map(float.__repr__, column))
-    if types <= _INT_TYPES:
-        return list(map(str, map(int, column)))
-    return list(map(cell, column))
+    if not isinstance(column, np.ndarray):
+        types = set(map(type, column))
+        if types <= _FLOAT_TYPES:
+            column = np.array(column, dtype=np.float64)
+        elif types <= _INT_TYPES:
+            return list(map(str, column))
+        else:
+            return list(map(cell, column))
+    if column.dtype == np.float64 and (not finite_floats or np.isfinite(column).all()):
+        return _float_texts(column)
+    if column.dtype == np.bool_:
+        return np.where(column, "1", "0").tolist()
+    if column.dtype == np.int64:
+        return list(map(str, column.tolist()))
+    return list(map(cell, column.tolist()))
 
 
 def _csv_cell(value) -> str:
@@ -90,28 +123,25 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _csv_lines(rows: list) -> str:
-    """CRLF-terminated CSV lines of rows that all have the same length."""
-    columns = [_format_column(col, _csv_cell) for col in zip(*rows)]
-    if not columns:
-        return "\r\n" * len(rows)
-    if len(columns) == 1:  # csv.writer quotes a lone empty field
-        columns[0] = ['""' if text == "" else text for text in columns[0]]
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+def _csv_lines(n: int, columns: list) -> str:
+    """CRLF-terminated CSV lines of ``n`` rows given as columns."""
+    texts = [_format_column(col, _csv_cell) for col in columns]
+    if not texts:
+        return "\r\n" * n
+    if len(texts) == 1:  # csv.writer quotes a lone empty field
+        texts[0] = ['""' if text == "" else text for text in texts[0]]
+    return "\r\n".join(map(",".join, zip(*texts))) + "\r\n"
 
 
 def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
     """RFC-4180 CSV with header and a trailing '# ...' metadata comment.
 
-    ``rows`` is any iterable of sequences; it is read ``_CHUNK_ROWS`` at a time.
+    ``rows`` is a structured array or any iterable of sequences.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_lines([header]))
-        for chunk in _chunks(rows):
-            if len(set(map(len, chunk))) == 1:
-                fh.write(_csv_lines(chunk))
-            else:
-                fh.write("".join(_csv_lines([row]) for row in chunk))
+        fh.write(_csv_lines(1, [[name] for name in header]))
+        for n, columns in _column_chunks(rows):
+            fh.write(_csv_lines(n, columns))
         fh.write(f"# {metadata}\n")
 
 
@@ -124,22 +154,21 @@ def _json_cell(value) -> str:
     return _json_value(value, "      ")
 
 
-def _json_rows(rows: list) -> str:
-    """Rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins them."""
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
-        return ",\n    ".join(_json_value(row, "    ") for row in rows)
-    columns = [_format_column(col, _json_cell, finite_floats=True) for col in zip(*rows)]
-    if not columns:
-        return ",\n    ".join(["[]"] * len(rows))
-    cells = map(",\n      ".join, zip(*columns))
+def _json_rows(n: int, columns: list) -> str:
+    """``n`` rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins them."""
+    texts = [_format_column(col, _json_cell, finite_floats=True) for col in columns]
+    if not texts:
+        return ",\n    ".join(["[]"] * n)
+    cells = map(",\n      ".join, zip(*texts))
     return "[\n      " + "\n    ],\n    [\n      ".join(cells) + "\n    ]"
 
 
 def write_json(path: Path, payload: dict) -> None:
     """``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` plus a newline.
 
-    ``payload`` has str keys. Its values are rendered one at a time, and a
-    ``"rows"`` list ``_CHUNK_ROWS`` rows at a time.
+    ``payload`` has str keys. Its values are rendered one at a time. A
+    ``"rows"`` value that is a structured array or a list of lists or tuples
+    is written ``_CHUNK_ROWS`` rows at a time.
     """
     with open(path, "w") as fh:
         if not payload:
@@ -150,12 +179,14 @@ def write_json(path: Path, payload: dict) -> None:
             fh.write(f"{sep}{json.dumps(key)}: ")
             sep = ",\n  "
             value = payload[key]
-            if key != "rows" or type(value) is not list or not value:
-                fh.write(_json_value(value, "  "))
-            else:
+            is_array = isinstance(value, np.ndarray) and value.dtype.names is not None
+            is_list = type(value) is list and set(map(type, value)) <= {list, tuple}
+            if key == "rows" and (is_array or is_list) and len(value):
                 row_sep = "[\n    "
-                for chunk in _chunks(value):
-                    fh.write(row_sep + _json_rows(chunk))
+                for n, columns in _column_chunks(value):
+                    fh.write(row_sep + _json_rows(n, columns))
                     row_sep = ",\n    "
                 fh.write("\n  ]")
+            else:
+                fh.write(_json_value(value, "  "))
         fh.write("\n}\n")

@@ -49,6 +49,9 @@ settings.load_profile("weakmeas")
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# eigenvalues 0 and 0.95t merge, 1.05t does not, and the merged mean 0.475t lies
+# within t = 1e-10 * (radius + 1) of 1.05t: no merged spectrum is distinct
+UNRESOLVED_SPECTRUM = np.diag([-1.0, 0.0, 1.9e-10, 2.1e-10]).astype(complex)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> PureState:

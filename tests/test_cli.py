@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    UNRESOLVED_SPECTRUM,
     branch_sum_sequential,
     direct_x_density,
     random_observable,
@@ -135,6 +136,30 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "weak_value_re=" in out
+
+    @staticmethod
+    def _pairs(matrix) -> list:
+        return [[float(v.real), float(v.imag)] for v in np.asarray(matrix).ravel()]
+
+    def test_density_at_spectral_scale_1e8(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        obs = random_observable(rng, 16).matrix * 1e8
+        psi, phi = random_selection_pair(rng, 16)
+        doc = config(
+            observable=self._pairs(obs),
+            psi=self._pairs(psi.amplitudes),
+            phi=self._pairs(phi.amplitudes),
+        )
+        assert main(["density", "--config", doc, "--out", str(tmp_path)]) == 0
+        mean = float(capsys.readouterr().out.split("conditional_mean=")[1].split()[0])
+        assert math.isfinite(mean)
+
+    def test_unresolved_spectrum_is_3(self, tmp_path, capsys):
+        ket = [[1, 0], [0, 0], [0, 0], [0, 0]]
+        plus = [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]
+        doc = config(observable=self._pairs(UNRESOLVED_SPECTRUM), psi=ket, phi=plus)
+        assert main(["density", "--config", doc, "--out", str(tmp_path)]) == 3
+        assert "not distinct" in capsys.readouterr().err
 
     def test_config_error_is_2(self, tmp_path):
         code = main(

@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SX, SY, SZ, random_observable, random_selection_pair, random_state
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    UNRESOLVED_SPECTRUM,
+    degenerate_observable,
+    random_observable,
+    random_selection_pair,
+    random_state,
+)
 from weakmeas.core import (
     DensityMatrix,
     Observable,
@@ -17,9 +28,11 @@ from weakmeas.core import (
     weak_value,
 )
 from weakmeas.errors import (
+    DomainError,
     NotHermitian,
     OrthogonalPostselection,
     ProportionalToIdentity,
+    SpectrumUnresolved,
 )
 
 
@@ -93,6 +106,36 @@ class TestEigendecompose:
     def test_eigensystem_cache_idempotent(self):
         obs = Observable(SX)
         assert obs.eigensystem is obs.eigensystem
+
+
+class TestSpectralScale:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        log_scale=st.floats(5.0, 8.0),
+        data=st.data(),
+    )
+    def test_large_scale_decomposes(self, seed, dim, log_scale, data):
+        rng = np.random.default_rng(seed)
+        levels = data.draw(st.integers(1, dim))
+        m = degenerate_observable(rng, dim, levels).matrix * 10.0**log_scale
+        obs = Observable((m + m.conj().T) / 2.0)  # Hermitian to the last bit
+        system = eigendecompose(obs)
+        assert system.eigenvalues.size == levels
+        radius = obs.spectral_radius
+        # the check allows 1e-10 * (radius + 1); eigh lands within a few ulps
+        assert np.max(np.abs(system.reconstruct() - obs.matrix)) <= 1e-13 * radius
+
+    def test_random_d16_at_1e8_decomposes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            eigendecompose(Observable(random_observable(rng, 16).matrix * 1e8))
+
+    def test_unresolved_spectrum_is_a_domain_error(self):
+        with pytest.raises(SpectrumUnresolved, match="not distinct"):
+            eigendecompose(Observable(UNRESOLVED_SPECTRUM))
+        assert issubclass(SpectrumUnresolved, DomainError)
 
 
 class TestWeakValue:
@@ -256,7 +299,7 @@ class TestStatesAndDensities:
 
     def test_purity_and_expectation(self, rng):
         psi = random_state(rng, 3)
-        rho = DensityMatrix(psi.projector())
+        rho = DensityMatrix(np.outer(psi.amplitudes, np.conj(psi.amplitudes)))
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
         assert rho.expectation_in(psi) == pytest.approx(1.0, abs=1e-12)
 

@@ -16,11 +16,11 @@ from conftest import (
     random_selection_pair,
     random_state,
 )
+from weakmeas import lindblad
 from weakmeas.cli import main
 from weakmeas.core import Observable, PureState, anomalous_pair, weak_value
 from weakmeas.lindblad import (
     MAX_ERROR_GRID_POINTS,
-    DecompositionSample,
     GdiReport,
     KrausFamily,
     _max_abs_error,
@@ -370,13 +370,22 @@ class TestDecompositionSamples:
     def test_grid_dump_consistent(self, rng):
         psi, phi = random_selection_pair(rng, 2)
         obs = random_observable(rng, 2)
-        samples = decompose_on_grid(obs, 0.4, psi, phi, np.linspace(-5, 5, 21))
-        assert len(samples) == 21
-        for s in samples:
-            assert s.joint_p >= 0.0
+        xs = np.linspace(-5, 5, 21)
+        x, joint, pw, err = decompose_on_grid(obs, 0.4, psi, phi, xs)
+        assert np.array_equal(x, xs)
+        assert joint.shape == pw.shape == err.shape == (21,)
+        assert np.all(joint >= 0.0)
+        assert np.max(np.abs(joint - (pw + err))) <= 1e-12
 
-    def test_sample_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DecompositionSample(0.0, 0.5, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            DecompositionSample(0.0, -0.1, -0.05, -0.05)
+    def test_sample_invariant_enforced(self, monkeypatch):
+        args = (Observable(SX), 0.4, ket(1, 0), ket(0.6, 0.8), np.linspace(-3, 3, 7))
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "error_term_density", lambda *a: error_term_density(*a) + 1e-9)
+            with pytest.raises(ValueError, match="beyond 1e-12"):
+                decompose_on_grid(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                lindblad, "joint_probability_density", lambda *a: -joint_probability_density(*a)
+            )
+            with pytest.raises(ValueError, match="nonnegative"):
+                decompose_on_grid(*args)

@@ -3,7 +3,8 @@
 ``reference_csv`` and ``reference_json`` are the writers the chunked column
 formatting replaced: ``csv.writer`` over ``format_cell`` cells, and
 ``json.dumps(jsonable(payload), sort_keys=True, indent=2)``. Every case
-below must come out of ``write_csv``/``write_json`` with the same bytes.
+below must come out of ``write_csv``/``write_json`` with the same bytes,
+whether the table is given as rows or as a structured array of columns.
 """
 
 import csv
@@ -13,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weakmeas import cli
 from weakmeas import montecarlo as mc
@@ -138,6 +139,78 @@ def test_random_float_columns(out_dir, columns, numpy_scalars):
     n = min(map(len, columns))
     rows = [[kind(col[i]) for col in columns] for i in range(n)]
     assert_table_bytes(out_dir, [f"c{j}" for j in range(len(columns))], rows)
+
+
+# A column table is a structured array. Its reference rows are the cells the
+# row-by-row writers were given: bools as the integers 0 and 1.
+ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
+LABELS = np.array(["lambda", "extrapolation", None, "a,b", 'say "hi"', "", 1.5, -0.0, math.nan], dtype=object)
+KIND_DTYPES = {"float": "f8", "repeated": "f8", "bool": "?", "int": "i8", "object": "O"}
+
+
+def reference_rows(table: np.ndarray) -> list[list]:
+    return [[int(v) if type(v) is bool else v for v in row] for row in table.tolist()]
+
+
+def assert_column_table_bytes(out_dir, table: np.ndarray):
+    header = list(table.dtype.names)
+    rows = reference_rows(table)
+    reference_csv(out_dir / "want.csv", header, rows, METADATA)
+    for given in (table, iter(table)):  # columns, and the same table record by record
+        write_csv(out_dir / "got.csv", header, given, METADATA)
+        assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
+    payload = {"columns": header, "rows": table, "metadata": METADATA}
+    write_json(out_dir / "got.json", payload)
+    reference_json(out_dir / "want.json", {**payload, "rows": rows})
+    assert (out_dir / "got.json").read_bytes() == (out_dir / "want.json").read_bytes()
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from(ROW_COUNTS),
+    kinds=st.lists(st.sampled_from(sorted(KIND_DTYPES)), min_size=1, max_size=4),
+    pool=st.lists(floats, min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_tables(out_dir, n, kinds, pool, seed):
+    rng = np.random.default_rng(seed)
+    table = np.empty(n, dtype=[(f"c{j}", KIND_DTYPES[k]) for j, k in enumerate(kinds)])
+    for j, kind in enumerate(kinds):
+        if kind == "float":  # mostly distinct, over the whole exponent range
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+            table[f"c{j}"] = np.concatenate([pool, values])[:n]
+        elif kind == "repeated":  # few distinct values: each is formatted once
+            table[f"c{j}"] = rng.choice(np.array(pool), n)
+        elif kind == "bool":
+            table[f"c{j}"] = rng.random(n) < 0.5
+        elif kind == "int":
+            table[f"c{j}"] = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64, endpoint=True)
+        else:
+            table[f"c{j}"] = LABELS[rng.integers(len(LABELS), size=n)]
+    assert_column_table_bytes(out_dir, table)
+
+
+class TestColumnTables:
+    def test_signed_zeros_stay_apart_in_repeated_columns(self, tmp_path):
+        table = np.zeros(_CHUNK_ROWS + 1, dtype=[("x", "f8"), ("kept", "?")])
+        table["x"][::2] = -0.0
+        assert_column_table_bytes(tmp_path, table)
+        lines = (tmp_path / "got.csv").read_text().splitlines()
+        assert lines[1:3] == ["-0.0,0", "0.0,0"]
+
+    def test_grid_columns_as_the_cli_writes_them(self, tmp_path):
+        xs = np.linspace(-6.1, 6.1, 101)
+        table = np.empty(xs.size**2, dtype=[("x1", "f8"), ("x2", "f8"), ("density", "f8")])
+        table["x1"], table["x2"] = np.repeat(xs, xs.size), np.tile(xs, xs.size)
+        table["density"] = np.exp(-table["x1"] ** 2 - table["x2"] ** 2)
+        assert_column_table_bytes(tmp_path, table)
+
+    def test_row_lists_of_numpy_rows(self, tmp_path):
+        # rows that are 1-D arrays: transposed into columns of numpy scalars
+        data = np.random.default_rng(3).normal(size=(_CHUNK_ROWS + 2, 3))
+        write_csv(tmp_path / "got.csv", ["a", "b", "c"], iter(data), METADATA)
+        reference_csv(tmp_path / "want.csv", ["a", "b", "c"], data, METADATA)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSimulateRecords:
