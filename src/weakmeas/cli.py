@@ -133,7 +133,12 @@ def _parse_observable(value, path: str) -> core.Observable:
 def _parse_number(value, path: str, kind=float, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    value = kind(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError:
+        raise SchemaError(path, f"{value} is past the float range") from None
     if minimum is not None and value < minimum:
         raise SchemaError(path, f"must be >= {minimum}")
     return value
@@ -207,6 +212,8 @@ def parse_config(command: str, source: str, overrides: dict | None = None) -> Ru
             params[key] = _parse_number(value, key)
         elif key == "lambda_grid":
             params[key] = _parse_number_list(value, key)
+            if len({abs(lam) for lam in params[key]}) < 2:
+                raise SchemaError(key, "expected two or more distinct |lambda| to extrapolate from")
         elif key in ("trials", "threads"):
             params[key] = int(_parse_number(value, key, int, 1))
         elif key == "seed":
@@ -235,8 +242,8 @@ def parse_config(command: str, source: str, overrides: dict | None = None) -> Ru
     params.setdefault("n_grid", DEFAULT_N_GRID)
     params.setdefault("grid", _parse_grid({}, "grid"))
     if command == "simulate":
-        if params["protocol"] != "threshold" and "phi" not in params:
-            raise SchemaError("phi", "required unless protocol is 'threshold'")
+        if (params["protocol"] == "threshold") == ("phi" in params):
+            raise SchemaError("phi", "required unless protocol is 'threshold', which takes none")
         if params["protocol"] == "sequential" and "observable_b" not in params:
             raise SchemaError("observable_b", "required for the sequential protocol")
         params.setdefault("lambda2", params["lambda"])
@@ -291,11 +298,6 @@ def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
     return np.linspace(xmin, xmax, grid["points"])
 
 
-def _density_window(observable: core.Observable, lam: float, a_w: complex) -> tuple[float, float]:
-    reach = abs(lam) * (observable.spectral_radius + abs(a_w)) + 10.0
-    return -reach, reach
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -341,7 +343,8 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     setup = proto.MeasurementSetup(p["observable"], p["lambda"], p["psi"], p["phi"])
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    xs = _grid_points(p, *_density_window(p["observable"], p["lambda"], a_w))
+    reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + 10.0
+    xs = _grid_points(p, -reach, reach)
     dens = proto.conditional_meter_density(setup, p["basis"], xs)
     _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
@@ -391,7 +394,6 @@ def _cmd_kick(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     bases = (p["basis"], p["basis"])
-    lams = p["lambda_grid"]
 
     def measure(lam):
         sq = proto.SequentialSetup(
@@ -402,34 +404,26 @@ def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
     header = ["row", "lambda", "cross_covariance", "coeff", "fit_residual"]
     intercept = _lambda_scan(cfg, out_dir, fmt, "sequential", header, measure)
-    # joint conditional density grid at the single-lambda setting
+    # joint density grid at the default coupling; the weak limits ignore lambda
+    lam = DEFAULT_LAMBDA
     sq_grid = proto.SequentialSetup(
-        p["observable"], p["lambda"], p["observable_b"], p["lambda"], p["psi"], p["phi"], bases
+        p["observable"], lam, p["observable_b"], lam, p["psi"], p["phi"], bases
     )
-    xs = np.linspace(-6.0 - abs(p["lambda"]), 6.0 + abs(p["lambda"]), 101)
+    xs = np.linspace(-6.0 - lam, 6.0 + lam, 101)
     dens2 = proto.sequential_joint_density(sq_grid, xs, xs)
     grid = {"x1": np.repeat(xs, xs.size), "x2": np.tile(xs, xs.size), "density": dens2.ravel()}
     _write_columns(cfg, out_dir, "sequential_density", fmt, **grid)
-    sq0 = proto.SequentialSetup(
-        p["observable"], lams[0], p["observable_b"], lams[0], p["psi"], p["phi"], bases
-    )
-    gap = proto.sequential_order_gap(sq0)
-    ba = core.matrix_weak_value(
-        p["observable_b"].matrix @ p["observable"].matrix, p["psi"], p["phi"]
-    )
-    a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    b_w = core.weak_value(p["observable_b"], p["psi"], p["phi"]).value
-    analytic = (ba - a_w * b_w).real
-    if p["basis"] == ptr.BASIS_XPRIME:
-        analytic = -analytic
-    return {"coeff_extrapolated": intercept, "coeff_analytic": analytic, "order_gap": gap}
+    return {
+        "coeff_extrapolated": intercept,
+        "coeff_analytic": proto.sequential_covariance_coefficient(sq_grid),
+        "order_gap": proto.sequential_order_gap(sq_grid),
+    }
 
 
 def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     lam = p["lambda"]
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    ratio_limit = math.exp(lam * lam * a_w.imag**2 / 2.0)
     rows = []
     for n in p["n_grid"]:
         cs = coll.CollectiveSetup(p["observable"], lam, p["psi"], p["phi"], int(n))
@@ -441,6 +435,7 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
         rows.append([n, "postselection_ratio", ratio])
         rows.append([n, "x_density_supnorm_gap", supnorm])
         rows.append([n, "xprime_mean", xp_mean])
+    ratio_limit = coll.collective_ratio_limit(cs)  # any n: the limit does not depend on it
     _write_table(cfg, out_dir, "collective", ["n", "metric", "value"], rows, fmt)
     return {
         "ratio_limit": ratio_limit,
@@ -452,10 +447,10 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 def _cmd_lindblad(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     lam = p["lambda"]
+    report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])
     xs = _grid_points(p, *lb.integration_interval(p["observable"], lam))
     x, joint, pw, error = lb.decompose_on_grid(p["observable"], lam, p["psi"], p["phi"], xs)
     _write_columns(cfg, out_dir, "lindblad_decomposition", fmt, x=x, joint=joint, pw=pw, error=error)
-    report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])
     write_json(out_dir / "gdi.json", {**asdict(report), "metadata": _metadata(cfg)})
     return {
         "mean_full": report.mean_full,

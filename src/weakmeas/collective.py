@@ -47,9 +47,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Observable, PureState, branch_weights, postselection_overlap
-from .errors import GridTooCoarse
+from .core import Observable, PureState, branch_weights, check_dimensions, postselection_overlap, weak_value
+from .errors import GridTooCoarse, NumericalQualityError
 from .pointer import BASIS_X, BASIS_XPRIME
+from .protocols import check_couplings
 
 _XPRIME_HALFWIDTH = 13.0
 _XPRIME_POINTS = 8192
@@ -68,6 +69,8 @@ class CollectiveSetup:
     n_systems: int
 
     def __post_init__(self):
+        check_dimensions(self.observable, self.preselect, self.postselect)
+        check_couplings(self.coupling)
         postselection_overlap(self.preselect, self.postselect)
         if self.n_systems < 1:
             raise ValueError("n_systems must be >= 1")
@@ -150,18 +153,24 @@ def _x_synthesis_density(prof: _Profile, x: np.ndarray) -> np.ndarray:
     return amp.real**2 + amp.imag**2
 
 
-def _log_ratio(cs: CollectiveSetup) -> float:
-    prof = cs._profile
-    return 2.0 * prof.scale + math.log(prof.norm)
-
-
 def collective_postselection_ratio(cs: CollectiveSetup) -> float:
     """P_lambda(phi^N | psi^N) / |<phi|psi>|^(2N).
 
     Converges to exp(lam^2 Im(A_w)^2 / 2) as N grows: relative to the
     undisturbed value, the collective coupling's effect does not fade.
     """
-    return math.exp(_log_ratio(cs))
+    prof = cs._profile
+    return math.exp(2.0 * prof.scale + math.log(prof.norm))
+
+
+def collective_ratio_limit(cs: CollectiveSetup) -> float:
+    """exp(lam^2 Im(A_w)^2 / 2), the large-N limit of the post-selection ratio
+    (``cs.n_systems`` plays no part); NumericalQualityError past the float range."""
+    im_a_w = weak_value(cs.observable, cs.preselect, cs.postselect).value.imag
+    exponent = cs.coupling * cs.coupling * im_a_w**2 / 2.0
+    if not exponent <= math.log(np.finfo(np.float64).max):
+        raise NumericalQualityError(f"collective ratio limit exp({exponent:.6g}) exceeds the float range")
+    return math.exp(exponent)
 
 
 def collective_conditional_density(cs: CollectiveSetup, basis: str, x):

@@ -13,6 +13,20 @@ Conventions:
   ``phi`` is ``<phi|A|psi> / <phi|psi>``;
 * eigenvalues closer than ``1e-10 * (spectral_radius + 1)`` are merged into a
   single projector, so degenerate spectra contribute one displacement each.
+
+Each physics precondition has one check; every refusal is a DomainError (exit 3):
+
+* dimensions: :func:`check_dimensions`;
+* Hermiticity: ``_check_hermitian``, ``max |M - M^dag| <= HERMITICITY_TOL *
+  (max |M_ij| + 1)``, for observables and density matrices;
+* resolvable spectrum: :func:`eigendecompose`. With ``E = V^dag V - I`` for
+  eigh's eigenvectors V, ``max |E| <= t = PROJECTOR_TOL`` gives ``||E||_2 <=
+  d t``, so every entry of ``P_i^2 - P_i``, ``P_i P_j`` (i != j) and ``sum_i
+  P_i - I`` is within ``d t (1 + d t)``, 1.6e-9 at d = 16, at any spectral
+  scale. The merged eigenvalues must be distinct and the spectral sum must
+  reproduce the matrix within the merge tolerance;
+* post-selection: :func:`postselection_overlap`, ``|<phi|psi>| > ORTHOGONALITY_TOL``;
+* couplings: :func:`weakmeas.protocols.check_couplings`.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     NotHermitian,
     OrthogonalPostselection,
     ProportionalToIdentity,
@@ -49,6 +64,21 @@ def _finite_complex_array(values, name: str) -> np.ndarray:
 def eigenvalue_merge_tolerance(spectral_radius: float) -> float:
     """Absolute gap below which two eigenvalues count as degenerate."""
     return 1e-10 * (spectral_radius + 1.0)
+
+
+def check_dimensions(*operands) -> None:
+    """Refuse ``operands`` (states and observables by ``.dim``, arrays by every
+    axis) unless they share one system dimension."""
+    dims = {n for op in operands for n in (op.shape if isinstance(op, np.ndarray) else (op.dim,))}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"system dimensions {sorted(dims)} differ")
+
+
+def _check_hermitian(arr: np.ndarray) -> None:
+    tol = HERMITICITY_TOL * (float(np.max(np.abs(arr))) + 1.0)
+    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    if not dev <= tol:
+        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +111,7 @@ class PureState:
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
+        check_dimensions(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_json(self) -> list:
@@ -93,34 +122,8 @@ class PureState:
 class EigenSystem:
     """Distinct eigenvalues (ascending) with their orthogonal projectors."""
 
-    eigenvalues: np.ndarray  # (k,) real
-    projectors: np.ndarray  # (k, d, d) complex
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        projs = _finite_complex_array(self.projectors, "projectors")
-        if vals.ndim != 1 or projs.ndim != 3 or projs.shape[0] != vals.shape[0]:
-            raise ValueError("eigenvalues and projectors have inconsistent shapes")
-        d = projs.shape[1]
-        ident = np.eye(d)
-        if np.max(np.abs(projs.sum(axis=0) - ident)) > PROJECTOR_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        merge_tol = eigenvalue_merge_tolerance(float(np.max(np.abs(vals))) if vals.size else 0.0)
-        if vals.size > 1 and np.min(np.diff(vals)) <= merge_tol:
-            raise ValueError("eigenvalues not distinct after merging")
-        for i in range(vals.shape[0]):
-            for j in range(i, vals.shape[0]):
-                prod = projs[i] @ projs[j]
-                target = projs[i] if i == j else 0.0
-                if np.max(np.abs(prod - target)) > PROJECTOR_TOL:
-                    raise ValueError("projectors are not orthogonal idempotents")
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "projectors", projs)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[1]
+    eigenvalues: np.ndarray  # (k,) real, read-only
+    projectors: np.ndarray  # (k, d, d) complex, read-only
 
     def reconstruct(self) -> np.ndarray:
         """Spectral sum ``sum_i a_i P_i``."""
@@ -137,9 +140,7 @@ class Observable:
         arr = _finite_complex_array(self.matrix, "matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ValueError("observable must be a square matrix of dimension >= 2")
-        dev = np.max(np.abs(arr - arr.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_TOL}")
+        _check_hermitian(arr)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -155,18 +156,10 @@ class Observable:
         return float(np.max(np.abs(self.eigensystem.eigenvalues)))
 
 
-def eigendecompose(observable: Observable | np.ndarray) -> EigenSystem:
-    """Spectral decomposition with degenerate eigenvalues merged.
-
-    Eigenvalues within ``1e-10 * (spectral_radius + 1)`` of each other share a
-    single projector, so branch bookkeeping downstream never splits a
-    displacement center across numerically equal eigenvalues. The spectral
-    sum must reproduce the matrix to within that same tolerance; a
-    decomposition that fails this or the projector checks raises
-    :class:`SpectrumUnresolved` (exit 3).
-    """
-    if not isinstance(observable, Observable):
-        observable = Observable(observable)
+def eigendecompose(observable: Observable) -> EigenSystem:
+    """Spectral decomposition with degenerate eigenvalues merged (see the
+    module docstring), so branch bookkeeping downstream never splits a
+    displacement center across numerically equal eigenvalues."""
     vals, vecs = np.linalg.eigh(observable.matrix)
     merge_tol = eigenvalue_merge_tolerance(float(np.max(np.abs(vals))))
     groups: list[list[int]] = [[0]]
@@ -176,17 +169,21 @@ def eigendecompose(observable: Observable | np.ndarray) -> EigenSystem:
         else:
             groups.append([idx])
     eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
-    projectors = np.stack(
-        [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
-    ).astype(np.complex128)
-    try:
-        system = EigenSystem(eigenvalues, projectors)
-    except ValueError as exc:
-        raise SpectrumUnresolved(f"eigendecomposition refused: {exc}") from exc
+    projectors = np.stack([vecs[:, g] @ vecs[:, g].conj().T for g in groups])
+    system = EigenSystem(eigenvalues, projectors)
+    ortho_err = np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(vals))))
     # a merge moves eigenvalues by up to merge_tol; eigh rounds at a few ulps of the radius
     recon_err = np.max(np.abs(system.reconstruct() - observable.matrix))
-    if recon_err > merge_tol:
-        raise SpectrumUnresolved(f"reconstruction error {recon_err:.3e} exceeds {merge_tol:.3e}")
+    checks = {
+        f"max |V^dag V - I| = {ortho_err:.3e} exceeds {PROJECTOR_TOL}": ortho_err <= PROJECTOR_TOL,
+        "eigenvalues not distinct after merging": np.all(np.diff(eigenvalues) > merge_tol),
+        f"reconstruction error {recon_err:.3e} exceeds {merge_tol:.3e}": recon_err <= merge_tol,
+    }
+    failed = [message for message, ok in checks.items() if not ok]
+    if failed:
+        raise SpectrumUnresolved("eigendecomposition refused: " + "; ".join(failed))
+    eigenvalues.setflags(write=False)
+    projectors.setflags(write=False)
     return system
 
 
@@ -200,8 +197,7 @@ class DensityMatrix:
         arr = _finite_complex_array(self.matrix, "matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-10:
-            raise NotHermitian("density matrix is not Hermitian")
+        _check_hermitian(arr)
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1")
@@ -249,6 +245,7 @@ def branch_components(observable: Observable, psi: PureState) -> tuple[np.ndarra
     quantity of the package (weights, outcome mixtures, collapsed states,
     the non-selective map) is built from these.
     """
+    check_dimensions(observable, psi)
     images = np.stack([p @ psi.amplitudes for p in observable.eigensystem.projectors])
     norms_sq = np.array([float(np.vdot(c, c).real) for c in images])
     return images, norms_sq
@@ -256,6 +253,7 @@ def branch_components(observable: Observable, psi: PureState) -> tuple[np.ndarra
 
 def branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np.ndarray:
     """Eigenbranch weights w_i = <phi|P_i|psi>, one per distinct eigenvalue."""
+    check_dimensions(observable, phi)
     images, _ = branch_components(observable, psi)
     return np.array([complex(np.vdot(phi.amplitudes, c)) for c in images])
 
@@ -263,14 +261,14 @@ def branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np
 def matrix_weak_value(matrix: np.ndarray, psi: PureState, phi: PureState) -> complex:
     """Generalized weak value <phi|M|psi> / <phi|psi> for any square M."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (psi.dim, psi.dim):
-        raise DimensionMismatch(f"matrix shape {m.shape} does not match dimension {psi.dim}")
+    check_dimensions(m, psi)
     ov = postselection_overlap(psi, phi)
     return complex(np.vdot(phi.amplitudes, m @ psi.amplitudes) / ov)
 
 
 def weak_value(observable: Observable, psi: PureState, phi: PureState) -> WeakValueResult:
     """Weak value of a Hermitian observable between psi and phi."""
+    check_dimensions(observable, psi)
     ov = postselection_overlap(psi, phi)
     val = complex(np.vdot(phi.amplitudes, observable.matrix @ psi.amplitudes) / ov)
     return WeakValueResult(value=val, preselect_overlap=ov)
@@ -278,8 +276,7 @@ def weak_value(observable: Observable, psi: PureState, phi: PureState) -> WeakVa
 
 def expectation(observable: Observable, psi: PureState) -> float:
     """Ordinary expectation value <psi|A|psi>, returned as a real number."""
-    if observable.dim != psi.dim:
-        raise DimensionMismatch("observable and state dimensions differ")
+    check_dimensions(observable, psi)
     val = complex(np.vdot(psi.amplitudes, observable.matrix @ psi.amplitudes))
     return float(val.real)
 
@@ -308,9 +305,7 @@ def _candidate_states(dim: int):
     yield PureState.normalized(np.ones(dim, dtype=np.complex128))
 
 
-def anomalous_pair(
-    observable: Observable, epsilon: float, target: str = "re"
-) -> AnomalousPair:
+def anomalous_pair(observable: Observable, epsilon: float, target: str = "re") -> AnomalousPair:
     """Construct (psi, phi) whose weak value has an anomalous Re or Im part.
 
     Takes psi from a fixed candidate list (computational basis states, then
@@ -326,12 +321,7 @@ def anomalous_pair(
     if target not in ("re", "im"):
         raise ValueError("target must be 're' or 'im'")
     if not (0.0 < abs(epsilon) <= 1.0):
-        raise ValueError("epsilon must satisfy 0 < |epsilon| <= 1")
-    system = observable.eigensystem
-    spread = float(system.eigenvalues[-1] - system.eigenvalues[0])
-    if spread <= eigenvalue_merge_tolerance(observable.spectral_radius):
-        raise ProportionalToIdentity("observable is proportional to the identity")
-
+        raise DomainError(f"epsilon must satisfy 0 < |epsilon| <= 1, got {epsilon!r}")
     psi = perp = None
     for candidate in _candidate_states(observable.dim):
         image = observable.matrix @ candidate.amplitudes
@@ -344,8 +334,8 @@ def anomalous_pair(
             # rotate perp so <perp|A|psi> is real positive
             perp = PureState(perp_vec * np.exp(1j * np.angle(coupling)))
             break
-    if psi is None:  # unreachable for non-scalar Hermitian A, kept as a guard
-        raise ProportionalToIdentity("no non-eigenstate candidate found")
+    if psi is None:  # every candidate is an eigenvector to 1e-8 of the scale
+        raise ProportionalToIdentity("observable is proportional to the identity")
 
     s = np.sqrt(1.0 - epsilon * epsilon)
     perp_coeff = s if target == "re" else -1j * s

@@ -3,13 +3,13 @@
 Three families, matching the CLI exit-code contract:
 
 * ``ConfigurationError`` (exit 2): bad run configuration or input files.
-* ``DomainError`` (exit 3): physics preconditions violated (non-Hermitian
-  observable, unresolved spectrum, orthogonal post-selection, a coupling
-  too small to divide by, ...).
+* ``DomainError`` (exit 3): physics preconditions violated (mismatched
+  dimensions, non-Hermitian observable, unresolved spectrum, orthogonal
+  post-selection, lambda^2 not finite or too small to divide by, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
   cannot be carried out at acceptable numerical quality (collective profile
-  cut by its grid edge, disturbance identity violated, empty post-selected
-  sample).
+  cut by its grid edge or ratio limit past the float range, an identity the
+  results must satisfy violated, empty post-selected sample).
 """
 
 

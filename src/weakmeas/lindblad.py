@@ -24,8 +24,8 @@ without being ignorable in the weak limit.
 
 The GDI report's integrals are closed forms (the pointer's first moment,
 lam * Re(A_w) and :func:`weakmeas.protocols.postselection_shift`). Only the
-largest |error| comes from a grid: evenly spaced points within
-MAX_ERROR_HALFWIDTH of each branch centre lam * a_i, however far apart.
+largest |error| is a maximum over a grid, of a form that does not cancel as
+lam -> 0, at evenly spaced points around each branch centre lam * a_i.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable, PureState, branch_weights, weak_value
+from .errors import NumericalQualityError
 from .pointer import gaussian_density
 from .protocols import (  # second_order_coefficient is re-exported for callers of this module
     MeasurementSetup,
@@ -125,25 +126,21 @@ def error_term_density(
 
 
 def decompose_on_grid(
-    observable: Observable,
-    coupling: float,
-    psi: PureState,
-    phi: PureState,
-    xs,
+    observable: Observable, coupling: float, psi: PureState, phi: PureState, xs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes x with the joint density and its pw and error parts there.
 
-    Raises ``ValueError`` if the joint density is negative anywhere or
-    differs from pw + error by more than 1e-12.
+    Raises ``NumericalQualityError`` (exit 4) if the joint density is negative
+    anywhere or differs from pw + error by more than 1e-12.
     """
     xs = np.asarray(xs, dtype=np.float64)
     joint = joint_probability_density(observable, coupling, psi, phi, xs)
     pw = pw_density(observable, coupling, psi, phi, xs)
     err = error_term_density(observable, coupling, psi, phi, xs)
     if np.any(joint < 0.0):
-        raise ValueError("joint density must be nonnegative")
+        raise NumericalQualityError("joint density must be nonnegative")
     if np.any(np.abs(joint - (pw + err)) > 1e-12):
-        raise ValueError("joint != pw + error beyond 1e-12")
+        raise NumericalQualityError("joint != pw + error beyond 1e-12")
     return xs, joint, pw, err
 
 
@@ -167,11 +164,21 @@ class GdiReport:
 
 def _max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS) -> float:
     """max |joint - pw| over ``points`` evenly spaced outcomes within
-    MAX_ERROR_HALFWIDTH of each branch centre lam * a_i."""
-    args = (setup.observable, setup.coupling, setup.preselect, setup.postselect)
-    offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, points)
-    xs = (setup.coupling * setup.observable.eigensystem.eigenvalues[:, None] + offsets).ravel()
-    return float(np.max(np.abs(joint_probability_density(*args, xs) - pw_density(*args, xs))))
+    MAX_ERROR_HALFWIDTH of each branch centre mu_r = lam * a_r.
+
+    With s_i = sqrt(G(x - mu_i)) = s_r (1 + e_i), joint - pw = -1/2 sum_ij
+    Re(conj(w_i) w_j) (s_i - s_j)^2 = -s_r^2 [sum_i e_i^2 Re(conj(w_i) <phi|psi>)
+    - |sum_i w_i e_i|^2], and e_i = expm1((mu_i - mu_r) (2 (x - mu_r) - (mu_i -
+    mu_r)) / 4) is O(lam): no O(1) densities cancel as lam -> 0.
+    """
+    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
+    mu = setup.coupling * setup.observable.eigensystem.eigenvalues
+    offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, points)  # x - mu_r
+    gap = (mu[None, :] - mu[:, None])[:, None, :]  # [r, ., i]: mu_i - mu_r
+    e = np.expm1(gap * (2.0 * offsets[None, :, None] - gap) / 4.0)  # [r, x, i]
+    amp = e @ w
+    bracket = (e * e) @ (np.conj(w) * w.sum()).real - (amp.real**2 + amp.imag**2)
+    return float(np.max(np.abs(gaussian_density(offsets) * bracket)))
 
 
 def gdi_diagnostic(

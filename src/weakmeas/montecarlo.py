@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PureState, branch_components, postselection_overlap
-from .errors import DimensionMismatch, NoPostselectedRuns
+from .core import Observable, PureState, branch_components, check_dimensions, postselection_overlap
+from .errors import NoPostselectedRuns
 from .pointer import gaussian_density, gaussian_upper_tail, stream_rng
+from .protocols import check_couplings
 
 BLOCK_SIZE = 65536
 
@@ -53,18 +54,14 @@ class TrialPlan:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.observable.dim != self.preselect.dim:
-            raise DimensionMismatch("observable and preselect dimensions differ")
-        if self.protocol == "threshold":
-            if self.postselect is not None:
-                raise ValueError("threshold protocol uses no system post-selection")
-        else:
-            if self.postselect is None:
-                raise ValueError(f"{self.protocol} protocol requires a postselect state")
+        if min(self.trials, self.threads) < 1:
+            raise ValueError("trials and threads must be >= 1")
+        operands = (self.preselect, self.postselect, self.second_observable)
+        check_dimensions(self.observable, *(op for op in operands if op is not None))
+        check_couplings(self.coupling, self.second_coupling)
+        if (self.protocol == "threshold") == (self.postselect is not None):
+            raise ValueError("threshold takes no postselect state; every other protocol needs one")
+        if self.postselect is not None:
             postselection_overlap(self.preselect, self.postselect)
         if self.protocol == "sequential" and self.second_observable is None:
             raise ValueError("sequential protocol requires a second observable")
@@ -137,16 +134,21 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _basic_stats(records: np.ndarray) -> TrialStatistics:
+    """Mean and standard error per meter field (x, x2) of the kept records, and their covariance."""
     kept = records[records["postselected"]]
     if kept.size == 0:
         raise NoPostselectedRuns("no post-selected runs; statistics undefined")
-    mean, se = _mean_and_se(kept["x"])
+    fields = [name for name in ("x", "x2") if name in records.dtype.names]
+    means, ses = zip(*(_mean_and_se(kept[name]) for name in fields))
+    cov = _covariance_with_jackknife(kept["x"], kept["x2"]) if len(fields) == 2 else (None, None)
     return TrialStatistics(
         n_total=int(records.size),
         n_postselected=int(kept.size),
         postselection_rate=float(kept.size / records.size),
-        conditional_means=(mean,),
-        standard_errors=(se,),
+        conditional_means=means,
+        standard_errors=ses,
+        cross_covariance=cov[0],
+        cross_covariance_se=cov[1],
     )
 
 
@@ -259,22 +261,7 @@ def run_sequential(plan: TrialPlan):
         return out
 
     records = _run_blocks(plan, block)
-    kept = records[records["postselected"]]
-    if kept.size == 0:
-        raise NoPostselectedRuns("no post-selected runs; statistics undefined")
-    mean1, se1 = _mean_and_se(kept["x"])
-    mean2, se2 = _mean_and_se(kept["x2"])
-    cov, cov_se = _covariance_with_jackknife(kept["x"], kept["x2"])
-    stats = TrialStatistics(
-        n_total=int(records.size),
-        n_postselected=int(kept.size),
-        postselection_rate=float(kept.size / records.size),
-        conditional_means=(mean1, mean2),
-        standard_errors=(se1, se2),
-        cross_covariance=cov,
-        cross_covariance_se=cov_se,
-    )
-    return records, stats
+    return records, _basic_stats(records)
 
 
 def _covariance_with_jackknife(x1: np.ndarray, x2: np.ndarray) -> tuple[float, float]:

@@ -38,11 +38,12 @@ from .core import (
     PureState,
     branch_components,
     branch_weights,
+    check_dimensions,
     matrix_weak_value,
     postselection_overlap,
     weak_value,
 )
-from .errors import DimensionMismatch, DomainError, NumericalQualityError
+from .errors import BasisMismatch, DomainError, NumericalQualityError
 from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
@@ -69,10 +70,8 @@ class MeasurementSetup:
     postselect: PureState
 
     def __post_init__(self):
-        if not (self.observable.dim == self.preselect.dim == self.postselect.dim):
-            raise DimensionMismatch("observable and states must share one dimension")
-        if not math.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
+        check_dimensions(self.observable, self.preselect, self.postselect)
+        check_couplings(self.coupling)
         postselection_overlap(self.preselect, self.postselect)
 
 
@@ -89,9 +88,8 @@ class SequentialSetup:
     meter_bases: tuple[str, str] = (BASIS_X, BASIS_X)
 
     def __post_init__(self):
-        dims = {self.first.dim, self.second.dim, self.preselect.dim, self.postselect.dim}
-        if len(dims) != 1:
-            raise DimensionMismatch("observables and states must share one dimension")
+        check_dimensions(self.first, self.second, self.preselect, self.postselect)
+        check_couplings(self.first_coupling, self.second_coupling)
         for b in self.meter_bases:
             if b not in (BASIS_X, BASIS_XPRIME):
                 raise ValueError(f"unknown meter basis {b!r}")
@@ -147,7 +145,7 @@ class MultiMeterWavefunction:
     def transform_meter(self, mu: int) -> "MultiMeterWavefunction":
         """Take meter mu to the x' basis (the 1-meter map, on axis mu of W)."""
         if self.bases[mu] != BASIS_X:
-            raise ValueError(f"meter {mu} is already in the x' basis")
+            raise BasisMismatch(f"meter {mu} is already in the x' basis")
         centers, slopes, bases = list(self.centers), list(self.phase_slopes), list(self.bases)
         weights, centers[mu], slopes[mu] = _xprime_terms(
             np.moveaxis(self.weights, mu, -1), centers[mu], slopes[mu]
@@ -215,6 +213,14 @@ def postselection_shift(setup: MeasurementSetup) -> float:
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
     damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
     return float((np.conj(w) @ damp @ w).real)
+
+
+def check_couplings(*couplings: float) -> None:
+    """Refuse any lam whose square is not finite (NaN, +-Inf or |lam| past about
+    1.34e154); every setup type and ``TrialPlan`` checks its couplings here."""
+    for lam in couplings:
+        if not math.isfinite(lam * lam):
+            raise DomainError(f"coupling {lam!r} is out of range: lambda^2 is not a finite float")
 
 
 def coupling_squared(coupling: float) -> float:
@@ -322,6 +328,15 @@ def sequential_order_gap(sq: SequentialSetup) -> float:
     return float((ba - ab).real)
 
 
+def sequential_covariance_coefficient(sq: SequentialSetup) -> float:
+    """Weak limit of the cross covariance over first_coupling * second_coupling / 2:
+    Re[(-i)^n z], z = (BA)_w - A_w B_w, with n the number of meters read in x'."""
+    ba = matrix_weak_value(sq.second.matrix @ sq.first.matrix, sq.preselect, sq.postselect)
+    a_w = weak_value(sq.first, sq.preselect, sq.postselect).value
+    z = ba - a_w * weak_value(sq.second, sq.preselect, sq.postselect).value
+    return float((z.real, z.imag, -z.real)[sq.meter_bases.count(BASIS_XPRIME)])
+
+
 def nonselective_state(
     observable: Observable, coupling: float, psi: PureState
 ) -> DensityMatrix:
@@ -385,9 +400,7 @@ def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     rhs = rho.expectation_in(setup.postselect) - prob_unperturbed
     residual = abs(lhs - rhs)
     if residual > 1e-12:
-        raise NumericalQualityError(
-            f"disturbance identity violated by {residual:.3e} (> 1e-12)"
-        )
+        raise NumericalQualityError(f"disturbance identity violated by {residual:.3e} (> 1e-12)")
     return DisturbanceReport(
         postselect_prob_exact=prob_exact,
         postselect_prob_unperturbed=prob_unperturbed,
@@ -400,9 +413,7 @@ def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     )
 
 
-def extrapolate_to_zero_coupling(
-    couplings, values, degree: int = 1
-) -> tuple[float, float]:
+def extrapolate_to_zero_coupling(couplings, values, degree: int = 1) -> tuple[float, float]:
     """Extrapolate a coupling-grid diagnostic to lambda -> 0.
 
     Least-squares fit of ``values`` against powers of lambda^2 up to
@@ -411,8 +422,8 @@ def extrapolate_to_zero_coupling(
     """
     lam = np.asarray(couplings, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if lam.shape != y.shape or lam.size < degree + 1:
-        raise ValueError("need at least degree + 1 coupling points")
+    if lam.shape != y.shape or np.unique(lam * lam).size < degree + 1:
+        raise ValueError("need at least degree + 1 distinct lambda^2")
     design = np.vander(lam * lam, degree + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

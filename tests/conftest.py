@@ -1,5 +1,6 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
-and the test oracles: the direct-kernel collective x density, the
+and the test oracles: the pairwise projector checks of an eigensystem, the
+direct-kernel collective x density, the
 projector-stack sequential Monte Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
 grid CDF of a meter density and the Kraus completeness residual.
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import settings
 
 from weakmeas.collective import CollectiveSetup
-from weakmeas.core import Observable, PureState, branch_components
+from weakmeas.core import EigenSystem, Observable, PureState, branch_components
 from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
 from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, KrausFamily, gauss_legendre, integration_interval
 from weakmeas.montecarlo import (
@@ -90,6 +91,21 @@ def random_selection_pair(
         psi, phi = random_state(rng, dim), random_state(rng, dim)
         if abs(phi.overlap(psi)) >= min_overlap:
             return psi, phi
+
+
+def projector_defects(system: EigenSystem) -> dict:
+    """Largest entry of each defect the eigenvector check in ``eigendecompose``
+    bounds, by k(k+1)/2 pairwise products: ``P_i^2 - P_i``, ``P_i P_j``
+    (i < j) and ``sum_i P_i - I``."""
+    projs = system.projectors
+    k, d, _ = projs.shape
+    defects = {"idempotent": 0.0, "orthogonal": 0.0}
+    for i in range(k):
+        for j in range(i, k):
+            kind, target = ("idempotent", projs[i]) if i == j else ("orthogonal", 0.0)
+            defects[kind] = max(defects[kind], np.max(np.abs(projs[i] @ projs[j] - target)))
+    defects["complete"] = np.max(np.abs(projs.sum(axis=0) - np.eye(d)))
+    return defects
 
 
 @pytest.fixture

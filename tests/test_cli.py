@@ -1,14 +1,19 @@
 """CLI: config validation, dispatch, artifacts, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import (
     UNRESOLVED_SPECTRUM,
     branch_sum_sequential,
+    degenerate_observable,
     direct_x_density,
     random_observable,
     random_selection_pair,
@@ -596,3 +601,165 @@ class TestDeterminism:
         assert (tmp_path / "t1" / "records.csv").read_bytes() == (
             tmp_path / "t8" / "records.csv"
         ).read_bytes()
+
+
+D3_JSON = [[1, 0], [0, 0], [0, 0], [0, 0], [2, 0], [0, 0], [0, 0], [0, 0], [3, 0]]
+BASE = {"observable": SX_JSON, "psi": KET0, "phi": PHI68}
+MISMATCH = {"observable": D3_JSON, "psi": KET0, "phi": PHI68}
+PHI_COMPLEX = [[0.3, 0], [0, math.sqrt(0.91)]]
+NAN, INF = math.nan, math.inf
+CONFIG, DOMAIN, QUALITY = "config error: ", "domain error: ", "numeric-quality error: "
+
+# (command, config, extra flags, exit code, stderr prefix)
+REFUSALS = {
+    "weak-value dimensions": ("weak-value", MISMATCH, [], 3, DOMAIN),
+    "collective dimensions": ("collective", MISMATCH, [], 3, DOMAIN),
+    "lindblad dimensions": ("lindblad", MISMATCH, [], 3, DOMAIN),
+    "threshold dimensions": ("threshold", {"observable": D3_JSON, "psi": KET0}, [], 3, DOMAIN),
+    "simulate observable_b dimensions": (
+        "simulate", {**BASE, "observable_b": D3_JSON, "protocol": "sequential", "trials": 100}, [], 3, DOMAIN
+    ),
+    "density lambda NaN": ("density", {**BASE, "lambda": NAN}, [], 2, CONFIG),
+    "density lambda Infinity": ("density", {**BASE, "lambda": INF}, [], 2, CONFIG),
+    "lindblad lambda NaN": ("lindblad", {**BASE, "lambda": NAN}, [], 2, CONFIG),
+    "lindblad lambda Infinity": ("lindblad", {**BASE, "lambda": -INF}, [], 2, CONFIG),
+    "disturbance lambda NaN": ("disturbance", {**BASE, "lambda": NAN}, [], 2, CONFIG),
+    "disturbance lambda Infinity": ("disturbance", {**BASE, "lambda": INF}, [], 2, CONFIG),
+    "collective --lambda nan": ("collective", BASE, ["--lambda", "nan"], 2, CONFIG),
+    "simulate single lambda NaN": ("simulate", {**BASE, "protocol": "single", "lambda": NAN}, [], 2, CONFIG),
+    "simulate kick lambda NaN": ("simulate", {**BASE, "protocol": "kick", "lambda": NAN}, [], 2, CONFIG),
+    "density grid.xmin NaN": ("density", {**BASE, "grid": {"xmin": NAN}}, [], 2, CONFIG),
+    "threshold multiple NaN": ("threshold", {"observable": SX_JSON, "psi": KET0, "threshold_multiple": NAN}, [], 2, CONFIG),
+    "density lambda past the float range": ("density", {**BASE, "lambda": 10**400}, [], 2, CONFIG),
+    "sequential lambda": ("sequential", {**BASE, "observable_b": SY_JSON}, ["--lambda", "0.3"], 2, CONFIG),
+    "kick NaN in lambda_grid": ("kick", {**BASE, "lambda_grid": [0.1, NAN]}, [], 2, CONFIG),
+    "kick one coupling": ("kick", BASE, ["--lambda-grid", "0.1"], 2, CONFIG),
+    "kick couplings of one |lambda|": ("kick", BASE, ["--lambda-grid", "0.1,-0.1"], 2, CONFIG),
+    "threshold repeated coupling": ("threshold", {"observable": SX_JSON, "psi": KET0}, ["--lambda-grid", "0,0"], 2, CONFIG),
+    "anomalous epsilon 0": ("anomalous", {"observable": SX_JSON, "epsilon": 0}, [], 3, DOMAIN),
+    "anomalous epsilon NaN": ("anomalous", {"observable": SX_JSON, "epsilon": NAN}, [], 2, CONFIG),
+    "simulate threshold with phi": ("simulate", {**BASE, "protocol": "threshold"}, [], 2, CONFIG),
+    "lindblad lambda^2 overflow": ("lindblad", BASE, ["--lambda", "2e154"], 3, DOMAIN),
+    "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
+    "collective profile off the grid": (
+        "collective", {**BASE, "phi": PHI_COMPLEX, "n_grid": [1000000]}, ["--lambda", "40"], 4, QUALITY
+    ),
+    "collective ratio limit overflow": (
+        "collective", {**BASE, "phi": PHI_COMPLEX, "n_grid": [1]}, ["--lambda", "40"], 4, QUALITY
+    ),
+}
+
+
+def run_cli(command, doc, out_dir, extra=()) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run; a traceback fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", json.dumps(doc), "--out", str(out_dir), *extra])
+    return code, out.getvalue(), err.getvalue()
+
+
+def non_finite_outputs(out_dir, stdout: str) -> list[str]:
+    """Every number in the written tables, JSON files and summary line that is NaN or infinite."""
+    bad = []
+
+    def visit(where, value):
+        if isinstance(value, dict):
+            for v in value.values():
+                visit(where, v)
+        elif isinstance(value, list):
+            for v in value:
+                visit(where, v)
+        elif isinstance(value, str):
+            try:
+                number = float(value)
+            except ValueError:
+                return
+            visit(where, number)
+        elif isinstance(value, (int, float)) and not math.isfinite(value):
+            bad.append(f"{where}: {value!r}")
+
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            visit(path.name, json.loads(path.read_text()))
+        else:
+            rows = csv.reader(ln for ln in path.read_text().splitlines() if not ln.startswith("#"))
+            visit(path.name, list(rows)[1:])
+    visit("stdout", [part.split("=", 1)[-1] for part in stdout.split()[1:]])
+    return bad
+
+
+class TestPreconditionExitCodes:
+    """Each refusal ends with its documented exit code and one error line."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal(self, tmp_path, case):
+        command, doc, extra, want, prefix = REFUSALS[case]
+        code, _, err = run_cli(command, doc, tmp_path, extra)
+        assert (code, err[: len(prefix)]) == (want, prefix), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+    def test_seed_past_the_float_range_runs(self, tmp_path):
+        doc = {**BASE, "protocol": "single", "trials": 100, "seed": 10**400}
+        code, _, err = run_cli("simulate", doc, tmp_path)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", ["weak-value", "density", "lindblad", "disturbance"])
+    def test_unsymmetrised_d16_observable_at_radius_1e5(self, tmp_path, rng, command):
+        # (V * a) @ V^dag misses exact Hermiticity by ~7e-12 at this radius
+        obs = degenerate_observable(rng, 16, 16, 1e5)
+        psi, phi = random_selection_pair(rng, 16)
+        pairs = lambda z: [[float(v.real), float(v.imag)] for v in np.ravel(z)]
+        doc = {"observable": pairs(obs.matrix), "psi": pairs(psi.amplitudes), "phi": pairs(phi.amplitudes)}
+        assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) > 1e-12
+        code, out, err = run_cli(command, doc, tmp_path)
+        assert (code, err) == (0, "")
+        assert non_finite_outputs(tmp_path, out) == []
+
+
+COUPLINGS = st.one_of(
+    st.floats(1e-3, 10.0), st.sampled_from([0.0, math.nan, math.inf, -math.inf, 2e154])
+)
+
+
+@settings(max_examples=150)
+@given(
+    command=st.sampled_from(sorted(cli.COMMAND_KEYS)),
+    protocol=st.sampled_from(["single", "kick", "sequential", "threshold"]),
+    obs_dim=st.sampled_from([2, 3, 16]),
+    state_dim=st.sampled_from([2, 3, 16]),
+    lam=COUPLINGS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_run_exits_documented_and_finite(tmp_path_factory, command, protocol, obs_dim, state_dim, lam, seed):
+    """Exit 0, 2, 3 or 4 for every command, dimension pair and coupling;
+    exit 0 writes and prints only finite numbers."""
+    rng = np.random.default_rng(seed)
+    pairs = lambda z: [[float(v.real), float(v.imag)] for v in np.ravel(z)]
+    psi, phi = random_selection_pair(rng, state_dim)
+    required, optional = cli.COMMAND_KEYS[command]
+    doc = {
+        "observable": pairs(random_observable(rng, obs_dim).matrix),
+        "observable_b": pairs(random_observable(rng, obs_dim).matrix),
+        "psi": pairs(psi.amplitudes),
+        "phi": pairs(phi.amplitudes),
+        "epsilon": 0.1,
+        "lambda": lam,
+        "lambda_grid": [lam, lam / 2.0],
+        "n_grid": [10, 100],
+        "protocol": protocol,
+        "trials": 2000,
+    }
+    if command == "simulate" and protocol == "threshold":
+        del doc["phi"]
+    if command == "simulate" and protocol != "sequential":
+        del doc["observable_b"]
+    doc = {k: v for k, v in doc.items() if k in required | optional}
+    out_dir = tmp_path_factory.mktemp("run")
+    code, out, err = run_cli(command, doc, out_dir)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), err
+    if code == 0:
+        assert non_finite_outputs(out_dir, out) == []
+    else:
+        assert err.count("\n") == 1 and err.split(":")[0] in ("config error", "domain error", "numeric-quality error")

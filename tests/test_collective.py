@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SX, direct_x_density, random_observable, random_selection_pair
 from weakmeas.core import Observable, PureState, branch_weights, weak_value
-from weakmeas.errors import GridTooCoarse
+from weakmeas.errors import GridTooCoarse, NumericalQualityError
 from weakmeas.collective import (
     CollectiveSetup,
     collective_conditional_density,
     collective_conditional_mean,
     collective_postselection_ratio,
+    collective_ratio_limit,
 )
 from weakmeas.pointer import (
     BASIS_X,
@@ -321,6 +322,18 @@ class TestPostselectionRatio:
         assert collective_conditional_mean(cs, BASIS_XPRIME) == pytest.approx(
             a_w.imag, abs=1e-9
         )
+
+
+    def test_limit_past_the_float_range_is_refused(self):
+        # lam^2 Im(A_w)^2 / 2 = 1600 * 10.1 / 2: exp overflows; at N = 1 the
+        # profile itself fits the grid, so only the limit is refused
+        cs = CollectiveSetup(Observable(SX), 40.0, PSI0, PHI_COMPLEX, 1)
+        assert math.isfinite(collective_postselection_ratio(cs))
+        with pytest.raises(NumericalQualityError, match="float range"):
+            collective_ratio_limit(cs)
+        a_w = weak_value(Observable(SX), PSI0, PHI_COMPLEX).value
+        cs = dataclasses.replace(cs, coupling=1.0)
+        assert collective_ratio_limit(cs) == math.exp(a_w.imag**2 / 2.0)
 
 
 class TestGridEdge:

@@ -13,11 +13,13 @@ from conftest import (
     SZ,
     UNRESOLVED_SPECTRUM,
     degenerate_observable,
+    projector_defects,
     random_observable,
     random_selection_pair,
     random_state,
 )
 from weakmeas.core import (
+    PROJECTOR_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -103,6 +105,18 @@ class TestEigendecompose:
         with pytest.raises(NotHermitian):
             Observable(np.array([[0, 1], [2, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5, 1e8])
+    def test_hermiticity_tolerance_scales_with_the_matrix(self, scale):
+        # 1e-12 * (max |M_ij| + 1): half of it passes, twice it is refused
+        tol = 1e-12 * (scale + 1.0)
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            m = scale * SX + np.array([[0.0, factor * tol], [0.0, 0.0]])
+            if accepted:
+                Observable(m)
+            else:
+                with pytest.raises(NotHermitian):
+                    Observable(m)
+
     def test_eigensystem_cache_idempotent(self):
         obs = Observable(SX)
         assert obs.eigensystem is obs.eigensystem
@@ -126,6 +140,22 @@ class TestSpectralScale:
         radius = obs.spectral_radius
         # the check allows 1e-10 * (radius + 1); eigh lands within a few ulps
         assert np.max(np.abs(system.reconstruct() - obs.matrix)) <= 1e-13 * radius
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        log_scale=st.floats(-6.0, 8.0),
+        degenerate=st.booleans(),
+        data=st.data(),
+    )
+    def test_decompositions_pass_the_pairwise_oracle(self, seed, dim, log_scale, degenerate, data):
+        # degenerate_observable builds (V * a) @ V^dag without symmetrising
+        rng = np.random.default_rng(seed)
+        levels = data.draw(st.integers(1, dim), label="levels") if degenerate else dim
+        obs = degenerate_observable(rng, dim, levels, 10.0**log_scale)
+        defects = projector_defects(eigendecompose(obs))
+        assert max(defects.values()) <= PROJECTOR_TOL, defects
 
     def test_random_d16_at_1e8_decomposes(self):
         rng = np.random.default_rng(8)

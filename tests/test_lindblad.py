@@ -18,9 +18,11 @@ from conftest import (
 )
 from weakmeas import lindblad
 from weakmeas.cli import main
-from weakmeas.core import Observable, PureState, anomalous_pair, weak_value
+from weakmeas.core import Observable, PureState, anomalous_pair, branch_weights, weak_value
+from weakmeas.errors import NumericalQualityError
 from weakmeas.lindblad import (
     MAX_ERROR_GRID_POINTS,
+    MAX_ERROR_HALFWIDTH,
     GdiReport,
     KrausFamily,
     _max_abs_error,
@@ -220,7 +222,48 @@ class TestFirstMomentOperator:
         assert np.max(np.abs(first_moment_quadrature(obs, 0.8) - 0.8 * obs.matrix)) < 1e-8
 
 
+def max_error_weak_limit(obs, psi, phi) -> float:
+    """lim max |joint - pw| / lam^2 on the max-error grid as lam -> 0: with
+    d_i = a_i - a_r and y = x - lam a_r, joint - pw -> -lam^2 G(y) y^2 / 4
+    [sum_i d_i^2 Re(conj(w_i) <phi|psi>) - |sum_i w_i d_i|^2]."""
+    a, w = obs.eigensystem.eigenvalues, branch_weights(obs, psi, phi)
+    y = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, MAX_ERROR_GRID_POINTS)
+    d = a[None, :] - a[:, None]
+    bracket = (d * d) @ (np.conj(w) * w.sum()).real - np.abs(d @ w) ** 2
+    return float(np.max(gaussian_density(y) * y * y / 4.0 * np.abs(bracket)[:, None]))
+
+
 class TestGdiDiagnostic:
+    @pytest.mark.parametrize(
+        "matrix, psi, phi",
+        [(SX, [1.0, 0.0], [0.6, 0.8]), (np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0], [1.0, 2.0, 3.0])],
+    )
+    def test_max_error_has_a_weak_limit(self, matrix, psi, phi):
+        # the grid difference joint - pw cancels to ~1e-17, which read 8.3e283
+        # at lam = 1e-150; the grid follows the centres lam a_r, so its maximum
+        # itself moves by O(lam): 5e-6 relative at lam = 1e-3 for sigma_x
+        obs = Observable(np.asarray(matrix, dtype=complex))
+        psi, phi = PureState.normalized(psi), PureState.normalized(phi)
+        limit = max_error_weak_limit(obs, psi, phi)
+        assert limit > 1e-3
+        for lam in np.logspace(-3.0, -150.0, 40):
+            got = gdi_diagnostic(obs, lam, psi, phi).max_error_over_coupling_sq
+            assert got == pytest.approx(limit, rel=1e-6 + 1e-2 * lam)
+
+    @pytest.mark.parametrize(
+        "matrix, lam",
+        [(SX, 0.3), (np.diag([100.0, 3.0, -100.0]), 5.0), (None, 0.3)],
+    )
+    def test_max_error_matches_the_grid_difference(self, rng, matrix, lam):
+        obs = random_observable(rng, 16) if matrix is None else Observable(np.asarray(matrix, dtype=complex))
+        psi, phi = random_selection_pair(rng, obs.matrix.shape[0])
+        setup = MeasurementSetup(obs, lam, psi, phi)
+        offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, MAX_ERROR_GRID_POINTS)
+        xs = (lam * obs.eigensystem.eigenvalues[:, None] + offsets).ravel()
+        args = (obs, lam, psi, phi, xs)
+        grid = np.max(np.abs(joint_probability_density(*args) - pw_density(*args)))
+        assert _max_abs_error(setup) == pytest.approx(grid, rel=1e-12)
+
     def test_eigenstate_all_zero(self):
         rep = gdi_diagnostic(Observable(SZ), 0.3, ket(1, 0), ket(0.6, 0.8))
         assert rep.max_error_over_coupling_sq == pytest.approx(0.0, abs=1e-12)
@@ -381,11 +424,11 @@ class TestDecompositionSamples:
         args = (Observable(SX), 0.4, ket(1, 0), ket(0.6, 0.8), np.linspace(-3, 3, 7))
         with monkeypatch.context() as patch:
             patch.setattr(lindblad, "error_term_density", lambda *a: error_term_density(*a) + 1e-9)
-            with pytest.raises(ValueError, match="beyond 1e-12"):
+            with pytest.raises(NumericalQualityError, match="beyond 1e-12"):
                 decompose_on_grid(*args)
         with monkeypatch.context() as patch:
             patch.setattr(
                 lindblad, "joint_probability_density", lambda *a: -joint_probability_density(*a)
             )
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(NumericalQualityError, match="nonnegative"):
                 decompose_on_grid(*args)

@@ -27,8 +27,10 @@ from weakmeas.core import (
     matrix_weak_value,
     weak_value,
 )
+from weakmeas.collective import CollectiveSetup
 from weakmeas.errors import (
     DimensionMismatch,
+    DomainError,
     OrthogonalPostselection,
     ZeroProbabilityOutcome,
 )
@@ -47,11 +49,13 @@ from weakmeas.protocols import (
     kick_protocol_conditional_density,
     nonselective_state,
     postselection_probability,
+    sequential_covariance_coefficient,
     sequential_cross_covariance,
     sequential_joint_density,
     sequential_meter_state,
     sequential_order_gap,
 )
+from weakmeas.montecarlo import TrialPlan, truncated_mean_prediction
 
 LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
 
@@ -632,3 +636,59 @@ class TestDisturbanceReport:
             MeasurementSetup(Observable(SX), 0.1, psi, ket(0, 1))
         with pytest.raises(DimensionMismatch):
             MeasurementSetup(Observable(SX), 0.1, psi, random_state(rng, 3))
+
+
+OBS3 = Observable(np.diag([1.0, 2.0, 3.0]).astype(complex))
+KET0, PHI68 = ket(1, 0), ket(0.6, 0.8)
+MISMATCHED = {
+    "weak_value": lambda: weak_value(OBS3, KET0, PHI68),
+    "expectation": lambda: expectation(OBS3, KET0),
+    "matrix_weak_value": lambda: matrix_weak_value(np.eye(3), KET0, PHI68),
+    "branch_components": lambda: branch_components(OBS3, KET0),
+    "branch_weights": lambda: branch_weights(Observable(SX), KET0, ket(1, 0, 0)),
+    "MeasurementSetup": lambda: MeasurementSetup(OBS3, 0.1, KET0, PHI68),
+    "SequentialSetup": lambda: SequentialSetup(Observable(SX), 0.1, OBS3, 0.1, KET0, PHI68),
+    "CollectiveSetup": lambda: CollectiveSetup(OBS3, 0.1, KET0, PHI68, 10),
+    "TrialPlan": lambda: TrialPlan("sequential", Observable(SX), 0.1, KET0, PHI68, 10, 0, OBS3),
+    "truncated_mean_prediction": lambda: truncated_mean_prediction(OBS3, 0.1, KET0, 1.0),
+}
+
+
+class TestPreconditions:
+    """Every entry point refuses a dimension mismatch and every setup type a
+    coupling whose square is not finite, each through its one check."""
+
+    @pytest.mark.parametrize("entry", sorted(MISMATCHED))
+    def test_every_entry_point_checks_dimensions(self, entry):
+        with pytest.raises(DimensionMismatch, match=r"dimensions \[2, 3\] differ"):
+            MISMATCHED[entry]()
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 2e154, -1.4e154])
+    def test_every_setup_checks_its_couplings(self, lam):
+        psi, phi, obs = KET0, PHI68, Observable(SX)
+        calls = [
+            lambda: MeasurementSetup(obs, lam, psi, phi),
+            lambda: SequentialSetup(obs, 0.1, obs, lam, psi, phi),
+            lambda: SequentialSetup(obs, lam, obs, 0.1, psi, phi),
+            lambda: CollectiveSetup(obs, lam, psi, phi, 10),
+            lambda: TrialPlan("single", obs, lam, psi, phi, 10, 0),
+            lambda: TrialPlan("sequential", obs, 0.1, psi, phi, 10, 0, obs, lam),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="not a finite float"):
+                call()
+        MeasurementSetup(obs, 1.3e154, psi, phi)  # lambda^2 = 1.69e308 is finite
+
+
+@pytest.mark.parametrize(
+    "bases", [(BASIS_X, BASIS_X), (BASIS_X, BASIS_XPRIME), (BASIS_XPRIME, BASIS_X), (BASIS_XPRIME, BASIS_XPRIME)]
+)
+def test_covariance_coefficient_is_the_weak_limit_in_every_basis_pair(rng, bases):
+    # cov / (lam1 lam2 / 2) tends to the coefficient with an O(lam^2) remainder
+    psi, phi = random_selection_pair(rng, 3)
+    first, second = random_observable(rng, 3), random_observable(rng, 3)
+    lam1, lam2 = 2e-3, 1e-3
+    sq = SequentialSetup(first, lam1, second, lam2, psi, phi, bases)
+    coeff = sequential_covariance_coefficient(sq)
+    assert sequential_cross_covariance(sq) / (lam1 * lam2 / 2.0) == pytest.approx(coeff, rel=1e-4, abs=1e-4)
+    assert abs(coeff) > 1e-2
