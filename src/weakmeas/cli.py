@@ -364,11 +364,11 @@ def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
         prob = proto.postselection_probability(setup)
         return [prob, unperturbed], proto.postselection_shift(setup) / proto.coupling_squared(lam)
 
+    analytic = proto.second_order_coefficient(p["observable"], p["psi"], p["phi"])  # before any table
     header = ["row", "lambda", "prob", "prob_unperturbed", "coeff_lambda_sq", "fit_residual"]
     intercept = _lambda_scan(
         cfg, out_dir, fmt, "postselect_prob", header, measure, [None, unperturbed]
     )
-    analytic = proto.second_order_coefficient(p["observable"], p["psi"], p["phi"])
     return {
         "coeff_extrapolated": intercept,
         "coeff_analytic": analytic,

@@ -379,15 +379,27 @@ def second_order_coefficient(
     observable: Observable, psi: PureState, phi: PureState
 ) -> float:
     """|<phi|psi>|^2 (|A_w|^2 - Re[(A^2)_w]) / 4, the lam^2 coefficient of the
-    post-selection probability and of the integrated error term."""
+    post-selection probability and of the integrated error term.
+
+    Raises ``NumericalQualityError`` (exit 4) when the coefficient is not
+    finite: past a spectral scale of about 1e154 the squares overflow.
+    """
     a_w = weak_value(observable, psi, phi)
-    a2_w = matrix_weak_value(observable.matrix @ observable.matrix, psi, phi)
-    return float(
-        abs(a_w.preselect_overlap) ** 2 * (abs(a_w.value) ** 2 - a2_w.real) / 4.0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        a2_w = matrix_weak_value(observable.matrix @ observable.matrix, psi, phi)
+    try:
+        coeff = abs(a_w.preselect_overlap) ** 2 * (abs(a_w.value) ** 2 - a2_w.real) / 4.0
+    except OverflowError:  # the float power raises where the float product gives inf
+        coeff = math.inf
+    if not math.isfinite(coeff):
+        raise NumericalQualityError(
+            f"second-order coefficient overflows float64 (|A_w| = {abs(a_w.value):.3e})"
+        )
+    return float(coeff)
 
 
 def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
+    second_order = second_order_coefficient(setup.observable, setup.preselect, setup.postselect)
     prob_exact = postselection_probability(setup)
     ov = setup.postselect.overlap(setup.preselect)
     prob_unperturbed = float(abs(ov) ** 2)
@@ -404,9 +416,7 @@ def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     return DisturbanceReport(
         postselect_prob_exact=prob_exact,
         postselect_prob_unperturbed=prob_unperturbed,
-        second_order_coeff=second_order_coefficient(
-            setup.observable, setup.preselect, setup.postselect
-        ),
+        second_order_coeff=second_order,
         nonselective_purity=purity,
         fidelity_to_initial=fidelity,
         identity_residual=residual,

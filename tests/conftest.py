@@ -29,7 +29,6 @@ from weakmeas.montecarlo import (
     _DTYPE_TWO,
     _categorical,
     _eigen_arrays,
-    _row_categorical,
 )
 from weakmeas.pointer import (
     BASIS_X,
@@ -121,6 +120,13 @@ def direct_x_density(cs: CollectiveSetup, xs) -> np.ndarray:
     step = prof.grid[1] - prof.grid[0]
     amp = kernel @ prof.amplitude * step / math.sqrt(4.0 * math.pi)
     return (amp.real**2 + amp.imag**2) / prof.norm
+
+
+def _row_categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per-row categorical draw: probs has shape (n, k), u shape (n,)."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1][:, None]
+    return (u[:, None] > cdf).sum(axis=1).clip(0, probs.shape[1] - 1)
 
 
 def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:

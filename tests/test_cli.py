@@ -607,6 +607,7 @@ D3_JSON = [[1, 0], [0, 0], [0, 0], [0, 0], [2, 0], [0, 0], [0, 0], [0, 0], [3, 0
 BASE = {"observable": SX_JSON, "psi": KET0, "phi": PHI68}
 MISMATCH = {"observable": D3_JSON, "psi": KET0, "phi": PHI68}
 PHI_COMPLEX = [[0.3, 0], [0, math.sqrt(0.91)]]
+SX_1E200 = [[0, 0], [1e200, 0], [1e200, 0], [0, 0]]  # |A_w|^2 overflows float64
 NAN, INF = math.nan, math.inf
 CONFIG, DOMAIN, QUALITY = "config error: ", "domain error: ", "numeric-quality error: "
 
@@ -641,6 +642,8 @@ REFUSALS = {
     "simulate threshold with phi": ("simulate", {**BASE, "protocol": "threshold"}, [], 2, CONFIG),
     "lindblad lambda^2 overflow": ("lindblad", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
+    "postselect-prob spectral scale 1e200": ("postselect-prob", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
+    "disturbance spectral scale 1e200": ("disturbance", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
     "collective profile off the grid": (
         "collective", {**BASE, "phi": PHI_COMPLEX, "n_grid": [1000000]}, ["--lambda", "40"], 4, QUALITY
     ),

@@ -148,16 +148,21 @@ class TestPwDensity:
 
 
 class TestErrorTerm:
-    def test_pointwise_decomposition_identity(self, rng):
-        for dim in (2, 3):
-            for lam in (0.01, 0.1, 1.0):
-                psi, phi = random_selection_pair(rng, dim)
-                obs = random_observable(rng, dim)
-                xs = np.linspace(-7, 7, 257)
-                joint = joint_probability_density(obs, lam, psi, phi, xs)
-                pw = pw_density(obs, lam, psi, phi, xs)
-                err = error_term_density(obs, lam, psi, phi, xs)
-                assert np.max(np.abs(joint - pw - err)) < 1e-12
+    @settings(max_examples=60)
+    @given(
+        dim=st.integers(2, 16),
+        lam=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pointwise_decomposition_identity(self, dim, lam, seed):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_selection_pair(rng, dim)
+        obs = random_observable(rng, dim)
+        xs = np.linspace(-lam - 8.0, lam + 8.0, 257)  # every branch centre lam * a_i, |a_i| <= 1
+        joint = joint_probability_density(obs, lam, psi, phi, xs)
+        pw = pw_density(obs, lam, psi, phi, xs)
+        err = error_term_density(obs, lam, psi, phi, xs)
+        assert np.max(np.abs(joint - pw - err)) <= 1e-13 * np.max(joint)
 
     def test_integral_is_postselection_shift(self, rng):
         psi, phi = random_selection_pair(rng, 2)

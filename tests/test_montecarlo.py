@@ -22,6 +22,7 @@ from weakmeas.core import Observable, PureState
 from weakmeas.errors import NoPostselectedRuns, OrthogonalPostselection
 from weakmeas.montecarlo import (
     BLOCK_SIZE,
+    TILE,
     TrialPlan,
     TrialStatistics,
     run_kick,
@@ -231,6 +232,15 @@ class TestSequentialAgainstProjectorStack:
         records, _ = run_sequential(plan)
         assert records.tobytes() == projector_stack_sequential(plan).tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tile_edges_across_two_blocks(self, threads):
+        # the second block holds one full tile and a tile of one trial
+        rng = np.random.default_rng(TILE)
+        a, b = degenerate_observable(rng, 5, 3), degenerate_observable(rng, 5, 4)
+        plan = sequential_plan(rng, 5, BLOCK_SIZE + TILE + 1, a, b, lam1=0.7, lam2=1.3, threads=threads)
+        records, _ = run_sequential(plan)
+        assert records.tobytes() == projector_stack_sequential(plan).tobytes()
+
     def test_block_memory_stays_linear_in_d(self):
         # a (k2, n, d) complex stack alone is 268 MB for one block at d = 16
         rng = np.random.default_rng(65_536)
@@ -242,7 +252,7 @@ class TestSequentialAgainstProjectorStack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 128 * 2**20
+        assert peak <= 16 * 2**20
 
 
 class TestRunThreshold:
