@@ -21,7 +21,7 @@ meters, 9 for one) and each block fills its own slice of it. Within a block
 the draws are (n,) arrays; the sequential runner then evaluates the physics
 in tiles of ``TILE`` trials, so its other temporaries are a few (2d, TILE)
 float arrays that stay in cache, not (n, d) complex arrays streamed through
-memory. A d = 16 block peaks at about 9 MiB traced (78 MiB untiled).
+memory. A d = 16 block peaks at about 9 MiB traced.
 """
 
 from __future__ import annotations

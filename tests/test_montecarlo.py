@@ -235,7 +235,7 @@ class TestSequentialAgainstProjectorStack:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tile_edges_across_two_blocks(self, threads):
         # the second block holds one full tile and a tile of one trial
-        rng = np.random.default_rng(TILE)
+        rng = np.random.default_rng(4097)
         a, b = degenerate_observable(rng, 5, 3), degenerate_observable(rng, 5, 4)
         plan = sequential_plan(rng, 5, BLOCK_SIZE + TILE + 1, a, b, lam1=0.7, lam2=1.3, threads=threads)
         records, _ = run_sequential(plan)
