@@ -36,6 +36,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     FileError,
+    GridTooCoarse,
     NumericalQualityError,
     SchemaError,
 )
@@ -46,6 +47,7 @@ DEFAULT_LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_N_GRID = (25, 50, 100, 200, 400)
 DEFAULT_TRIALS = 100_000
 DEFAULT_GRID_POINTS = 512
+_BRANCH_HALFWIDTH = 10.0  # past this a branch adds at most G(10) ~ 7.7e-23 of its weight to the density
 
 _SIMULATE_KEYS = {
     "protocol",
@@ -298,6 +300,38 @@ def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
     return np.linspace(xmin, xmax, grid["points"])
 
 
+def _density_grid(p: dict, setup: proto.MeasurementSetup, reach: float) -> np.ndarray:
+    """The configured grid over [-reach, reach], refused with GridTooCoarse
+    when a step passes ``proto.density_spacing_limit``.
+
+    With the edges left to the program, x-basis branches too far apart for
+    that grid are sampled by ``points`` points across each branch's window
+    ``lam a_i +- _BRANCH_HALFWIDTH``; the gaps between windows hold no mass.
+    Steps are taken from the float64 points, which merge within a window once
+    |lam a_i| passes about 1e15.
+    """
+    grid = p["grid"]
+    xs = _grid_points(p, -reach, reach)
+    span, steps = abs(xs[-1] - xs[0]), np.abs(np.diff(xs))
+    limit = proto.density_spacing_limit(setup, p["basis"])
+    default_edges = grid["xmin"] is None and grid["xmax"] is None
+    if steps.max() > limit and default_edges and p["basis"] == ptr.BASIS_X:
+        window = np.linspace(-_BRANCH_HALFWIDTH, _BRANCH_HALFWIDTH, grid["points"])
+        windows = np.add.outer(p["lambda"] * p["observable"].eigensystem.eigenvalues, window)
+        span, steps, xs = 2.0 * _BRANCH_HALFWIDTH, np.diff(windows, axis=1), np.unique(windows)
+    if not 0.0 < steps.min() <= steps.max() <= limit:  # a zero step: points merged in rounding
+        need = math.ceil(span / limit) + 1
+        remedy = (
+            f"set grid.points >= {need}" if need > grid["points"]
+            else f"float64 cannot space points that finely near |x| = {np.max(np.abs(xs)):.3g}"
+        )
+        raise GridTooCoarse(
+            f"density grid steps of {steps.min():.3g} to {steps.max():.3g} cannot resolve the "
+            f"branch peaks, which need steps in (0, {limit:.3g}]: {remedy}"
+        )
+    return xs
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -343,8 +377,8 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     setup = proto.MeasurementSetup(p["observable"], p["lambda"], p["psi"], p["phi"])
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + 10.0
-    xs = _grid_points(p, -reach, reach)
+    reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + _BRANCH_HALFWIDTH
+    xs = _density_grid(p, setup, reach)
     dens = proto.conditional_meter_density(setup, p["basis"], xs)
     _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)

@@ -7,9 +7,10 @@ Three families, matching the CLI exit-code contract:
   dimensions, non-Hermitian observable, unresolved spectrum, orthogonal
   post-selection, lambda^2 not finite or too small to divide by, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
-  cannot be carried out at acceptable numerical quality (collective profile
-  cut by its grid edge or ratio limit past the float range, an identity the
-  results must satisfy violated, empty post-selected sample).
+  cannot be carried out at acceptable numerical quality (a density grid too
+  coarse for its peaks, collective profile cut by its grid edge or ratio
+  limit past the float range, an identity the results must satisfy
+  violated, empty post-selected sample).
 """
 
 
@@ -70,7 +71,8 @@ class NumericalQualityError(WeakmeasError):
 
 
 class GridTooCoarse(NumericalQualityError):
-    """A grid leaves more than the tolerated share of a profile outside it."""
+    """A grid too coarse for the peaks it samples, or leaving more than the
+    tolerated share of a profile outside it."""
 
 
 class NoPostselectedRuns(NumericalQualityError):

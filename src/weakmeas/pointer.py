@@ -105,7 +105,8 @@ def _pair_kernel(ca: np.ndarray, ka: np.ndarray, cb: np.ndarray, kb: np.ndarray)
     dc = ca[:, None] - cb[None, :]
     dk = kb[None, :] - ka[:, None]
     m = (ca[:, None] + cb[None, :]) / 2.0
-    base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
+    with np.errstate(over="ignore"):  # dc^2 or dk^2 past the float range: exp(-inf) = 0, exact
+        base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
     return base, m, dk
 
 

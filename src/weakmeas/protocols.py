@@ -58,6 +58,7 @@ from .pointer import (
 )
 
 LOW_PROBABILITY_FLOOR = 1e-12
+DENSITY_QUADRATURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,8 @@ def postselection_shift(setup: MeasurementSetup) -> float:
     of P with each damping exp(-lam^2 (a_i - a_j)^2 / 8) taken as expm1."""
     a = setup.observable.eigensystem.eigenvalues
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
-    damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
+    with np.errstate(over="ignore"):  # an overflowed exponent is -inf: damping expm1(-inf) = -1, exact
+        damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
     return float((np.conj(w) @ damp @ w).real)
 
 
@@ -242,6 +244,25 @@ def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
     """Exact conditional meter density in the x or x' basis (normalized)."""
     cm = conditional_meter_state(setup, basis)
     return pointer_density(cm.pointer, x) / cm.probability
+
+
+def density_spacing_limit(setup: MeasurementSetup, basis: str) -> float:
+    """Largest spacing h of a uniform grid on which the trapezoid rule
+    integrates the conditional meter density within ``DENSITY_QUADRATURE_TOL``.
+
+    The unnormalized density is a sum over term pairs (s, t) of
+    conj(w_s) w_t exp(-dc^2/8) G(x - m) e^(i dk x) (see :mod:`weakmeas.pointer`),
+    whose Fourier transform has modulus at most |w_s| |w_t| exp(-(xi - dk)^2/2).
+    By Poisson summation the trapezoid error on an unbounded grid is the sum of
+    the transforms at 2 pi n / h, n != 0, so with q = 2 pi / h - max |dk| > 0 it
+    is at most (sum_t |w_t|)^2 * 2 r / (1 - r), r = exp(-q^2/2). Setting that to
+    the tolerance times the probability P gives the limit.
+    """
+    cm = conditional_meter_state(setup, basis)
+    w, k = cm.pointer.weights, cm.pointer.phase_slopes
+    eps = DENSITY_QUADRATURE_TOL * cm.probability / float(np.sum(np.abs(w))) ** 2
+    q = math.sqrt(2.0 * math.log1p(2.0 / eps))  # r = eps / (2 + eps)
+    return 2.0 * math.pi / (float(np.ptp(k)) + q)
 
 
 def conditional_meter_mean(setup: MeasurementSetup, basis: str = BASIS_X) -> float:
@@ -348,11 +369,12 @@ def nonselective_state(
     """
     system = observable.eigensystem
     comps, _ = branch_components(observable, psi)
-    damp = np.exp(
-        -(coupling**2)
-        * (system.eigenvalues[:, None] - system.eigenvalues[None, :]) ** 2
-        / 8.0
-    )
+    with np.errstate(over="ignore"):  # an overflowed exponent is -inf: damping exp(-inf) = 0, exact
+        damp = np.exp(
+            -(coupling**2)
+            * (system.eigenvalues[:, None] - system.eigenvalues[None, :]) ** 2
+            / 8.0
+        )
     rho = np.einsum("ij,ia,jb->ab", damp, comps, np.conj(comps))
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)

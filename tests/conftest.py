@@ -3,7 +3,8 @@ and the test oracles: the pairwise projector checks of an eigensystem, the
 direct-kernel collective x density, the
 projector-stack sequential Monte Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
-grid CDF of a meter density and the Kraus completeness residual.
+grid CDF of a meter density and the Kraus completeness residual; and
+``run_python``, a fresh interpreter that imports the package under test.
 
 Random observables are normalized to unit spectral radius and random
 pre/post-selection pairs are resampled until |<phi|psi>| >= 0.25, keeping
@@ -14,11 +15,16 @@ database and no deadline, so each run of the suite draws the same examples.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import weakmeas
 from weakmeas.collective import CollectiveSetup
 from weakmeas.core import EigenSystem, Observable, PureState, branch_components
 from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
@@ -282,3 +288,10 @@ def completeness_residual(family: KrausFamily, nodes: int = GAUSS_LEGENDRE_NODES
     m = family.at_many(xs)
     gram = np.einsum("n,nji,njk->ik", wts, np.conj(m), m)
     return float(np.max(np.abs(gram - np.eye(family.observable.dim))))
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the ``weakmeas``
+    these tests import; text output captured."""
+    env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)

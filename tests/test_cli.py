@@ -17,6 +17,7 @@ from conftest import (
     direct_x_density,
     random_observable,
     random_selection_pair,
+    run_python,
 )
 from weakmeas import cli
 from weakmeas.cli import main, parse_config
@@ -608,6 +609,7 @@ BASE = {"observable": SX_JSON, "psi": KET0, "phi": PHI68}
 MISMATCH = {"observable": D3_JSON, "psi": KET0, "phi": PHI68}
 PHI_COMPLEX = [[0.3, 0], [0, math.sqrt(0.91)]]
 SX_1E200 = [[0, 0], [1e200, 0], [1e200, 0], [0, 0]]  # |A_w|^2 overflows float64
+SX_200 = [[0, 0], [200, 0], [200, 0], [0, 0]]  # branches at +-200 for lambda = 1
 NAN, INF = math.nan, math.inf
 CONFIG, DOMAIN, QUALITY = "config error: ", "domain error: ", "numeric-quality error: "
 
@@ -644,6 +646,15 @@ REFUSALS = {
     "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "postselect-prob spectral scale 1e200": ("postselect-prob", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
     "disturbance spectral scale 1e200": ("disturbance", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
+    "density grid too coarse for the branches": (
+        "density", {**BASE, "observable": SX_200, "lambda": 1, "grid": {"xmin": -500, "xmax": 500}}, [], 4, QUALITY
+    ),
+    "density x' fringes unresolved": (
+        "density", {**BASE, "observable": SX_200, "lambda": 1, "basis": "xprime"}, [], 4, QUALITY
+    ),
+    "density grid points merged in rounding": (  # each window collapses onto lam a_i = +-1e153
+        "density", {**BASE, "observable": [[0, 0], [1e154, 0], [1e154, 0], [0, 0]]}, [], 4, QUALITY
+    ),
     "collective profile off the grid": (
         "collective", {**BASE, "phi": PHI_COMPLEX, "n_grid": [1000000]}, ["--lambda", "40"], 4, QUALITY
     ),
@@ -706,6 +717,32 @@ class TestPreconditionExitCodes:
         doc = {**BASE, "protocol": "single", "trials": 100, "seed": 10**400}
         code, _, err = run_cli("simulate", doc, tmp_path)
         assert (code, err) == (0, "")
+
+    def test_grid_refusal_names_the_points_that_pass(self, tmp_path):
+        doc = {**BASE, "observable": SX_200, "lambda": 1, "grid": {"xmin": -500, "xmax": 500}}
+        _, _, err = run_cli("density", doc, tmp_path)
+        need = int(err.split("grid.points >= ")[1])
+        doc["grid"]["points"] = need
+        code, out, err = run_cli("density", doc, tmp_path)
+        assert (code, err) == (0, "")
+        assert float(out.split("integral=")[1].split()[0]) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("radius", [100, 200, 500, 1000, 1e8])
+    def test_density_default_grid_resolves_far_apart_branches(self, tmp_path, radius):
+        # the uniform 512-point grid over +-(radius + |A_w|) + 10 missed the peaks from radius 200 up
+        doc = {**BASE, "observable": [[0, 0], [radius, 0], [radius, 0], [0, 0]], "lambda": 1}
+        code, out, err = run_cli("density", doc, tmp_path)
+        assert (code, err) == (0, "")
+        assert float(out.split("integral=")[1].split()[0]) == pytest.approx(1.0, abs=1e-8)
+        x, cdf = np.loadtxt(tmp_path / "cdf.csv", delimiter=",", skiprows=1, comments="#").T
+        assert np.all(np.diff(x) > 0) and cdf[-1] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("command", ["postselect-prob", "disturbance"])
+    def test_overflowed_damping_exponent_writes_no_warning(self, tmp_path, command):
+        # at this scale lambda^2 (a_i - a_j)^2 overflows to inf, whose damping exp(-inf) = 0 is exact
+        doc = {**BASE, "observable": [[0, 0], [1e154, 0], [1e154, 0], [0, 0]]}
+        proc = run_python("-m", "weakmeas.cli", command, "--config", json.dumps(doc), "--out", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("command", ["weak-value", "density", "lindblad", "disturbance"])
     def test_unsymmetrised_d16_observable_at_radius_1e5(self, tmp_path, rng, command):

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from weakmeas import cli
 from weakmeas import montecarlo as mc
-from weakmeas.serialize import _CHUNK_ROWS, format_cell, jsonable, write_csv, write_json
+from conftest import run_python
+from weakmeas.serialize import _CHUNK_ROWS, _float_texts, format_cell, jsonable, write_csv, write_json
 
 METADATA = "config_sha256=0123456789abcdef seed=7"
 
@@ -117,10 +118,13 @@ class TestSameBytes:
         assert_json_bytes(tmp_path, {"rows": "not a table", "metadata": METADATA})
 
 
+# The ends of the range where orjson's notation is repr's, [1e-4, 1e16), and their neighbours
+NOTATION_EDGES = [float(np.nextafter(edge, toward)) for edge in (1e-4, 1e16) for toward in (0.0, math.inf)]
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e-5, 0.1,
     math.nan, math.inf, -math.inf,
+    1e-4, *NOTATION_EDGES, 1e15, 9999999999999998.0, -1e-4, -9999999999999998.0,
 ]
 floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
 
@@ -179,7 +183,7 @@ def test_column_tables(out_dir, n, kinds, pool, seed):
         if kind == "float":  # mostly distinct, over the whole exponent range
             values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
             table[f"c{j}"] = np.concatenate([pool, values])[:n]
-        elif kind == "repeated":  # few distinct values: each is formatted once
+        elif kind == "repeated":  # few distinct values
             table[f"c{j}"] = rng.choice(np.array(pool), n)
         elif kind == "bool":
             table[f"c{j}"] = rng.random(n) < 0.5
@@ -188,6 +192,24 @@ def test_column_tables(out_dir, n, kinds, pool, seed):
         else:
             table[f"c{j}"] = LABELS[rng.integers(len(LABELS), size=n)]
     assert_column_table_bytes(out_dir, table)
+
+
+class TestFloatTexts:
+    def test_same_text_as_repr_over_the_float_range(self):
+        rng = np.random.default_rng(15)
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 400_000, dtype=np.int64, endpoint=True)
+        decades = np.arange(-320, 309)  # 1e-320 (subnormal) to 1e308, 1,000 values in each decade
+        mantissas = rng.uniform(1.0, 10.0, (decades.size, 1000)) * rng.choice([-1.0, 1.0], (decades.size, 1000))
+        with np.errstate(over="ignore"):  # 9.x * 1e308 is inf, which is kept as one more special value
+            spread = (mantissas * 10.0 ** decades[:, None].astype(float)).ravel()
+        values = np.concatenate([bits.view(np.float64), spread, [0.0, -0.0], SPECIAL_FLOATS])
+        assert values.size > 10**6
+        assert _float_texts(values) == list(map(float.__repr__, values.tolist()))
+
+    def test_importing_the_cli_leaves_orjson_unloaded(self):
+        # orjson is imported on the first table written; its 13 ms stay out of every command's start-up
+        proc = run_python("-c", "import sys, weakmeas.cli; print('orjson' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestColumnTables:
