@@ -256,39 +256,40 @@ def _metadata(cfg: RunConfig) -> str:
     return f"config_sha256={cfg.hash} seed={cfg.params.get('seed', 0)}"
 
 
-def _write_table(cfg: RunConfig, out_dir: Path, name: str, header, rows, fmt: str) -> None:
-    """``rows`` is a structured array or a list of rows (see ``serialize``)."""
+def _write_table(cfg: RunConfig, out_dir: Path, name: str, table: np.ndarray, fmt: str) -> None:
+    """Write a structured array, a column per field, headed by the field names."""
+    header = list(table.dtype.names)
     if fmt == "json":
-        payload = {"columns": list(header), "rows": rows, "metadata": _metadata(cfg)}
-        write_json(out_dir / f"{name}.json", payload)
+        write_json(out_dir / f"{name}.json", {"columns": header, "rows": table, "metadata": _metadata(cfg)})
     else:
-        write_csv(out_dir / f"{name}.csv", list(header), rows, _metadata(cfg))
+        write_csv(out_dir / f"{name}.csv", header, table, _metadata(cfg))
 
 
 def _write_columns(cfg: RunConfig, out_dir: Path, name: str, fmt: str, **columns) -> None:
-    """Write equal-length 1-D arrays as one table, a column each, in keyword order."""
+    """Write equal-length columns as one table, in keyword order, each with
+    the dtype ``np.asarray`` gives it (object where cells mix types or hold None)."""
     arrays = [np.asarray(col) for col in columns.values()]
     table = np.empty(len(arrays[0]), dtype=[(k, a.dtype) for k, a in zip(columns, arrays)])
     for key, array in zip(columns, arrays):
         table[key] = array
-    _write_table(cfg, out_dir, name, list(columns), table, fmt)
+    _write_table(cfg, out_dir, name, table, fmt)
 
 
-def _lambda_scan(cfg, out_dir, fmt, name, header, measure, fixed=(None,), fit=None) -> float:
+def _lambda_scan(cfg, out_dir, fmt, name, header, measure, fixed=(None,), power=2) -> float:
     """Write a row ``["lambda", lam, *cells, value, None]`` per coupling of the
     grid, where ``cells, value = measure(lam)``, then the row
-    ``["extrapolation", 0.0, *fixed, intercept, residual]`` of ``fit`` (by
-    default the even-in-lambda ``extrapolate_to_zero_coupling``) to the
-    values at lam = 0. Returns the intercept."""
+    ``["extrapolation", 0.0, *fixed, intercept, residual]`` of the straight
+    line in lam**power through the values (``extrapolate_to_zero_coupling``),
+    at lam = 0. Returns the intercept."""
     lams = cfg.params["lambda_grid"]
     rows, values = [], []
     for lam in lams:
         cells, value = measure(lam)
         values.append(value)
         rows.append(["lambda", lam, *cells, value, None])
-    intercept, resid = (fit or proto.extrapolate_to_zero_coupling)(lams, values)
+    intercept, resid = proto.extrapolate_to_zero_coupling(lams, values, power)
     rows.append(["extrapolation", 0.0, *fixed, intercept, resid])
-    _write_table(cfg, out_dir, name, header, rows, fmt)
+    _write_columns(cfg, out_dir, name, fmt, **dict(zip(header, zip(*rows))))
     return intercept
 
 
@@ -300,7 +301,7 @@ def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
     return np.linspace(xmin, xmax, grid["points"])
 
 
-def _density_grid(p: dict, setup: proto.MeasurementSetup, reach: float) -> np.ndarray:
+def _density_grid(p: dict, cm: proto.ConditionalMeter, reach: float) -> np.ndarray:
     """The configured grid over [-reach, reach], refused with GridTooCoarse
     when a step passes ``proto.density_spacing_limit``.
 
@@ -313,7 +314,7 @@ def _density_grid(p: dict, setup: proto.MeasurementSetup, reach: float) -> np.nd
     grid = p["grid"]
     xs = _grid_points(p, -reach, reach)
     span, steps = abs(xs[-1] - xs[0]), np.abs(np.diff(xs))
-    limit = proto.density_spacing_limit(setup, p["basis"])
+    limit = proto.density_spacing_limit(cm)
     default_edges = grid["xmin"] is None and grid["xmax"] is None
     if steps.max() > limit and default_edges and p["basis"] == ptr.BASIS_X:
         window = np.linspace(-_BRANCH_HALFWIDTH, _BRANCH_HALFWIDTH, grid["points"])
@@ -376,17 +377,17 @@ def _cmd_anomalous(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     setup = proto.MeasurementSetup(p["observable"], p["lambda"], p["psi"], p["phi"])
+    cm = proto.conditional_meter_state(setup, p["basis"])
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
     reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + _BRANCH_HALFWIDTH
-    xs = _density_grid(p, setup, reach)
-    dens = proto.conditional_meter_density(setup, p["basis"], xs)
+    xs = _density_grid(p, cm, reach)
+    dens = ptr.density(cm.pointer, xs) / cm.probability
     _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(seg)))
     _write_columns(cfg, out_dir, "cdf", fmt, x=xs, cdf=cdf)
     integral = float(np.trapezoid(dens, xs))
-    mean = proto.conditional_meter_mean(setup, p["basis"])
-    return {"integral": integral, "conditional_mean": mean, "basis": p["basis"]}
+    return {"integral": integral, "conditional_mean": ptr.moment(cm.pointer, 1), "basis": p["basis"]}
 
 
 def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
@@ -470,7 +471,9 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
         rows.append([n, "x_density_supnorm_gap", supnorm])
         rows.append([n, "xprime_mean", xp_mean])
     ratio_limit = coll.collective_ratio_limit(cs)  # any n: the limit does not depend on it
-    _write_table(cfg, out_dir, "collective", ["n", "metric", "value"], rows, fmt)
+    n, metric, value = zip(*rows)
+    # as Python ints: np.asarray turns ints in [2**63, 2**64) beside smaller ones into float64
+    _write_columns(cfg, out_dir, "collective", fmt, n=np.array(n, dtype=object), metric=metric, value=value)
     return {
         "ratio_limit": ratio_limit,
         "x_shift_limit": lam * a_w.real,
@@ -527,7 +530,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     plan = _build_plan(cfg.params)
     records, stats = mc.run_plan(plan)
     # fields x[, x2], postselected: the table as it stands, bools written as 0/1
-    _write_table(cfg, out_dir, "records", list(records.dtype.names), records, fmt)
+    _write_table(cfg, out_dir, "records", records, fmt)
     write_json(out_dir / "stats.json", {**asdict(stats), "metadata": _metadata(cfg)})
     summary = {
         "n_postselected": stats.n_postselected,
@@ -540,23 +543,17 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     return summary
 
 
-def _linear_fit(lams, values) -> tuple[float, float]:
-    """Intercept at lam = 0 and RMS residual of a straight-line fit."""
-    slope, intercept = np.polyfit(lams, values, 1)
-    resid = float(np.sqrt(np.mean((np.array(values) - (slope * np.array(lams) + intercept)) ** 2)))
-    return float(intercept), resid
-
-
 def _cmd_threshold(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     mult = p["threshold_multiple"]
 
     def measure(lam):
+        proto.check_couplings(lam)
         return [mult * lam], mc.truncated_mean_prediction(p["observable"], lam, p["psi"], mult * lam)
 
     # threshold means are not even in lambda; extrapolate linearly in lambda
     header = ["row", "lambda", "threshold", "predicted_mean", "fit_residual"]
-    intercept = _lambda_scan(cfg, out_dir, fmt, "threshold", header, measure, [0.0], _linear_fit)
+    intercept = _lambda_scan(cfg, out_dir, fmt, "threshold", header, measure, [0.0], power=1)
     return {"predicted_mean_extrapolated": intercept, "half_gaussian_mean": math.sqrt(2.0 / math.pi)}
 
 

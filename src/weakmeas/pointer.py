@@ -45,7 +45,8 @@ WAVEFUNCTION_NORM = (2.0 * math.pi) ** (-0.25)
 def gaussian_density(x):
     """Standard normal density G(x) = (2 pi)^(-1/2) exp(-x^2/2)."""
     x = np.asarray(x, dtype=np.float64)
-    return (2.0 * math.pi) ** (-0.5) * np.exp(-0.5 * x * x)
+    with np.errstate(over="ignore"):  # x^2 past the float range: exp(-inf) = 0, exact
+        return (2.0 * math.pi) ** (-0.5) * np.exp(-0.5 * x * x)
 
 
 def gaussian_upper_tail(z) -> float:

@@ -21,7 +21,10 @@ Weak-limit checks are done by regression on a coupling grid rather than
 symbolic expansion: the conditional mean divided by lambda is an even
 function of lambda (flip the sign of lambda and of the meter axis and every
 density is invariant), so shift/lambda is regressed on lambda^2 and the
-intercept is the extrapolated weak-limit value.
+intercept is the extrapolated weak-limit value. The one fit is
+:func:`extrapolate_to_zero_coupling`, a straight line in lambda**power:
+power 2 for these even diagnostics, power 1 for the threshold protocol's
+truncated means, which are not even in lambda.
 """
 
 from __future__ import annotations
@@ -246,9 +249,9 @@ def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
     return pointer_density(cm.pointer, x) / cm.probability
 
 
-def density_spacing_limit(setup: MeasurementSetup, basis: str) -> float:
+def density_spacing_limit(cm: ConditionalMeter) -> float:
     """Largest spacing h of a uniform grid on which the trapezoid rule
-    integrates the conditional meter density within ``DENSITY_QUADRATURE_TOL``.
+    integrates the density of ``cm`` within ``DENSITY_QUADRATURE_TOL``.
 
     The unnormalized density is a sum over term pairs (s, t) of
     conj(w_s) w_t exp(-dc^2/8) G(x - m) e^(i dk x) (see :mod:`weakmeas.pointer`),
@@ -258,7 +261,6 @@ def density_spacing_limit(setup: MeasurementSetup, basis: str) -> float:
     is at most (sum_t |w_t|)^2 * 2 r / (1 - r), r = exp(-q^2/2). Setting that to
     the tolerance times the probability P gives the limit.
     """
-    cm = conditional_meter_state(setup, basis)
     w, k = cm.pointer.weights, cm.pointer.phase_slopes
     eps = DENSITY_QUADRATURE_TOL * cm.probability / float(np.sum(np.abs(w))) ** 2
     q = math.sqrt(2.0 * math.log1p(2.0 / eps))  # r = eps / (2 + eps)
@@ -445,18 +447,18 @@ def disturbance_report(setup: MeasurementSetup) -> DisturbanceReport:
     )
 
 
-def extrapolate_to_zero_coupling(couplings, values, degree: int = 1) -> tuple[float, float]:
+def extrapolate_to_zero_coupling(couplings, values, power: int = 2) -> tuple[float, float]:
     """Extrapolate a coupling-grid diagnostic to lambda -> 0.
 
-    Least-squares fit of ``values`` against powers of lambda^2 up to
-    ``degree`` (the diagnostics regressed here are even in lambda). Returns
-    (intercept, rms residual of the fit).
+    Least-squares straight line of ``values`` against lambda**power: 2 for
+    the diagnostics that are even in lambda, 1 for those that are not.
+    Returns (intercept, rms residual of the fit).
     """
     lam = np.asarray(couplings, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if lam.shape != y.shape or np.unique(lam * lam).size < degree + 1:
-        raise ValueError("need at least degree + 1 distinct lambda^2")
-    design = np.vander(lam * lam, degree + 1, increasing=True)
+    if lam.shape != y.shape or np.unique(lam**power).size < 2:
+        raise ValueError("need two or more distinct lambda**power")
+    design = np.vander(lam**power, 2, increasing=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))

@@ -7,17 +7,15 @@ round-trip), and no timestamps or environment data are written. Every CSV
 ends with a comment line carrying the config hash and seed so outputs are
 self-identifying.
 
-Tables are written by column, ``_CHUNK_ROWS`` rows at a time. A structured
-array is sliced by field; any other iterable of rows is cut into chunks that
-are transposed once. Each column slice is formatted in one pass: float64
-through ``orjson`` (the same shortest round-trip digits as ``repr``), with
-``float.__repr__`` for the values whose notation differs there (nonzero
-|x| outside [1e-4, 1e16), NaN and infinities); bool as ``0``/``1``; int64
-through ``str``; any other column (labels, None, mixed, and in JSON NaN or
-infinities) cell by cell. The bytes are those of ``csv.writer`` over
-``format_cell`` and of ``json.dumps(jsonable(payload), sort_keys=True,
-indent=2)``, a bool field of a structured array being written as the
-integers 0 and 1.
+Tables are structured arrays, written by column ``_CHUNK_ROWS`` rows at a
+time. Each field slice is formatted in one pass: float64 through ``orjson``
+(the same shortest round-trip digits as ``repr``), with ``float.__repr__``
+for the values whose notation differs there (nonzero |x| outside [1e-4,
+1e16), NaN and infinities); bool as ``0``/``1``; int64 through ``str``; any
+other field (labels, None, mixed objects, and in JSON NaN or infinities)
+cell by cell. The bytes are those of ``csv.writer`` over ``format_cell`` and
+of ``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` over the
+table's rows, a bool field being written as the integers 0 and 1.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from pathlib import Path
 import numpy as np
 
 _CHUNK_ROWS = 1024
-_FLOAT_TYPES = frozenset({float, np.float64})
-_INT_TYPES = frozenset({int, np.int64})
 _CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 
 
@@ -69,24 +65,18 @@ def format_cell(value) -> str:
 
 
 def _column_chunks(table):
-    """(row count, columns) of each ``_CHUNK_ROWS`` rows of a table.
-
-    Rows of one length in a chunk are transposed once; rows of different
-    lengths each make a chunk of their own, so ``zip`` truncates nothing.
-    """
-    if isinstance(table, np.ndarray) and table.dtype.names:
-        for start in range(0, len(table), _CHUNK_ROWS):
-            block = table[start : start + _CHUNK_ROWS]
-            yield len(block), [block[name] for name in table.dtype.names]
-        return
-    it = iter(table)
-    while chunk := list(islice(it, _CHUNK_ROWS)):
-        if type(chunk[0]) is np.void:  # records of a structured array, one at a time
+    """(row count, field columns) of each ``_CHUNK_ROWS`` rows of a structured array."""
+    if not isinstance(table, np.ndarray):
+        # The same table given record by record, as perfbench/spans.py's CSV
+        # row counter gives it: each chunk of records is rebuilt into an array.
+        # This can go once that hook counts len(rows) instead.
+        it = iter(table)
+        while chunk := list(islice(it, _CHUNK_ROWS)):
             yield from _column_chunks(np.array(chunk, dtype=chunk[0].dtype))
-        elif len(set(map(len, chunk))) == 1:
-            yield len(chunk), list(zip(*chunk))
-        else:
-            yield from ((1, [[value] for value in row]) for row in chunk)
+        return
+    for start in range(0, len(table), _CHUNK_ROWS):
+        block = table[start : start + _CHUNK_ROWS]
+        yield len(block), [block[name] for name in table.dtype.names]
 
 
 def _float_texts(column: np.ndarray) -> list[str]:
@@ -110,16 +100,8 @@ def _float_texts(column: np.ndarray) -> list[str]:
     return texts
 
 
-def _format_column(column, cell, finite_floats: bool = False) -> list[str]:
+def _format_column(column: np.ndarray, cell, finite_floats: bool = False) -> list[str]:
     """Text of every cell of one column; ``cell`` formats a column of other types."""
-    if not isinstance(column, np.ndarray):
-        types = set(map(type, column))
-        if types <= _FLOAT_TYPES:
-            column = np.array(column, dtype=np.float64)
-        elif types <= _INT_TYPES:
-            return list(map(str, column))
-        else:
-            return list(map(cell, column))
     if column.dtype == np.float64 and (not finite_floats or np.isfinite(column).all()):
         return _float_texts(column)
     if column.dtype == np.bool_:
@@ -149,10 +131,10 @@ def _csv_lines(n: int, columns: list) -> str:
 def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
     """RFC-4180 CSV with header and a trailing '# ...' metadata comment.
 
-    ``rows`` is a structured array or any iterable of sequences.
+    ``rows`` is a structured array, or its records one at a time.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_lines(1, [[name] for name in header]))
+        fh.write(_csv_lines(1, [np.array([name], dtype=object) for name in header]))
         for n, columns in _column_chunks(rows):
             fh.write(_csv_lines(n, columns))
         fh.write(f"# {metadata}\n")
@@ -180,8 +162,8 @@ def write_json(path: Path, payload: dict) -> None:
     """``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` plus a newline.
 
     ``payload`` has str keys. Its values are rendered one at a time. A
-    ``"rows"`` value that is a structured array or a list of lists or tuples
-    is written ``_CHUNK_ROWS`` rows at a time.
+    ``"rows"`` value that is a structured array is written ``_CHUNK_ROWS``
+    rows at a time.
     """
     with open(path, "w") as fh:
         if not payload:
@@ -192,9 +174,8 @@ def write_json(path: Path, payload: dict) -> None:
             fh.write(f"{sep}{json.dumps(key)}: ")
             sep = ",\n  "
             value = payload[key]
-            is_array = isinstance(value, np.ndarray) and value.dtype.names is not None
-            is_list = type(value) is list and set(map(type, value)) <= {list, tuple}
-            if key == "rows" and (is_array or is_list) and len(value):
+            is_table = isinstance(value, np.ndarray) and value.dtype.names is not None
+            if key == "rows" and is_table and len(value):
                 row_sep = "[\n    "
                 for n, columns in _column_chunks(value):
                     fh.write(row_sep + _json_rows(n, columns))

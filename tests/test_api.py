@@ -20,6 +20,7 @@ KEPT_FOR_ACCEPTANCE = {
     # tests/test_acceptance.py::test_criterion_04_kick_xprime_duality
     ("protocols", "kick_postselection_probability"),
     ("protocols", "kick_protocol_conditional_density"),
+    ("protocols", "conditional_meter_density"),
     # tests/test_acceptance.py::test_criterion_10_monte_carlo_fidelity
     ("protocols", "sequential_means"),
     # tests/test_acceptance.py::test_criterion_09_lindblad_decomposition

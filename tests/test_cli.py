@@ -446,6 +446,18 @@ class TestArtifacts:
         assert lines[0] == "n,metric,value"
         assert len(lines) == 1 + 15 + 1  # header + 5 N values x 3 metrics + metadata
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_collective_n_past_int64_is_written_in_full(self, tmp_path, fmt):
+        # beside smaller ints, numpy would read 2**63 as a float64 (9.223372036854776e+18)
+        n_grid = [10, 2**63]
+        doc = config(observable=SX_JSON, psi=KET0, phi=PHI68, n_grid=n_grid)
+        assert main(["collective", "--config", doc, "--out", str(tmp_path), "--format", fmt]) == 0
+        if fmt == "json":
+            ns = [row[0] for row in read_rows(tmp_path, "collective", fmt)]
+        else:
+            ns = [int(ln.split(",")[0]) for ln in (tmp_path / "collective.csv").read_text().splitlines()[1:-1]]
+        assert ns == [n for n in n_grid for _ in range(3)]
+
     def test_collective_d16_default_n_grid_matches_direct_kernel(self, tmp_path, rng):
         pairs = lambda z: [[float(v.real), float(v.imag)] for v in np.ravel(z)]
         psi, phi = random_selection_pair(rng, 16)
@@ -644,6 +656,12 @@ REFUSALS = {
     "simulate threshold with phi": ("simulate", {**BASE, "protocol": "threshold"}, [], 2, CONFIG),
     "lindblad lambda^2 overflow": ("lindblad", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
+    "threshold lambda^2 overflow": (
+        "threshold", {"observable": SX_JSON, "psi": KET0, "lambda_grid": [2e154, 1e154]}, [], 3, DOMAIN
+    ),
+    "threshold past every tail": (  # the threshold 100 lambda is ~1e155: G(x) underflows to 0 exactly
+        "threshold", {"observable": SX_JSON, "psi": KET0, "lambda_grid": [1e153, 5e152]}, [], 4, QUALITY
+    ),
     "postselect-prob spectral scale 1e200": ("postselect-prob", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
     "disturbance spectral scale 1e200": ("disturbance", {**BASE, "observable": SX_1E200}, [], 4, QUALITY),
     "density grid too coarse for the branches": (

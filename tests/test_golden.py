@@ -6,7 +6,10 @@ writers (``csv.writer`` over ``format_cell``; ``json.dumps``), so the
 column writers' claim to write the same bytes is checked on every run. The
 ``lindblad_decomposition`` digests cover the x, joint and pw columns only:
 its error column comes from a contraction whose rounding differs from the
-dense products it replaced.
+dense products it replaced. The ``postselect_prob``, ``kick``,
+``sequential`` and ``collective`` digests were recorded when those tables
+still reached the writers as lists of rows, before they became structured
+arrays.
 
 A digest that stops matching means the output bytes changed. If that is
 intended, say which numbers moved and by how much before updating it.
@@ -46,6 +49,12 @@ CASES = [
     ("cdf_xprime", "density", {**BASE, "lambda": 0.4}, ["--basis", "xprime"], "cdf"),
     ("sequential_density", "sequential", {**BASE, "observable_b": OBSERVABLE_B}, [], "sequential_density"),
     ("lindblad_decomposition", "lindblad", {**BASE, "lambda": 0.4}, [], "lindblad_decomposition"),
+    # coupling-grid and N-grid tables; 2**70 is past int64, so its column is written from Python ints
+    ("postselect_prob", "postselect-prob", BASE, [], "postselect_prob"),
+    ("kick", "kick", BASE, [], "kick"),
+    ("sequential", "sequential", {**BASE, "observable_b": OBSERVABLE_B}, [], "sequential"),
+    ("collective", "collective", {**BASE, "n_grid": [10, 2**70]}, [], "collective"),
+    ("threshold", "threshold", {"observable": OBSERVABLE, "psi": PSI}, [], "threshold"),
 ]
 
 DIGESTS = {
@@ -69,6 +78,18 @@ DIGESTS = {
     "sequential_density.json": "4d00ebc5e836fcf92e999b198f1c07089c2b0d216021baf5304c526af089272e",
     "lindblad_decomposition.csv": "9b076af2cb041e901e1ba7cacd0d2ac08af62c4cd346d03b9134efbf518af5b0",
     "lindblad_decomposition.json": "4ba9fd02867233c84f9e8dd63701f97428783349d825e8822800a51109e9ce7e",
+    "postselect_prob.csv": "2d6af267314c3ca4409e8ce8ce040f855fabbb00727a96cd40da96079fe01856",
+    "postselect_prob.json": "362c8e48e800eca46033a45570b74437931ccae63f92c9e2fbf89f3ee730b30a",
+    "kick.csv": "2f4926b935d653645cb7e7f57856b5aee13dc9e17dd08f1e203705f07457e9e9",
+    "kick.json": "7282bc2246aaaeb1606d490fb7a55a02e2343d923aa9623bd54c18aeddce905e",
+    "sequential.csv": "f9e4e574875a6c5c16823116798bfaf84bdf9d05e30a49d2214b897d81447d74",
+    "sequential.json": "3de89318fda522efc37437cd0819e2d6d4494cfbe37907a19bffadc3752cfdfc",
+    "collective.csv": "b33635726b7e8b50f743d296d3431e2ac5c693fc43000ad3b39a1a5425c6087a",
+    "collective.json": "5c1987f22c875bcfbef85099c68b797145a1211df20e0ca509c5420db50c490e",
+    # recorded after the straight-line fit in lambda moved from np.polyfit to lstsq; against
+    # the polyfit digits the intercept moved by 2.7e-15 and fit_residual by 8.2e-16
+    "threshold.csv": "f7c785b859dbb025b89336d5e1102d8500bc4023fdf287690406ab603eac5e8d",
+    "threshold.json": "f56d361a4654c71d04897a62a3556636ccd3383551bf6a0f6e1e2109c3c7d4ad",
 }
 
 

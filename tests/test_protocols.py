@@ -1,6 +1,7 @@
 """Protocol layer: eigenbranch meter states, post-selection, kicks, sequences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -692,3 +693,32 @@ def test_covariance_coefficient_is_the_weak_limit_in_every_basis_pair(rng, bases
     coeff = sequential_covariance_coefficient(sq)
     assert sequential_cross_covariance(sq) / (lam1 * lam2 / 2.0) == pytest.approx(coeff, rel=1e-4, abs=1e-4)
     assert abs(coeff) > 1e-2
+
+
+def exact_line_fit(xs, ys) -> tuple[float, float]:
+    """Intercept and RMS residual of the least-squares line through (xs, ys), in rationals."""
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    k, sx, sy = len(x), sum(x), sum(y)
+    slope = (k * sum(a * b for a, b in zip(x, y)) - sx * sy) / (k * sum(a * a for a in x) - sx * sx)
+    intercept = (sy - slope * sx) / k
+    mean_sq = sum((b - intercept - slope * a) ** 2 for a, b in zip(x, y)) / k
+    return float(intercept), math.sqrt(mean_sq)
+
+
+@settings(max_examples=200)
+@given(
+    grid=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8, unique=True).filter(
+        lambda g: max(g) - min(g) >= 0.1 * max(g)
+    ),
+    signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=8, max_size=8),
+    power=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_extrapolation_is_the_least_squares_line_in_lambda_to_the_power(grid, signs, power, data):
+    lams = [s * lam for s, lam in zip(signs, grid)] if power == 2 else grid
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(grid), max_size=len(grid)))
+    intercept, resid = extrapolate_to_zero_coupling(lams, values, power)
+    want_intercept, want_resid = exact_line_fit([lam**power for lam in lams], values)
+    scale = max(1.0, *map(abs, values))
+    assert abs(intercept - want_intercept) <= 1e-13 * scale
+    assert abs(resid - want_resid) <= 1e-13 * scale
