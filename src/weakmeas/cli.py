@@ -84,7 +84,12 @@ COMMAND_KEYS: dict[str, tuple[set[str], set[str]]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated command configuration; ``raw`` is the hashed document."""
+    """Validated command configuration; ``raw`` is the hashed document.
+
+    ``raw`` must stay JSON-native (the ``json.loads`` document plus the CLI
+    overrides, which are floats, ints, strs and lists of floats): the hash
+    dumps it as it is, with no conversion of numpy or complex values.
+    """
 
     command: str
     raw: dict
@@ -103,13 +108,10 @@ def _parse_complex_pairs(value, path: str) -> list[complex]:
         raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
     out = []
     for i, item in enumerate(value):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)
-        ):
-            raise SchemaError(f"{path}[{i}]", "expected an [re, im] pair of numbers")
-        out.append(complex(item[0], item[1]))
+        entry = f"{path}[{i}]"
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError(entry, "expected an [re, im] pair of numbers")
+        out.append(complex(_parse_number(item[0], entry), _parse_number(item[1], entry)))
     return out
 
 

@@ -9,9 +9,9 @@ self-identifying.
 
 Tables are structured arrays, written by column ``_CHUNK_ROWS`` rows at a
 time. Each field slice is formatted in one pass: float64 through ``orjson``
-(the same shortest round-trip digits as ``repr``), with ``float.__repr__``
-for the values whose notation differs there (nonzero |x| outside [1e-4,
-1e16), NaN and infinities); bool as ``0``/``1``; int64 through ``str``; any
+(the same shortest round-trip digits as ``repr``), its exponent notation made
+``repr``'s by one text fix, with ``float.__repr__`` only for |x| in [1e-5,
+1e-4) and non-finite values; bool as ``0``/``1``; int64 through ``str``; any
 other field (labels, None, mixed objects, and in JSON NaN or infinities)
 cell by cell. The bytes are those of ``csv.writer`` over ``format_cell`` and
 of ``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` over the
@@ -46,12 +46,11 @@ def jsonable(obj):
     return obj
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of ``config`` as compact JSON with
+    sorted keys. ``config`` must be JSON-native: it is not converted first."""
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def format_cell(value) -> str:
@@ -83,20 +82,32 @@ def _float_texts(column: np.ndarray) -> list[str]:
     """``float.__repr__`` of each value of a float64 column.
 
     orjson writes the same shortest round-trip digits as ``repr`` at about a
-    tenth of the cost, but in other notation outside [1e-4, 1e16) (``0.00001``
-    for ``1e-05``, ``1e16`` for ``1e+16``) and ``null`` for NaN and
-    infinities; those values alone go through ``repr``.
+    tenth of the cost, in the same notation for 0, |x| below 1e-9 and |x| in
+    [1e-4, 1e16). Elsewhere its exponent notation differs by one text fix,
+    made once over each range's dump: one-digit exponents in [1e-9, 1e-5)
+    (``1e-7`` for ``1e-07``) and no ``+`` from 1e16 up (``1e16`` for
+    ``1e+16``). It writes plain decimals in [1e-5, 1e-4) and ``null`` for NaN
+    and infinities; those values alone go through ``repr``.
     """
     # Imported here, not at module level: importing orjson costs about 13 ms,
     # and every command pays the import of weakmeas.cli, table or no table.
     import orjson
 
+    def dumps(values: np.ndarray) -> str:
+        return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
     column = np.ascontiguousarray(column)  # orjson takes C-contiguous arrays only
-    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    texts = dumps(column).split(",")
     magnitude = np.abs(column)
-    other_notation = (column != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))  # NaN too
-    for i in np.flatnonzero(other_notation).tolist():
-        texts[i] = float.__repr__(float(column[i]))
+    if ((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16)).all():  # NaN is in neither
+        return texts
+    for lo, hi, old, new in ((1e-9, 1e-5, "e-", "e-0"), (1e16, np.inf, "e", "e+")):
+        rows = np.flatnonzero((magnitude >= lo) & (magnitude < hi))
+        for i, text in zip(rows.tolist(), dumps(column[rows]).replace(old, new).split(",")):
+            texts[i] = text
+    rows = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4) | ~np.isfinite(column))
+    for i, text in zip(rows.tolist(), map(float.__repr__, column[rows].tolist())):
+        texts[i] = text
     return texts
 
 

@@ -646,6 +646,16 @@ REFUSALS = {
     "density grid.xmin NaN": ("density", {**BASE, "grid": {"xmin": NAN}}, [], 2, CONFIG),
     "threshold multiple NaN": ("threshold", {"observable": SX_JSON, "psi": KET0, "threshold_multiple": NAN}, [], 2, CONFIG),
     "density lambda past the float range": ("density", {**BASE, "lambda": 10**400}, [], 2, CONFIG),
+    # a pair entry takes every other number's rule, and the refusal names the entry
+    "weak-value observable entry past the float range": (
+        "weak-value", {**BASE, "observable": [[0, 0], [10**400, 0], [1, 0], [0, 0]]}, [], 2, CONFIG + "observable[1]: "
+    ),
+    "weak-value bool observable entry": (
+        "weak-value", {**BASE, "observable": [[True, 0], *SX_JSON[1:]]}, [], 2, CONFIG + "observable[0]: "
+    ),
+    "weak-value phi entry past the float range": (
+        "weak-value", {**BASE, "phi": [[0, 0], [0, -(10**400)]]}, [], 2, CONFIG + "phi[1]: "
+    ),
     "sequential lambda": ("sequential", {**BASE, "observable_b": SY_JSON}, ["--lambda", "0.3"], 2, CONFIG),
     "kick NaN in lambda_grid": ("kick", {**BASE, "lambda_grid": [0.1, NAN]}, [], 2, CONFIG),
     "kick one coupling": ("kick", BASE, ["--lambda-grid", "0.1"], 2, CONFIG),

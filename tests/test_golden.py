@@ -9,7 +9,10 @@ its error column comes from a contraction whose rounding differs from the
 dense products it replaced. The ``postselect_prob``, ``kick``,
 ``sequential`` and ``collective`` digests were recorded when those tables
 still reached the writers as lists of rows, before they became structured
-arrays.
+arrays. The ``kick_grid_flag`` and ``simulate_flags`` configs are partly
+filled from command-line flags; their digests, recorded while the config
+hash still converted its document through ``jsonable``, pin the
+``config_sha256`` of override-built configs.
 
 A digest that stops matching means the output bytes changed. If that is
 intended, say which numbers moved and by how much before updating it.
@@ -55,6 +58,16 @@ CASES = [
     ("sequential", "sequential", {**BASE, "observable_b": OBSERVABLE_B}, [], "sequential"),
     ("collective", "collective", {**BASE, "n_grid": [10, 2**70]}, [], "collective"),
     ("threshold", "threshold", {"observable": OBSERVABLE, "psi": PSI}, [], "threshold"),
+    # configs partly filled from flags: the overrides join the hashed document, whose
+    # config_sha256 every file carries
+    ("kick_grid_flag", "kick", BASE, ["--lambda-grid", "0.2,0.1,0.05"], "kick"),
+    (
+        "simulate_flags",
+        "simulate",
+        {**BASE, "protocol": "single"},
+        ["--seed", "3", "--trials", "1000", "--lambda", "0.05"],
+        "records",
+    ),
 ]
 
 DIGESTS = {
@@ -90,6 +103,10 @@ DIGESTS = {
     # the polyfit digits the intercept moved by 2.7e-15 and fit_residual by 8.2e-16
     "threshold.csv": "f7c785b859dbb025b89336d5e1102d8500bc4023fdf287690406ab603eac5e8d",
     "threshold.json": "f56d361a4654c71d04897a62a3556636ccd3383551bf6a0f6e1e2109c3c7d4ad",
+    "kick_grid_flag.csv": "d771a9009818f3f1718023a5abe8755ae63350c31a0542ae6e6d8ffcc108f57e",
+    "kick_grid_flag.json": "818c54c648fcbac814efc218e4a8a223cef91d5010b25868d7d6115a941f1d4b",
+    "simulate_flags.csv": "d9211ba5fe686e247a7363ec55180614b4896497f077da05aa9e041f3c7be32c",
+    "simulate_flags.json": "7af4d2c10f63409ffdf4861b358c2fcaa9b34e3399ea80f4bbf4702c83317e7c",
 }
 
 

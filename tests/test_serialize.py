@@ -170,6 +170,36 @@ def test_random_float_columns(out_dir, columns, numpy_scalars):
     assert_table_bytes(out_dir, table, rows)
 
 
+# Magnitudes only from the ranges on either side of orjson's notation changes: below
+# 1e-9, one-digit exponents [1e-9, 1e-5), plain decimals [1e-5, 1e-4), exponents
+# without a "+" from 1e16 up, and zero, NaN and infinity
+TAIL_MAGNITUDES = st.one_of(
+    st.floats(5e-324, 1e-9, exclude_max=True),
+    st.floats(1e-9, 1e-5, exclude_max=True),
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(1e16, 1.7976931348623157e308),
+    st.sampled_from([0.0, math.nan, math.inf]),
+)
+tail_floats = st.tuples(TAIL_MAGNITUDES, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]),
+    pools=st.lists(st.lists(tail_floats, min_size=1, max_size=12), min_size=1, max_size=3),
+    runs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_float_columns(out_dir, n, pools, runs, seed):
+    # runs: each pool value fills one stretch of rows, so some chunks hold a single range
+    rng = np.random.default_rng(seed)
+    table = np.empty(n, dtype=[(f"c{j}", "f8") for j in range(len(pools))])
+    for j, pool in enumerate(pools):
+        picks = rng.integers(len(pool), size=n)
+        table[f"c{j}"] = np.array(pool)[np.sort(picks) if runs else picks]
+    assert_table_bytes(out_dir, table, table.tolist())
+
+
 # A column table is a structured array. Its reference rows are the cells the
 # row-by-row writers were given: bools as the integers 0 and 1.
 ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
