@@ -16,12 +16,19 @@ Reproducibility contract: trials are generated in fixed blocks of
 draw order. Results therefore depend only on (plan, seed) and are identical
 for any thread count; threads only spread blocks over workers.
 
+The kernels never form a normalized Gaussian: a collapse multiplies by
+exp(-(x - c)^2 / 4), sqrt(G(x - c)) without its constant, and a run is kept
+when u * P < |amp|^2, with no division. The constants cancel between |amp|^2
+and P, so the records are those of the normalized formulas.
+
 Memory: a run allocates its records array once (17 bytes a trial for two
 meters, 9 for one) and each block fills its own slice of it. Within a block
-the draws are (n,) arrays; the sequential runner then evaluates the physics
-in tiles of ``TILE`` trials, so its other temporaries are a few (2d, TILE)
-float arrays that stay in cache, not (n, d) complex arrays streamed through
-memory. A d = 16 block peaks at about 9 MiB traced.
+the draws and the single runner's temporaries are (n,) or (k, n) real
+arrays; the sequential runner evaluates the physics in tiles of ``TILE``
+trials, so its other temporaries are a few (2d, TILE) float arrays that stay
+in cache, not (n, d) complex arrays streamed through memory. A d = 16
+sequential block peaks at about 8.4 MiB traced, most of it the five (n,)
+draws and the records.
 """
 
 from __future__ import annotations
@@ -39,9 +46,12 @@ from .protocols import check_couplings
 
 BLOCK_SIZE = 65536
 # Trials per tile of the sequential kernel. Smaller tiles stay in cache but make
-# more numpy calls, each of which drops and retakes the GIL: at d = 16 (2-core
-# VM, one BLAS thread) 2,048 and 4,096 run equally fast on one thread, two
-# threads gain 1.45x at 2,048 and 1.67x at 4,096, and 8,192 is 30% slower.
+# more numpy calls, each of which drops and retakes the GIL. Median of three
+# run_plan calls of 10^6 trials on a 2-core VM with one BLAS thread, seconds
+# at 2,048 / 4,096 / 8,192: d = 2 0.21/0.19/0.19 on one thread and
+# 0.20/0.16/0.15 on two; d = 8 0.22/0.20/0.21 and 0.20/0.15/0.16; d = 16
+# 0.40/0.40/0.42 and 0.27/0.21/0.25. Two cores cannot show scaling past two
+# threads.
 TILE = 4096
 
 PROTOCOLS = ("single", "kick", "sequential", "threshold")
@@ -102,9 +112,24 @@ def _eigen_arrays(observable: Observable, psi: PureState):
 
 
 def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Branch i with cdf[i - 1] <= u < cdf[i], the last branch when u >= cdf[-1]:
+    the count of cdf[:-1] entries <= u, one pass per branch boundary."""
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    return np.searchsorted(cdf, u, side="right").clip(0, len(probs) - 1)
+    branch = np.zeros(u.shape, np.intp)
+    for edge in cdf[:-1]:
+        branch += edge <= u
+    return branch
+
+
+def _root_gaussian(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """exp(-(x - c)^2 / 4): sqrt(G(x - c)) without its factor (2 pi)^(-1/4),
+    which cancels in every ratio the kernels form."""
+    h = x - centers
+    with np.errstate(over="ignore"):  # (x - c)^2 past the float range: exp(-inf) = 0, exact
+        np.square(h, out=h)
+    h *= -0.25
+    return np.exp(h, out=h)
 
 
 def _run_blocks(plan: TrialPlan, dtype: np.dtype, block_fn) -> np.ndarray:
@@ -167,7 +192,9 @@ def run_single(plan: TrialPlan):
     """
     eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect)
     w_phi = comps @ np.conj(plan.postselect.amplitudes)  # <phi|P_i|psi>
+    post = np.array([w_phi.real, w_phi.imag])  # (2, k): Re and Im of the amplitude from real h
     lam = plan.coupling
+    centers = lam * eigenvalues[:, None]
 
     def block(rng: np.random.Generator, out: np.ndarray) -> None:
         n = out.size
@@ -176,12 +203,12 @@ def run_single(plan: TrialPlan):
         u_accept = rng.random(n)
         branch = _categorical(u_branch, probs)
         x = lam * eigenvalues[branch] + z
-        g = gaussian_density(x[:, None] - lam * eigenvalues)
-        amp = np.sqrt(g) @ w_phi
-        p_x = g @ probs
-        p_acc = (amp.real**2 + amp.imag**2) / p_x
+        h = _root_gaussian(x, centers)  # (k, n)
+        amp = post @ h
+        h *= h
         out["x"] = x
-        out["postselected"] = u_accept < p_acc
+        # accept with |<phi|chi_x>|^2 = |amp|^2 / sum_i p_i h_i^2, the constants cancelled
+        out["postselected"] = u_accept * (probs @ h) < amp[0] ** 2 + amp[1] ** 2
 
     records = _run_blocks(plan, _DTYPE_ONE, block)
     return records, _basic_stats(records)
@@ -219,16 +246,23 @@ def run_sequential(plan: TrialPlan):
     collapses again, and post-selection is decided on the twice-disturbed
     state. Cross covariance comes with a delete-one jackknife error.
 
-    The collapsed state chi1 is kept in coordinates of an orthonormal
-    eigenbasis v_m of B, fixed once per plan. The second collapse then only
-    reweights those coordinates by sqrt(g2) of their eigenspace: branch
-    probabilities are eigenspace sums of |coords|^2 and the post-selection
-    amplitude is one dot product with <phi|v_m>. A block draws its five
-    uniforms and normals for all of its trials, then evaluates the collapses
-    in tiles of ``TILE`` trials in real arithmetic, branch-major: the real
-    and imaginary parts of the d coordinates are the 2d rows of one
-    (2d, TILE) array. A block costs O(n d^2) and, beyond the five (n,) draws,
-    holds only tile-sized arrays (1 MiB for the coordinates at d = 16).
+    The collapsed state chi1 is kept, unnormalized, in coordinates c_m of an
+    orthonormal eigenbasis v_m of B, fixed once per plan; coordinate m lies in
+    eigenspace group[m]. The second collapse then only multiplies c_m by
+    h2_m = exp(-(x2 - lam2 b_group[m])^2 / 4). With weights w_m = |c_m|^2,
+    one matmul with the cumulative membership cum[j, m] = [group[m] <= j]
+    gives the unnormalized branch-2 CDF, whose last row is |chi1|^2, and
+    branch j is the count of rows j' < k_B - 1 with u2 * |chi1|^2 above them.
+    The post-selection amplitude is one dot product with <phi|v_m>, and the
+    run is kept when u3 * sum_m h2_m^2 w_m < |amp|^2: the normalization of
+    chi1, P(x2 | x1) and every Gaussian constant cancel from both sides.
+
+    A block draws its five uniforms and normals for all of its trials, then
+    evaluates the collapses in tiles of ``TILE`` trials in real arithmetic,
+    branch-major: the real and imaginary parts of the d coordinates are the
+    2d rows of one (2d, TILE) array. A block costs O(n d^2) and, beyond the
+    five (n,) draws, holds only tile-sized arrays (1 MiB for the coordinates
+    at d = 16).
     """
     a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
     b_system = plan.second_observable.eigensystem
@@ -243,11 +277,10 @@ def run_sequential(plan: TrialPlan):
     # rows give Re and Im of sum_m <phi|v_m> c_m from the stacked [Re c; Im c]
     re, im = phi_rot.real, phi_rot.imag
     post = np.array([np.concatenate((re, -im)), np.concatenate((im, re))])
-    k_b = b_vals.size
-    member = (np.arange(k_b)[:, None] == group).astype(np.float64)  # (k_B, d)
+    cum = (np.arange(b_vals.size)[:, None] >= group).astype(np.float64)  # (k_B, d): group[m] <= j
     lam1, lam2 = plan.coupling, plan.second_coupling
     centers1 = lam1 * a_vals[:, None]
-    centers2 = lam2 * b_vals[:, None]
+    centers2 = lam2 * b_vals[group][:, None]  # one centre per coordinate row
 
     def block(rng: np.random.Generator, out: np.ndarray) -> None:
         n = out.size
@@ -263,23 +296,19 @@ def run_sequential(plan: TrialPlan):
         for t in range(0, n, TILE):
             tile = slice(t, t + TILE)
             # Re and Im of chi1's unnormalized coordinates, (2, d, tile)
-            re_im = (rot @ np.sqrt(gaussian_density(x1[tile] - centers1))).reshape(2, d, -1)
-            weight = re_im[0] ** 2 + re_im[1] ** 2
-            norm2 = weight.sum(axis=0)
-            q = member @ weight
-            q /= norm2
-            cdf = q.copy()
-            for j in range(1, k_b):  # row by row: np.cumsum is slow along axis 0
-                cdf[j] += cdf[j - 1]
-            cdf /= cdf[-1]
-            branch2 = (u2[tile] > cdf).sum(axis=0).clip(0, k_b - 1)
+            re_im = (rot @ _root_gaussian(x1[tile], centers1)).reshape(2, d, -1)
+            weight = np.square(re_im[0])
+            weight += np.square(re_im[1])
+            cdf = cum @ weight  # unnormalized branch-2 CDF, (k_B, tile)
+            branch2 = (u2[tile] * cdf[-1] > cdf[:-1]).sum(axis=0)
             x2 = lam2 * b_vals[branch2] + z2[tile]
-            g2 = gaussian_density(x2 - centers2)
-            p2 = (g2 * q).sum(axis=0)
-            re_im *= np.sqrt(g2)[group]
+            h2 = _root_gaussian(x2, centers2)
+            re_im *= h2
             amp = post @ re_im.reshape(2 * d, -1)
+            h2 *= h2
+            h2 *= weight
             x2_out[tile] = x2
-            kept_out[tile] = u3[tile] < (amp[0] ** 2 + amp[1] ** 2) / (norm2 * p2)
+            kept_out[tile] = u3[tile] * h2.sum(axis=0) < amp[0] ** 2 + amp[1] ** 2
 
     records = _run_blocks(plan, _DTYPE_TWO, block)
     return records, _basic_stats(records)

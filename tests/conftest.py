@@ -1,7 +1,8 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
 and the test oracles: the pairwise projector checks of an eigensystem, the
 direct-kernel collective x density, the
-projector-stack sequential Monte Carlo records, the branch-sum sequential
+complex-amplitude single and the projector-stack sequential Monte Carlo
+records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
 grid CDF of a meter density and the Kraus completeness residual; and
 ``run_python``, a fresh interpreter that imports the package under test.
@@ -32,6 +33,7 @@ from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, KrausFamily, gauss_legendre,
 from weakmeas.montecarlo import (
     BLOCK_SIZE,
     TrialPlan,
+    _DTYPE_ONE,
     _DTYPE_TWO,
     _categorical,
     _eigen_arrays,
@@ -133,6 +135,33 @@ def _row_categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1][:, None]
     return (u[:, None] > cdf).sum(axis=1).clip(0, probs.shape[1] - 1)
+
+
+def complex_single(plan: TrialPlan) -> np.ndarray:
+    """Single-protocol records from the normalized Gaussians: an (n, k)
+    complex product sqrt(G) @ <phi|P_i|psi> for the amplitude, divided by
+    P(x) = G @ p for the acceptance, and the branch drawn by
+    ``np.searchsorted`` on the CDF. Draws as the runner does."""
+    eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect)
+    w_phi = comps @ np.conj(plan.postselect.amplitudes)
+    lam = plan.coupling
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    parts = []
+    for b, start in enumerate(range(0, plan.trials, BLOCK_SIZE)):
+        rng, n = stream_rng(plan.seed, b), min(BLOCK_SIZE, plan.trials - start)
+        u_branch = rng.random(n)
+        z = rng.standard_normal(n)
+        u_accept = rng.random(n)
+        branch = np.searchsorted(cdf, u_branch, side="right").clip(0, probs.size - 1)
+        x = lam * eigenvalues[branch] + z
+        g = gaussian_density(x[:, None] - lam * eigenvalues)
+        amp = np.sqrt(g) @ w_phi
+        out = np.empty(n, dtype=_DTYPE_ONE)
+        out["x"] = x
+        out["postselected"] = u_accept < (amp.real**2 + amp.imag**2) / (g @ probs)
+        parts.append(out)
+    return np.concatenate(parts)
 
 
 def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:

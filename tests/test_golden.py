@@ -27,6 +27,7 @@ from weakmeas.cli import main
 
 OBSERVABLE = [[1, 0], [0.5, -0.2], [0, 0], [0.5, 0.2], [-0.3, 0], [0, 0.7], [0, 0], [0, -0.7], [0.4, 0]]
 OBSERVABLE_B = [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [-1, 0]]
+DEGENERATE_B = [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [-1, 0]]  # diag(1, 1, -1)
 PSI = [[0.8, 0], [0, 0.6], [0, 0]]
 PHI = [[0.36, 0], [-0.48, 0.1], [0.8, 0]]
 BASE = {"observable": OBSERVABLE, "psi": PSI, "phi": PHI}
@@ -37,6 +38,21 @@ CASES = [
     *(
         (f"simulate_{p}", "simulate", {**SIMULATE, "protocol": p}, [], "records")
         for p in ("single", "kick", "sequential")
+    ),
+    # 70,000 trials: two blocks, the second ending in a partial tile
+    (
+        "simulate_sequential_blocks",
+        "simulate",
+        {**SIMULATE, "observable_b": DEGENERATE_B, "protocol": "sequential", "trials": 70000},
+        [],
+        "records",
+    ),
+    (
+        "simulate_single_blocks",
+        "simulate",
+        {**SIMULATE, "protocol": "single", "lambda": 2.0, "trials": 70000},
+        [],
+        "records",
     ),
     # 100 lambda = 1: about a sixth of the runs pass the threshold
     (
@@ -77,6 +93,11 @@ DIGESTS = {
     "simulate_kick.json": "2a950191b480bc7adcfd8ebd1056c2fb1796f3b7f07222bd871f48576c41968f",
     "simulate_sequential.csv": "33740a868ab9c153f35c7dff4030669a833728cddcee5787bd65dc419b1b64ae",
     "simulate_sequential.json": "b6a8fc4f954ffa909770f032e04660e2c0a713661904ecde5fe3fc8e15b5786f",
+    # recorded before the Monte Carlo kernels dropped the Gaussian constant and the sqrt
+    "simulate_sequential_blocks.csv": "8eb6c3d872a30c31c4d92c7f20bd4657fd0040bafccc8f12fa808376ac379f11",
+    "simulate_sequential_blocks.json": "28ca09da6d4855fca4967161dc835ecec46b28ac1e7f082216554ed7dceb3e66",
+    "simulate_single_blocks.csv": "58a37156452299bad19f8a3654aa686101e3fbfa3ac970a4b0d1d4820b5730ff",
+    "simulate_single_blocks.json": "cd9366004843699fd8f78b253d4f2ecadb4ee96ad92ba13b011896a104ff38a4",
     "simulate_threshold.csv": "8f964817ac3ce000fdc8774f759abe416f30b271e6166c33f487aaec6351731a",
     "simulate_threshold.json": "056ade3931109faf7ddf4857f36da9aae65948f13905543041bb4dbdebb00a8d",
     "density_x.csv": "db3c6e76c0c76f8fb79cd496da9ef855e8d7756435c91d67d3ae8e82901f0f52",

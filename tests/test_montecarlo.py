@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import kstest
 
 from conftest import (
     SX,
     SY,
     SZ,
+    complex_single,
     cumulative_distribution,
     degenerate_observable,
     projector_stack_sequential,
@@ -25,6 +26,7 @@ from weakmeas.montecarlo import (
     TILE,
     TrialPlan,
     TrialStatistics,
+    _categorical,
     run_kick,
     run_plan,
     run_sequential,
@@ -110,6 +112,69 @@ class TestRunSingle:
         grid, cdf = cumulative_distribution(meter)
         stat = kstest(kept, lambda x: np.interp(x, grid, cdf)).statistic
         assert stat < 1.628 / math.sqrt(kept.size)  # 1% critical value
+
+
+class TestSingleAgainstComplexFormula:
+    """run_single's real, constant-free kernel gives the same records, byte for
+    byte, as the complex amplitude over normalized Gaussians."""
+
+    @settings(max_examples=50)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 20.0),
+        trials=st.integers(1, 4096),
+        data=st.data(),
+    )
+    def test_records_match_on_degenerate_spectra(self, dim, seed, lam, trials, data):
+        rng = np.random.default_rng(seed)
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"))
+        psi, phi = random_selection_pair(rng, dim)
+        plan = TrialPlan("single", a, lam, psi, phi, trials, int(rng.integers(2**31)))
+        expected = complex_single(plan)
+        if not expected["postselected"].any():
+            with pytest.raises(NoPostselectedRuns):
+                run_single(plan)
+            return
+        records, _ = run_single(plan)
+        assert records.dtype == expected.dtype
+        assert records.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_blocks(self, threads):
+        rng = np.random.default_rng(70_001)
+        a = degenerate_observable(rng, 9, 4)
+        psi, phi = random_selection_pair(rng, 9)
+        plan = TrialPlan("single", a, 1.7, psi, phi, BLOCK_SIZE + TILE + 1, 8, threads=threads)
+        records, _ = run_single(plan)
+        assert records.tobytes() == complex_single(plan).tobytes()
+
+
+class TestCategorical:
+    """Counting the CDF entries <= u is np.searchsorted(side="right") clipped
+    to the last branch, on every u, the CDF's own entries included."""
+
+    @given(
+        probs=st.lists(
+            st.sampled_from([0.0, 1e-300, 1e-12, 0.1, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=16
+        ).filter(lambda p: sum(p) > 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(probs=[0.3], seed=0)
+    @example(probs=[0.0, 0.2, 0.0, 0.0, 0.8, 0.0], seed=0)
+    def test_same_branches_as_searchsorted(self, probs, seed):
+        probs = np.array(probs)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        at_edges = np.concatenate((cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)))
+        u = np.concatenate((at_edges, [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(seed).random(256)))
+        expected = np.searchsorted(cdf, u, side="right").clip(0, probs.size - 1)
+        assert np.array_equal(_categorical(u, probs), expected)
+
+    def test_zero_probability_branches_are_never_drawn(self):
+        probs = np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+        u = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)])
+        assert np.array_equal(_categorical(u, probs), [1, 1, 4, 4])
 
 
 class TestRunKick:
