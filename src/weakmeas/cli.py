@@ -539,10 +539,10 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
         "postselection_rate": stats.postselection_rate,
         "conditional_mean": stats.conditional_means[0],
         "standard_error": stats.standard_errors[0],
+        "cross_covariance": stats.cross_covariance,
     }
-    if stats.cross_covariance is not None:
-        summary["cross_covariance"] = stats.cross_covariance
-    return summary
+    # an undefined statistic is null in stats.json and left out of the summary line
+    return {k: v for k, v in summary.items() if v is not None}
 
 
 def _cmd_threshold(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:

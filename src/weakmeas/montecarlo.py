@@ -91,13 +91,18 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class TrialStatistics:
-    """Aggregates over the post-selected runs of one plan."""
+    """Aggregates over the post-selected runs of one plan.
+
+    A statistic the kept runs cannot define is None: a standard error or the
+    covariance of fewer than 2 runs, the covariance's jackknife error of
+    fewer than 3.
+    """
 
     n_total: int
     n_postselected: int
     postselection_rate: float
     conditional_means: tuple[float, ...]
-    standard_errors: tuple[float, ...]
+    standard_errors: tuple[float | None, ...]
     cross_covariance: float | None = None
     cross_covariance_se: float | None = None
 
@@ -157,11 +162,11 @@ _DTYPE_ONE = np.dtype([("x", "f8"), ("postselected", "?")])
 _DTYPE_TWO = np.dtype([("x", "f8"), ("x2", "f8"), ("postselected", "?")])
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+def _mean_and_se(values: np.ndarray) -> tuple[float, float | None]:
     n = values.size
     mean = float(values.mean())
     if n < 2:
-        return mean, float("nan")
+        return mean, None
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
@@ -219,20 +224,29 @@ def run_kick(plan: TrialPlan):
 
     The recorded outcome is the pre-drawn x'; it is never modified, only
     selected on, yet its conditional distribution shifts by lam * Im(A_w).
+
+    The amplitude sum_i w_i exp(-i theta_i), theta_i = (lam a_i / 2) x', is
+    evaluated in real arithmetic: [Re; Im] = [[Re w, Im w], [Im w, -Re w]]
+    @ [cos theta; sin theta], one (2, 2k) by (2k, n) product.
     """
     eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
     w_phi = comps @ np.conj(plan.postselect.amplitudes)
-    lam = plan.coupling
+    re, im = w_phi.real, w_phi.imag
+    post = np.array([np.concatenate((re, im)), np.concatenate((im, -re))])
+    half_kicks = (0.5 * plan.coupling * eigenvalues)[:, None]
+    k = eigenvalues.size
 
     def block(rng: np.random.Generator, out: np.ndarray) -> None:
         n = out.size
         xp = rng.standard_normal(n)
         u_accept = rng.random(n)
-        phases = np.exp(-0.5j * lam * np.outer(xp, eigenvalues))
-        amp = phases @ w_phi
-        p_acc = amp.real**2 + amp.imag**2
+        theta = half_kicks * xp  # (k, n)
+        cos_sin = np.empty((2 * k, n))
+        np.cos(theta, out=cos_sin[:k])
+        np.sin(theta, out=cos_sin[k:])
+        amp = post @ cos_sin
         out["x"] = xp
-        out["postselected"] = u_accept < p_acc
+        out["postselected"] = u_accept < amp[0] ** 2 + amp[1] ** 2
 
     records = _run_blocks(plan, _DTYPE_ONE, block)
     return records, _basic_stats(records)
@@ -314,11 +328,10 @@ def run_sequential(plan: TrialPlan):
     return records, _basic_stats(records)
 
 
-def _covariance_with_jackknife(x1: np.ndarray, x2: np.ndarray) -> tuple[float, float]:
+def _covariance_with_jackknife(x1: np.ndarray, x2: np.ndarray) -> tuple[float | None, float | None]:
     n = x1.size
     if n < 3:
-        cov = float(np.cov(x1, x2, ddof=1)[0, 1]) if n == 2 else 0.0
-        return cov, float("nan")
+        return (float(np.cov(x1, x2, ddof=1)[0, 1]) if n == 2 else None), None
     s1, s2, s12 = x1.sum(), x2.sum(), (x1 * x2).sum()
     cov = float((s12 - s1 * s2 / n) / (n - 1))
     loo = (s12 - x1 * x2 - (s1 - x1) * (s2 - x2) / (n - 1)) / (n - 2)

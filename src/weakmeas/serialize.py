@@ -8,14 +8,20 @@ ends with a comment line carrying the config hash and seed so outputs are
 self-identifying.
 
 Tables are structured arrays, written by column ``_CHUNK_ROWS`` rows at a
-time. Each field slice is formatted in one pass: float64 through ``orjson``
-(the same shortest round-trip digits as ``repr``), its exponent notation made
-``repr``'s by one text fix, with ``float.__repr__`` only for |x| in [1e-5,
-1e-4) and non-finite values; bool as ``0``/``1``; int64 through ``str``; any
-other field (labels, None, mixed objects, and in JSON NaN or infinities)
-cell by cell. The bytes are those of ``csv.writer`` over ``format_cell`` and
-of ``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` over the
-table's rows, a bool field being written as the integers 0 and 1.
+time. A chunk of single-meter records (one float64 field, optionally followed
+by one bool field) whose every float is one orjson writes as ``repr`` does
+(0, |x| below 1e-9 or in [1e-4, 1e16)) is laid out as bytes: one orjson dump
+of the floats, every ``,`` replaced by the row template with a ``0`` flag, and
+the flag byte of each kept row set to ``1``. Every other chunk (a float
+outside those ranges, NaN or an infinity, or any other field layout) is
+formatted a field slice at a time: float64 through ``orjson``, its exponent
+notation made ``repr``'s by one text fix, with ``float.__repr__`` only for
+|x| in [1e-5, 1e-4) and non-finite values; bool as ``0``/``1``; int64
+through ``str``; any other field (labels, None, mixed objects, and in JSON
+NaN or infinities) cell by cell. Both routes write the bytes of
+``csv.writer`` over ``format_cell`` and of ``json.dumps(jsonable(payload),
+sort_keys=True, indent=2)`` over the table's rows, a bool field being
+written as the integers 0 and 1.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ import numpy as np
 
 _CHUNK_ROWS = 1024
 _CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
+# (head, cell separator, row separator, tail) of a chunk of table rows
+_CSV_LAYOUT = ("", ",", "\r\n", "\r\n")
+_JSON_LAYOUT = ("[\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]")
 
 
 def jsonable(obj):
@@ -78,6 +87,21 @@ def _column_chunks(table):
         yield len(block), [block[name] for name in table.dtype.names]
 
 
+def _dump_floats(column: np.ndarray) -> bytes:
+    """orjson's JSON list of a C-contiguous float64 column."""
+    # Imported here, not at module level: importing orjson costs about 13 ms,
+    # and every command pays the import of weakmeas.cli, table or no table.
+    import orjson
+
+    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def _written_as_repr(magnitude: np.ndarray) -> np.ndarray:
+    """Where orjson writes ``repr``'s text: 0, |x| below 1e-9 and in [1e-4, 1e16).
+    NaN is in neither."""
+    return (magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16)
+
+
 def _float_texts(column: np.ndarray) -> list[str]:
     """``float.__repr__`` of each value of a float64 column.
 
@@ -89,17 +113,14 @@ def _float_texts(column: np.ndarray) -> list[str]:
     ``1e+16``). It writes plain decimals in [1e-5, 1e-4) and ``null`` for NaN
     and infinities; those values alone go through ``repr``.
     """
-    # Imported here, not at module level: importing orjson costs about 13 ms,
-    # and every command pays the import of weakmeas.cli, table or no table.
-    import orjson
 
     def dumps(values: np.ndarray) -> str:
-        return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        return _dump_floats(values)[1:-1].decode()
 
     column = np.ascontiguousarray(column)  # orjson takes C-contiguous arrays only
     texts = dumps(column).split(",")
     magnitude = np.abs(column)
-    if ((magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16)).all():  # NaN is in neither
+    if _written_as_repr(magnitude).all():
         return texts
     for lo, hi, old, new in ((1e-9, 1e-5, "e-", "e-0"), (1e16, np.inf, "e", "e+")):
         rows = np.flatnonzero((magnitude >= lo) & (magnitude < hi))
@@ -109,6 +130,35 @@ def _float_texts(column: np.ndarray) -> list[str]:
     for i, text in zip(rows.tolist(), map(float.__repr__, column[rows].tolist())):
         texts[i] = text
     return texts
+
+
+def _record_rows(columns: list, layout: tuple[str, str, str, str]) -> str | None:
+    """A chunk of single-meter records laid out as bytes, or None where it is
+    not one: a float64 column, optionally followed by a bool column, whose
+    every float orjson writes as ``repr`` does.
+
+    The floats are dumped once and a ``,`` appended; every ``,`` becomes the
+    row template with a ``0`` flag, and each kept row's flag byte, at
+    comma_i + i (len(template) - 1) + len(cell separator), is set to ``1``.
+    """
+    if not 0 < len(columns) <= 2 or columns[0].dtype != np.float64:
+        return None
+    flags = columns[1] if len(columns) == 2 else None
+    if flags is not None and flags.dtype != np.bool_:
+        return None
+    column = np.ascontiguousarray(columns[0])
+    if not _written_as_repr(np.abs(column)).all():
+        return None
+    head, cell_sep, row_sep, tail = layout
+    template = (cell_sep + "0" if flags is not None else "") + row_sep
+    body = _dump_floats(column)[1:-1] + b","
+    text = bytearray(body.replace(b",", template.encode()))
+    if flags is not None:
+        commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
+        kept = np.flatnonzero(flags)
+        flag_at = commas[kept] + kept * (len(template) - 1) + len(cell_sep)
+        np.frombuffer(text, np.uint8)[flag_at] = ord("1")
+    return head + text[: -len(row_sep)].decode() + tail
 
 
 def _format_column(column: np.ndarray, cell, finite_floats: bool = False) -> list[str]:
@@ -129,14 +179,22 @@ def _csv_cell(value) -> str:
     return text
 
 
+def _joined(texts: list[list[str]], layout: tuple[str, str, str, str]) -> str:
+    """The rows of column texts ``texts`` laid out as ``layout`` lays out a chunk."""
+    head, cell_sep, row_sep, tail = layout
+    return head + row_sep.join(map(cell_sep.join, zip(*texts))) + tail
+
+
 def _csv_lines(n: int, columns: list) -> str:
     """CRLF-terminated CSV lines of ``n`` rows given as columns."""
+    if (text := _record_rows(columns, _CSV_LAYOUT)) is not None:
+        return text
     texts = [_format_column(col, _csv_cell) for col in columns]
     if not texts:
         return "\r\n" * n
     if len(texts) == 1:  # csv.writer quotes a lone empty field
         texts[0] = ['""' if text == "" else text for text in texts[0]]
-    return "\r\n".join(map(",".join, zip(*texts))) + "\r\n"
+    return _joined(texts, _CSV_LAYOUT)
 
 
 def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
@@ -162,11 +220,12 @@ def _json_cell(value) -> str:
 
 def _json_rows(n: int, columns: list) -> str:
     """``n`` rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins them."""
+    if (text := _record_rows(columns, _JSON_LAYOUT)) is not None:
+        return text
     texts = [_format_column(col, _json_cell, finite_floats=True) for col in columns]
     if not texts:
         return ",\n    ".join(["[]"] * n)
-    cells = map(",\n      ".join, zip(*texts))
-    return "[\n      " + "\n    ],\n    [\n      ".join(cells) + "\n    ]"
+    return _joined(texts, _JSON_LAYOUT)
 
 
 def write_json(path: Path, payload: dict) -> None:

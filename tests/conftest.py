@@ -1,8 +1,8 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
 and the test oracles: the pairwise projector checks of an eigensystem, the
 direct-kernel collective x density, the
-complex-amplitude single and the projector-stack sequential Monte Carlo
-records, the branch-sum sequential
+complex-amplitude single and kick and the projector-stack sequential Monte
+Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
 grid CDF of a meter density and the Kraus completeness residual; and
 ``run_python``, a fresh interpreter that imports the package under test.
@@ -160,6 +160,25 @@ def complex_single(plan: TrialPlan) -> np.ndarray:
         out = np.empty(n, dtype=_DTYPE_ONE)
         out["x"] = x
         out["postselected"] = u_accept < (amp.real**2 + amp.imag**2) / (g @ probs)
+        parts.append(out)
+    return np.concatenate(parts)
+
+
+def complex_kick(plan: TrialPlan) -> np.ndarray:
+    """Kick-protocol records from the complex exponential of the (n, k) outer
+    product: amplitude exp(-i lam x' a / 2) @ <phi|P_i|psi>. Draws as the
+    runner does."""
+    eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
+    w_phi = comps @ np.conj(plan.postselect.amplitudes)
+    parts = []
+    for b, start in enumerate(range(0, plan.trials, BLOCK_SIZE)):
+        rng, n = stream_rng(plan.seed, b), min(BLOCK_SIZE, plan.trials - start)
+        xp = rng.standard_normal(n)
+        u_accept = rng.random(n)
+        amp = np.exp(-0.5j * plan.coupling * np.outer(xp, eigenvalues)) @ w_phi
+        out = np.empty(n, dtype=_DTYPE_ONE)
+        out["x"] = xp
+        out["postselected"] = u_accept < amp.real**2 + amp.imag**2
         parts.append(out)
     return np.concatenate(parts)
 

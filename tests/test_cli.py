@@ -29,6 +29,7 @@ from weakmeas.protocols import SequentialSetup, extrapolate_to_zero_coupling
 
 SX_JSON = [[0, 0], [1, 0], [1, 0], [0, 0]]
 SY_JSON = [[0, 0], [0, -1], [0, 1], [0, 0]]
+SZ_JSON = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 KET0 = [[1, 0], [0, 0]]
 PHI68 = [[0.6, 0], [0.8, 0]]
 
@@ -745,6 +746,32 @@ class TestPreconditionExitCodes:
         doc = {**BASE, "protocol": "single", "trials": 100, "seed": 10**400}
         code, _, err = run_cli("simulate", doc, tmp_path)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"observable": SX_JSON, "psi": KET0, "protocol": "threshold", "trials": 1, "threshold_multiple": -1000},
+            {
+                "observable": SZ_JSON, "observable_b": SZ_JSON, "psi": KET0, "phi": KET0,
+                "protocol": "sequential", "trials": 1, "seed": 3,
+            },
+        ],
+        ids=["threshold", "sequential"],
+    )
+    def test_one_kept_run_writes_null_statistics(self, tmp_path, doc):
+        # the standard errors and covariance of one kept run are undefined: null, not NaN or 0.0
+        code, out, err = run_cli("simulate", doc, tmp_path)
+        assert (code, err) == (0, "")
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        stats = json.loads((tmp_path / "stats.json").read_text(), parse_constant=refuse)
+        assert stats["n_postselected"] == 1
+        assert stats["standard_errors"] == [None] * len(stats["conditional_means"])
+        assert stats["cross_covariance"] is None and stats["cross_covariance_se"] is None
+        assert "standard_error" not in out and "cross_covariance" not in out
+        assert non_finite_outputs(tmp_path, out) == []
 
     def test_grid_refusal_names_the_points_that_pass(self, tmp_path):
         doc = {**BASE, "observable": SX_200, "lambda": 1, "grid": {"xmin": -500, "xmax": 500}}

@@ -12,6 +12,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    complex_kick,
     complex_single,
     cumulative_distribution,
     degenerate_observable,
@@ -148,6 +149,41 @@ class TestSingleAgainstComplexFormula:
         plan = TrialPlan("single", a, 1.7, psi, phi, BLOCK_SIZE + TILE + 1, 8, threads=threads)
         records, _ = run_single(plan)
         assert records.tobytes() == complex_single(plan).tobytes()
+
+
+class TestKickAgainstComplexFormula:
+    """run_kick's real cos/sin kernel gives the same records, byte for byte,
+    as the complex exponential of the (n, k) outer product."""
+
+    @settings(max_examples=50)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(math.log(1e-3), math.log(20.0)),
+        trials=st.integers(1, 4096),
+        data=st.data(),
+    )
+    def test_records_match_on_degenerate_spectra(self, dim, seed, log_lam, trials, data):
+        rng = np.random.default_rng(seed)
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"))
+        psi, phi = random_selection_pair(rng, dim)
+        plan = TrialPlan("kick", a, math.exp(log_lam), psi, phi, trials, int(rng.integers(2**31)))
+        expected = complex_kick(plan)
+        if not expected["postselected"].any():
+            with pytest.raises(NoPostselectedRuns):
+                run_kick(plan)
+            return
+        records, _ = run_kick(plan)
+        assert records.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_blocks(self, threads):
+        rng = np.random.default_rng(70_003)
+        a = degenerate_observable(rng, 11, 5)
+        psi, phi = random_selection_pair(rng, 11)
+        plan = TrialPlan("kick", a, 3.1, psi, phi, BLOCK_SIZE + 1, 9, threads=threads)
+        records, _ = run_kick(plan)
+        assert records.tobytes() == complex_kick(plan).tobytes()
 
 
 class TestCategorical:

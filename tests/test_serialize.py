@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakmeas import cli
+from weakmeas import cli, serialize
 from weakmeas import montecarlo as mc
 from conftest import run_python
+from weakmeas.montecarlo import _DTYPE_ONE
 from weakmeas.serialize import _CHUNK_ROWS, _float_texts, format_cell, jsonable, write_csv, write_json
 
 METADATA = "config_sha256=0123456789abcdef seed=7"
@@ -238,6 +239,45 @@ def test_column_tables(out_dir, n, kinds, pool, seed):
         else:
             table[f"c{j}"] = LABELS[rng.integers(len(LABELS), size=n)]
     assert_column_table_bytes(out_dir, table)
+
+
+# Single-meter records: a float64 field x, with or without a bool field. Chunks take
+# turns drawing x from floats orjson writes as repr does (the byte route) and from
+# tail floats (mostly the per-cell route).
+plain_floats = floats.filter(lambda v: abs(v) < 1e-9 or 1e-4 <= abs(v) < 1e16)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from(ROW_COUNTS),
+    plain=st.lists(plain_floats, min_size=1, max_size=8),
+    tails=st.lists(tail_floats, min_size=1, max_size=8),
+    flags=st.sampled_from(["none", "all 0", "all 1", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_tables(out_dir, n, plain, tails, flags, seed):
+    rng = np.random.default_rng(seed)
+    table = np.empty(n, dtype=_DTYPE_ONE if flags != "none" else [("x", "f8")])
+    odd_chunk = np.arange(n) // _CHUNK_ROWS % 2 == 1
+    table["x"] = np.where(odd_chunk, rng.choice(np.array(tails), n), rng.choice(np.array(plain), n))
+    if flags != "none":
+        table["postselected"] = {"all 0": False, "all 1": True, "random": rng.random(n) < 0.5}[flags]
+    assert_column_table_bytes(out_dir, table)
+
+
+def test_plain_records_take_the_byte_route(tmp_path, monkeypatch):
+    # a chunk that fell back to the per-cell route would reach _float_texts
+    rng = np.random.default_rng(20)
+    table = np.empty(70_000, dtype=_DTYPE_ONE)
+    table["x"] = rng.normal(size=table.size)
+    table["x"][np.abs(table["x"]) < 1e-4] += 1.0  # no |x| in [1e-9, 1e-4): every chunk is plain
+    table["postselected"] = rng.random(table.size) < 0.3
+
+    def per_cell_route(column):
+        raise AssertionError("a plain records chunk was formatted cell by cell")
+
+    monkeypatch.setattr(serialize, "_float_texts", per_cell_route)
+    assert_column_table_bytes(tmp_path, table)
 
 
 class TestFloatTexts:
