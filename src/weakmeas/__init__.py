@@ -4,8 +4,9 @@ with post-selection.
 Layers:
 
 * :mod:`weakmeas.core` - states, Hermitian observables, weak values;
-* :mod:`weakmeas.pointer` - Gaussian meter wavefunctions with closed-form
-  overlaps, moments and the x/x' basis change;
+* :mod:`weakmeas.pointer` - the one meter-state class, for one meter or
+  two in product form, with closed-form norms, moments and the x/x' basis
+  change;
 * :mod:`weakmeas.protocols` - post-selected meter states built from the
   eigenbranch weights <phi|P_i|psi>: von Neumann coupling, kick protocol,
   sequential measurements, disturbance diagnostics;
@@ -48,19 +49,14 @@ from .errors import (
 from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    PointerWavefunction,
-    overlap,
-    density,
+    MeterState,
     moment,
-    squared_norm,
     stream_rng,
-    to_xprime_basis,
 )
 from .protocols import (
     ConditionalMeter,
     DisturbanceReport,
     MeasurementSetup,
-    MultiMeterWavefunction,
     SequentialSetup,
     conditional_meter_density,
     conditional_meter_mean,

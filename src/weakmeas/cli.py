@@ -383,13 +383,13 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
     reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + _BRANCH_HALFWIDTH
     xs = _density_grid(p, cm, reach)
-    dens = ptr.density(cm.pointer, xs) / cm.probability
+    dens = cm.pointer.density(xs) / cm.probability
     _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(seg)))
     _write_columns(cfg, out_dir, "cdf", fmt, x=xs, cdf=cdf)
     integral = float(np.trapezoid(dens, xs))
-    return {"integral": integral, "conditional_mean": ptr.moment(cm.pointer, 1), "basis": p["basis"]}
+    return {"integral": integral, "conditional_mean": cm.pointer.first_moment(), "basis": p["basis"]}
 
 
 def _cmd_postselect_prob(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
@@ -419,7 +419,7 @@ def _cmd_kick(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     def measure(lam):
         proto.coupling_squared(lam)  # refuses a lambda the table cannot divide by
         setup = proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"])
-        mean = ptr.moment(proto.kick_pointer_state(setup), 1)
+        mean = proto.kick_pointer_state(setup).first_moment()
         return [mean], mean / lam
 
     header = ["row", "lambda", "conditional_mean", "mean_over_lambda", "fit_residual"]

@@ -51,7 +51,7 @@ class ProportionalToIdentity(DomainError):
 
 
 class BasisMismatch(DomainError):
-    """Pointer wavefunctions combined or transformed in the wrong basis."""
+    """A meter state changed to a basis it is already in."""
 
 
 class DimensionMismatch(DomainError):

@@ -1,22 +1,24 @@
-"""Meter wavefunctions: superpositions of displaced, phase-modulated Gaussians.
+"""Meter states: superpositions of displaced, phase-modulated Gaussians.
 
 A term is ``w * exp(i k x) * (2 pi)^(-1/4) * exp(-(x - c)^2 / 4)``: a
 unit-variance Gaussian wavepacket displaced to ``c`` with phase slope ``k``.
 The squared modulus of a single unit-weight term is the standard normal
 density ``G(x - c)``, which fixes the normalization convention once and for
-all; every closed form below is derived for this convention only. A
-:class:`PointerWavefunction` holds its terms as three arrays (weights,
-centres, slopes), and every pair sum runs over all term pairs, so terms that
-share a centre and slope need no merging.
+all; every closed form below is derived for this convention only.
 
-All overlaps and moments are exact. For a term pair (bra 1, ket 2), with
+:class:`MeterState` is the one representation of a set of branches, for one
+meter or for two in product form: a weight array with one axis per meter,
+and per meter the centres, slopes and basis of its terms. Every pair sum
+runs over all term pairs, so terms that share a centre and slope need no
+merging.
+
+All norms and moments are exact. For a term pair (bra 1, ket 2), with
 ``dk = k2 - k1`` and ``m = (c1 + c2)/2``::
 
     Int exp(i dk x) (2pi)^(-1/2) exp(-[(x-c1)^2 + (x-c2)^2]/4) dx
         = exp(-(c1-c2)^2/8) * exp(i dk m) * exp(-dk^2/2)
 
-and the first/second moments carry extra polynomial factors ``(m + i dk)``
-and ``(m^2 + 2 i m dk + 1 - dk^2)``.
+and the first moment carries the extra polynomial factor ``(m + i dk)``.
 
 The x'-basis (x' = 2p, Fourier convention <p|x> ~ exp(-i p x)) maps a term
 ``(w, c, k)`` to ``(w exp(i k c), 2k, -c/2)``; the initial meter is form
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,37 +58,119 @@ def gaussian_upper_tail(z) -> float:
 
 
 @dataclass(frozen=True)
-class PointerWavefunction:
-    """Finite superposition of Gaussian terms in the x or x' basis.
+class MeterState:
+    """Finite superposition of Gaussian terms on one or two meters.
 
-    Term t is (``weights[t]``, ``centers[t]``, ``phase_slopes[t]``); the three
-    are read-only 1-D arrays of one length, kept as given.
+    With one meter the amplitude is sum_t weights[t] f_t(x); with two it is
+    the product form sum_ij weights[i, j] f_i(x1) g_j(x2). Meter mu's term t
+    has centre ``centers[mu][t]`` and phase slope ``phase_slopes[mu][t]``, in
+    basis ``bases[mu]``. Every pair sum factorizes over the meters, with one
+    cached pair kernel per meter; the first moment of a meter puts the
+    polynomial (m + i dk) on that meter's kernel. All arrays are read-only
+    copies, kept as given.
     """
 
-    weights: np.ndarray
-    centers: np.ndarray
-    phase_slopes: np.ndarray
-    basis: str = BASIS_X
+    weights: np.ndarray  # (k1,) or (k1, k2)
+    centers: tuple[np.ndarray, ...]
+    phase_slopes: tuple[np.ndarray, ...]
+    bases: tuple[str, ...]
 
     def __post_init__(self):
-        if self.basis not in (BASIS_X, BASIS_XPRIME):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        terms = (
-            np.array(self.weights, dtype=np.complex128),
-            np.array(self.centers, dtype=np.float64),
-            np.array(self.phase_slopes, dtype=np.float64),
-        )
-        w, c, k = terms
-        if not (w.ndim == 1 and w.size and w.shape == c.shape == k.shape and np.isfinite(terms).all()):
-            raise ValueError("wavefunction needs one or more finite terms, as 1-D arrays of one length")
-        for name, a in zip(("weights", "centers", "phase_slopes"), terms):
+        w, bases = np.array(self.weights, dtype=np.complex128), tuple(self.bases)
+        if w.ndim not in (1, 2) or not len(self.centers) == len(self.phase_slopes) == len(bases) == w.ndim:
+            raise ValueError("meter state needs one or two meters, each with centres, slopes and a basis")
+        if not set(bases) <= {BASIS_X, BASIS_XPRIME}:
+            raise ValueError(f"unknown basis in {bases!r}")
+        centers = tuple(np.array(c, dtype=np.float64) for c in self.centers)
+        slopes = tuple(np.array(k, dtype=np.float64) for k in self.phase_slopes)
+        arrays = (w, *centers, *slopes)
+        shapes = all(c.shape == k.shape == (n,) for c, k, n in zip(centers, slopes, w.shape))
+        reals = [w.ravel().view(np.float64), *centers, *slopes]
+        if not (w.size and shapes and np.isfinite(np.concatenate(reals)).all()):
+            raise ValueError("meter state needs finite terms: one centre and slope per weight index")
+        for a in arrays:
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        for name, value in zip(("weights", "centers", "phase_slopes", "bases"), (w, centers, slopes, bases)):
+            object.__setattr__(self, name, value)
 
-    def amplitude(self, x) -> np.ndarray:
-        """Complex wavefunction value at x (scalar or array)."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return _term_values(x, self.centers, self.phase_slopes) @ self.weights
+    @cached_property
+    def _kernels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per meter: its pair kernel (base, m, dk). One meter's base carries
+        the weights, conj(w)[:, None] * w[None, :] * base, so its pair sums
+        are plain sums in the order of the moment formulas."""
+        kernels = [_pair_kernel(c, k) for c, k in zip(self.centers, self.phase_slopes)]
+        if self.weights.ndim == 1:
+            (base, m, dk), w = kernels[0], self.weights
+            kernels[0] = (np.conj(w)[:, None] * w[None, :] * base, m, dk)
+        return tuple(kernels)
+
+    def _pair_sum(self, *moment_of: int) -> np.float64:
+        """Re of the pair sum of conj(w) w over the meter kernels, with the
+        first-moment polynomial (m + i dk) on each meter in ``moment_of``.
+
+        One meter sums ``(conj(w)[:, None] * w[None, :] * base) * poly``
+        elementwise, in that order; two meters sum conj(W) * (K1 W K2^T).
+        """
+        polys = [None] * len(self._kernels)
+        for mu in moment_of:
+            _, m, dk = self._kernels[mu]  # IndexError past the last meter
+            polys[mu] = m + 1j * dk
+        w = self.weights
+        if w.ndim == 1:
+            pairs = self._kernels[0][0]
+            return (pairs if polys[0] is None else pairs * polys[0]).sum().real
+        k1, k2 = [base if poly is None else base * poly for (base, _, _), poly in zip(self._kernels, polys)]
+        return (np.conj(w) * (k1 @ w @ k2.T)).sum().real
+
+    @cached_property
+    def _norm_sq(self) -> np.float64:
+        return self._pair_sum()
+
+    def _normalized(self, pair_sum: np.float64) -> float:
+        if self._norm_sq <= 0.0:
+            raise ZeroProbabilityOutcome("meter state has zero norm; moments undefined")
+        return float(pair_sum / self._norm_sq)
+
+    def squared_norm(self) -> float:
+        """<state|state>, real and nonnegative."""
+        return max(float(self._norm_sq), 0.0)
+
+    def first_moment(self, mu: int = 0) -> float:
+        """E[x_mu] of the normalized density."""
+        return self._normalized(self._pair_sum(mu))
+
+    def cross_moment(self) -> float:
+        """E[x1 x2] of the normalized two-meter density."""
+        return self._normalized(self._pair_sum(0, 1))
+
+    def to_xprime(self, mu: int = 0) -> "MeterState":
+        """Exact change of meter mu to the x' = 2p basis (unitary, norm
+        preserving): the map of the module docstring, on axis mu of the weights."""
+        if self.bases[mu] != BASIS_X:
+            raise BasisMismatch(f"meter {mu} is already in the x' basis")
+        centers, slopes, bases = list(self.centers), list(self.phase_slopes), list(self.bases)
+        c, k = centers[mu], slopes[mu]
+        phase = np.exp(1j * k * c)  # term (w, c, k) -> (w e^{ikc}, 2k, -c/2)
+        weights = self.weights * (phase if mu == self.weights.ndim - 1 else phase[:, None])
+        centers[mu], slopes[mu], bases[mu] = 2.0 * k, -c / 2.0, BASIS_XPRIME
+        return MeterState(weights, tuple(centers), tuple(slopes), tuple(bases))
+
+    def amplitude(self, *xs) -> np.ndarray:
+        """Complex amplitude on the outer-product grid of one point array
+        (scalar or array) per meter: F1 w, or F1 W F2^T."""
+        f = [
+            _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k)
+            for x, c, k in zip(xs, self.centers, self.phase_slopes, strict=True)
+        ]
+        amp = f[0] @ self.weights
+        return amp if len(f) == 1 else amp @ f[1].T
+
+    def density(self, *xs):
+        """Unnormalized density |amplitude|^2 on the outer-product grid; a
+        float when every point is a scalar."""
+        amp = self.amplitude(*xs)
+        out = amp.real**2 + amp.imag**2
+        return float(out.flat[0]) if all(np.ndim(x) == 0 for x in xs) else out
 
 
 def _term_values(x: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -95,73 +180,27 @@ def _term_values(x: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return phases * envelopes
 
 
-def _pair_kernel(ca: np.ndarray, ka: np.ndarray, cb: np.ndarray, kb: np.ndarray):
-    """The pair integrals of bra terms (ca, ka) against ket terms (cb, kb).
+def _pair_kernel(c: np.ndarray, k: np.ndarray):
+    """The pair integrals of one meter's terms (c, k), bra s against ket t.
 
-    Returns (base, m, dk), each (len(ca), len(cb)): ``base`` is the closed
+    Returns (base, m, dk), each (len(c), len(c)): ``base`` is the closed
     form of the module docstring, and ``m`` and ``dk`` build the moment
-    polynomials. This is the one copy of the kernel; every pair sum of the
+    polynomial. This is the one copy of the kernel; every pair sum of the
     package goes through it.
     """
-    dc = ca[:, None] - cb[None, :]
-    dk = kb[None, :] - ka[:, None]
-    m = (ca[:, None] + cb[None, :]) / 2.0
+    dc = c[:, None] - c[None, :]
+    dk = k[None, :] - k[:, None]
+    m = (c[:, None] + c[None, :]) / 2.0
     with np.errstate(over="ignore"):  # dc^2 or dk^2 past the float range: exp(-inf) = 0, exact
         base = np.exp(-(dc * dc) / 8.0) * np.exp(1j * dk * m) * np.exp(-(dk * dk) / 2.0)
     return base, m, dk
 
 
-def overlap(a: PointerWavefunction, b: PointerWavefunction) -> complex:
-    """Exact inner product <a|b> from the closed-form pair integrals."""
-    if a.basis != b.basis:
-        raise BasisMismatch(f"cannot overlap {a.basis!r} with {b.basis!r}")
-    base, _, _ = _pair_kernel(a.centers, a.phase_slopes, b.centers, b.phase_slopes)
-    coeff = np.conj(a.weights)[:, None] * b.weights[None, :]
-    return complex((coeff * base).sum())
-
-
-def squared_norm(w: PointerWavefunction) -> float:
-    """<w|w>, real and nonnegative."""
-    return max(overlap(w, w).real, 0.0)
-
-
-def density(w: PointerWavefunction, x):
-    """Unnormalized position density |amplitude|^2 at x (scalar or array)."""
-    scalar = np.ndim(x) == 0
-    amp = w.amplitude(x)
-    out = amp.real ** 2 + amp.imag ** 2
-    return float(out[0]) if scalar else out
-
-
-def moment(w: PointerWavefunction, n: int) -> float:
-    """n-th moment (n in {0,1,2}) of the normalized density, in closed form."""
-    if n not in (0, 1, 2):
-        raise ValueError("only moments n = 0, 1, 2 are supported")
-    base, m, dk = _pair_kernel(w.centers, w.phase_slopes, w.centers, w.phase_slopes)
-    coeff = np.conj(w.weights)[:, None] * w.weights[None, :]
-    norm_sq = (coeff * base).sum().real
-    if norm_sq <= 0.0:
-        raise ZeroProbabilityOutcome("wavefunction has zero norm; moments undefined")
-    if n == 0:
-        return 1.0
-    if n == 1:
-        poly = m + 1j * dk
-    else:
-        poly = m * m + 2j * m * dk + 1.0 - dk * dk
-    return float((coeff * base * poly).sum().real / norm_sq)
-
-
-def _xprime_terms(w: np.ndarray, c: np.ndarray, k: np.ndarray):
-    """The x' = 2p image (w e^{ikc}, 2k, -c/2) of terms (w, c, k); the phase
-    broadcasts along the last axis of ``w``."""
-    return w * np.exp(1j * k * c), 2.0 * k, -c / 2.0
-
-
-def to_xprime_basis(w: PointerWavefunction) -> PointerWavefunction:
-    """Exact change to the x' = 2p basis (unitary, norm preserving)."""
-    if w.basis != BASIS_X:
-        raise BasisMismatch("wavefunction is already in the x' basis")
-    return PointerWavefunction(*_xprime_terms(w.weights, w.centers, w.phase_slopes), BASIS_XPRIME)
+def moment(w: MeterState, n: int) -> float:
+    """First moment (n = 1) of the normalized density of meter 0."""
+    if n != 1:
+        raise ValueError("only the first moment n = 1 is supported")
+    return w.first_moment()
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -7,12 +7,11 @@ Gaussian term per distinct eigenvalue a_i:
 * von Neumann coupling exp(-i lam A p): term (w_i, lam a_i, 0) in x;
 * random kick exp(-i lam A x'/2): term (w_i, 0, -lam a_i / 2) in x'.
 
-Densities, overlaps and moments then come from the closed forms in
-:mod:`weakmeas.pointer` with no grids or truncation. The post-selected
-sequential (two-meter) state is the product form
+Densities, norms and moments then come from the closed forms of
+:class:`weakmeas.pointer.MeterState` with no grids or truncation. The
+post-selected sequential (two-meter) state is the same class in product form,
 W[i, j] = <phi|Q_j P_i|psi> over the eigenprojectors of the two observables,
-with one Gaussian term per eigenvalue on each meter (see
-:class:`MultiMeterWavefunction`).
+with one Gaussian term per eigenvalue on each meter.
 
 Order convention for sequential measurements: ``first`` acts first, i.e. its
 unitary is applied to the initial state before ``second``'s.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,19 +44,8 @@ from .core import (
     postselection_overlap,
     weak_value,
 )
-from .errors import BasisMismatch, DomainError, NumericalQualityError
-from .pointer import (
-    BASIS_X,
-    BASIS_XPRIME,
-    PointerWavefunction,
-    _pair_kernel,
-    _term_values,
-    _xprime_terms,
-    density as pointer_density,
-    moment,
-    squared_norm,
-    to_xprime_basis,
-)
+from .errors import DomainError, NumericalQualityError
+from .pointer import BASIS_X, BASIS_XPRIME, MeterState
 
 LOW_PROBABILITY_FLOOR = 1e-12
 DENSITY_QUADRATURE_TOL = 1e-8
@@ -101,92 +88,20 @@ class SequentialSetup:
 
 
 @dataclass(frozen=True)
-class MultiMeterWavefunction:
-    """Post-selected two-meter state in product form.
-
-    The amplitude is sum_ij weights[i, j] f_i(x1) g_j(x2), where meter 1's
-    term f_i has center ``centers[0][i]`` and phase slope
-    ``phase_slopes[0][i]``, and meter 2's term g_j likewise with index 1.
-    Every pair sum then factorizes: with one k x k pair kernel per meter,
-    S(K, L) = sum conj(W) * (K W L^T), and the first moment of a meter puts
-    the polynomial (m + i dk) on that meter's kernel. The amplitude on an
-    outer grid is F1 W F2^T, with F the term values at the grid points.
-    """
-
-    weights: np.ndarray  # (k1, k2)
-    centers: tuple[np.ndarray, np.ndarray]
-    phase_slopes: tuple[np.ndarray, np.ndarray]
-    bases: tuple[str, str] = (BASIS_X, BASIS_X)
-
-    @cached_property
-    def _kernels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per meter: its pair kernel and the kernel times (m + i dk)."""
-        kernels = []
-        for c, k in zip(self.centers, self.phase_slopes):
-            base, m, dk = _pair_kernel(c, k, c, k)
-            kernels.append((base, base * (m + 1j * dk)))
-        return tuple(kernels)
-
-    def _pair_sum(self, first: np.ndarray, second: np.ndarray) -> np.float64:
-        w = self.weights
-        return (np.conj(w) * (first @ w @ second.T)).sum().real
-
-    def squared_norm(self) -> float:
-        (k1, _), (k2, _) = self._kernels
-        return max(float(self._pair_sum(k1, k2)), 0.0)
-
-    def first_moment(self, mu: int) -> float:
-        """E[x_mu] of the normalized density."""
-        (k1, m1), (k2, m2) = self._kernels
-        num = self._pair_sum(m1, k2) if mu == 0 else self._pair_sum(k1, m2)
-        return float(num / self._pair_sum(k1, k2))
-
-    def cross_moment(self) -> float:
-        """E[x1 x2] of the normalized density."""
-        (k1, m1), (k2, m2) = self._kernels
-        return float(self._pair_sum(m1, m2) / self._pair_sum(k1, k2))
-
-    def transform_meter(self, mu: int) -> "MultiMeterWavefunction":
-        """Take meter mu to the x' basis (the 1-meter map, on axis mu of W)."""
-        if self.bases[mu] != BASIS_X:
-            raise BasisMismatch(f"meter {mu} is already in the x' basis")
-        centers, slopes, bases = list(self.centers), list(self.phase_slopes), list(self.bases)
-        weights, centers[mu], slopes[mu] = _xprime_terms(
-            np.moveaxis(self.weights, mu, -1), centers[mu], slopes[mu]
-        )
-        bases[mu] = BASIS_XPRIME
-        return MultiMeterWavefunction(
-            np.moveaxis(weights, -1, mu), tuple(centers), tuple(slopes), tuple(bases)
-        )
-
-    def amplitude_grid(self, x1, x2) -> np.ndarray:
-        """Joint amplitude on the outer-product grid x1 x x2."""
-        f1, f2 = (
-            _term_values(np.atleast_1d(np.asarray(x, dtype=np.float64)), c, k)
-            for x, c, k in zip((x1, x2), self.centers, self.phase_slopes)
-        )
-        return f1 @ self.weights @ f2.T
-
-    def density_grid(self, x1, x2) -> np.ndarray:
-        amp = self.amplitude_grid(x1, x2)
-        return amp.real**2 + amp.imag**2
-
-
-@dataclass(frozen=True)
 class ConditionalMeter:
     """Post-selected (unnormalized) meter state with its probability."""
 
-    pointer: PointerWavefunction
+    pointer: MeterState
     probability: float
     low_probability: bool
 
 
-def _eigenbranch_pointer(setup: MeasurementSetup, centers, slopes, basis: str) -> PointerWavefunction:
-    """Terms (w_i, centers[i], slopes[i]) over the eigenbranch weights
-    w_i = <phi|P_i|psi>, unnormalized: the squared norm is the post-selection
-    probability."""
+def _eigenbranch_pointer(setup: MeasurementSetup, centers, slopes, basis: str) -> MeterState:
+    """One-meter terms (w_i, centers[i], slopes[i]) over the eigenbranch
+    weights w_i = <phi|P_i|psi>, unnormalized: the squared norm is the
+    post-selection probability."""
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
-    return PointerWavefunction(w, centers, slopes, basis)
+    return MeterState(w, (centers,), (slopes,), (basis,))
 
 
 def conditional_meter_state(setup: MeasurementSetup, basis: str = BASIS_X) -> ConditionalMeter:
@@ -197,9 +112,9 @@ def conditional_meter_state(setup: MeasurementSetup, basis: str = BASIS_X) -> Co
     """
     a = setup.observable.eigensystem.eigenvalues
     state = _eigenbranch_pointer(setup, setup.coupling * a, np.zeros_like(a), BASIS_X)
-    prob = squared_norm(state)
+    prob = state.squared_norm()
     if basis == BASIS_XPRIME:
-        state = to_xprime_basis(state)
+        state = state.to_xprime()
     elif basis != BASIS_X:
         raise ValueError(f"unknown basis {basis!r}")
     return ConditionalMeter(state, prob, prob < LOW_PROBABILITY_FLOOR)
@@ -246,7 +161,7 @@ def coupling_squared(coupling: float) -> float:
 def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
     """Exact conditional meter density in the x or x' basis (normalized)."""
     cm = conditional_meter_state(setup, basis)
-    return pointer_density(cm.pointer, x) / cm.probability
+    return cm.pointer.density(x) / cm.probability
 
 
 def density_spacing_limit(cm: ConditionalMeter) -> float:
@@ -261,7 +176,7 @@ def density_spacing_limit(cm: ConditionalMeter) -> float:
     is at most (sum_t |w_t|)^2 * 2 r / (1 - r), r = exp(-q^2/2). Setting that to
     the tolerance times the probability P gives the limit.
     """
-    w, k = cm.pointer.weights, cm.pointer.phase_slopes
+    w, k = cm.pointer.weights, cm.pointer.phase_slopes[0]
     eps = DENSITY_QUADRATURE_TOL * cm.probability / float(np.sum(np.abs(w))) ** 2
     q = math.sqrt(2.0 * math.log1p(2.0 / eps))  # r = eps / (2 + eps)
     return 2.0 * math.pi / (float(np.ptp(k)) + q)
@@ -269,11 +184,10 @@ def density_spacing_limit(cm: ConditionalMeter) -> float:
 
 def conditional_meter_mean(setup: MeasurementSetup, basis: str = BASIS_X) -> float:
     """Exact conditional mean of the meter readout."""
-    cm = conditional_meter_state(setup, basis)
-    return moment(cm.pointer, 1)
+    return conditional_meter_state(setup, basis).pointer.first_moment()
 
 
-def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
+def kick_pointer_state(setup: MeasurementSetup) -> MeterState:
     """Unnormalized x' amplitude of the random-kick protocol.
 
     The kick unitary exp(-i lam A x'/2) is evaluated in the observable's
@@ -286,17 +200,18 @@ def kick_pointer_state(setup: MeasurementSetup) -> PointerWavefunction:
 
 def kick_postselection_probability(setup: MeasurementSetup) -> float:
     """P'_lambda(phi | psi) of the kick protocol (equals the von Neumann one)."""
-    return squared_norm(kick_pointer_state(setup))
+    return kick_pointer_state(setup).squared_norm()
 
 
 def kick_protocol_conditional_density(setup: MeasurementSetup, xprime):
     """Conditional distribution of the pre-drawn kick size x'."""
     state = kick_pointer_state(setup)
-    return pointer_density(state, xprime) / squared_norm(state)
+    return state.density(xprime) / state.squared_norm()
 
 
-def sequential_meter_state(sq: SequentialSetup) -> tuple[MultiMeterWavefunction, float]:
-    """Two-meter post-selected state (meter bases applied) and probability.
+def sequential_meter_state(sq: SequentialSetup) -> MeterState:
+    """Two-meter post-selected state, meter bases applied, unnormalized: the
+    squared norm is the post-selection probability.
 
     W[i, j] = <Q_j phi|P_i psi> from the projector images of psi and phi;
     meter 1's terms sit at first_coupling * a_i, meter 2's at
@@ -305,15 +220,16 @@ def sequential_meter_state(sq: SequentialSetup) -> tuple[MultiMeterWavefunction,
     first, second = sq.first.eigensystem, sq.second.eigensystem
     images_a = first.projectors @ sq.preselect.amplitudes
     images_b = second.projectors @ sq.postselect.amplitudes
-    state = MultiMeterWavefunction(
+    state = MeterState(
         images_a @ np.conj(images_b).T,
         (sq.first_coupling * first.eigenvalues, sq.second_coupling * second.eigenvalues),
         (np.zeros(first.eigenvalues.size), np.zeros(second.eigenvalues.size)),
+        (BASIS_X, BASIS_X),
     )
     for mu, basis in enumerate(sq.meter_bases):
         if basis == BASIS_XPRIME:
-            state = state.transform_meter(mu)
-    return state, state.squared_norm()
+            state = state.to_xprime(mu)
+    return state
 
 
 def sequential_joint_density(sq: SequentialSetup, x1, x2):
@@ -321,21 +237,18 @@ def sequential_joint_density(sq: SequentialSetup, x1, x2):
 
     Scalars give a scalar; arrays give the outer-grid density matrix.
     """
-    state, prob = sequential_meter_state(sq)
-    vals = state.density_grid(x1, x2) / prob
-    if np.ndim(x1) == 0 and np.ndim(x2) == 0:
-        return float(vals[0, 0])
-    return vals
+    state = sequential_meter_state(sq)
+    return state.density(x1, x2) / state.squared_norm()
 
 
 def sequential_cross_covariance(sq: SequentialSetup) -> float:
     """Exact E[x1 x2] - E[x1] E[x2] of the conditional joint density."""
-    state, _ = sequential_meter_state(sq)
+    state = sequential_meter_state(sq)
     return state.cross_moment() - state.first_moment(0) * state.first_moment(1)
 
 
 def sequential_means(sq: SequentialSetup) -> tuple[float, float]:
-    state, _ = sequential_meter_state(sq)
+    state = sequential_meter_state(sq)
     return state.first_moment(0), state.first_moment(1)
 
 

@@ -42,11 +42,9 @@ from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
     WAVEFUNCTION_NORM,
-    PointerWavefunction,
-    density,
+    MeterState,
     gaussian_density,
     gaussian_upper_tail,
-    squared_norm,
     stream_rng,
 )
 from weakmeas.protocols import SequentialSetup
@@ -278,12 +276,12 @@ def branch_sum_sequential(sq: SequentialSetup, x1, x2) -> dict:
     }
 
 
-def to_x_basis(w: PointerWavefunction) -> PointerWavefunction:
-    """Inverse of pointer.to_xprime_basis: (w, c, k) -> (w e^{ikc}, -2k, c/2)."""
-    if w.basis != BASIS_XPRIME:
-        raise BasisMismatch("wavefunction is already in the x basis")
-    c, k = w.centers, w.phase_slopes
-    return PointerWavefunction(w.weights * np.exp(1j * k * c), -2.0 * k, c / 2.0, BASIS_X)
+def to_x_basis(w: MeterState) -> MeterState:
+    """Inverse of a one-meter MeterState.to_xprime: (w, c, k) -> (w e^{ikc}, -2k, c/2)."""
+    if w.bases != (BASIS_XPRIME,):
+        raise BasisMismatch("meter state is not one meter in the x' basis")
+    (c,), (k,) = w.centers, w.phase_slopes
+    return MeterState(w.weights * np.exp(1j * k * c), (-2.0 * k,), (c / 2.0,), (BASIS_X,))
 
 
 def conditional_system_state(observable: Observable, coupling: float, psi: PureState, x: float) -> PureState:
@@ -302,23 +300,23 @@ CDF_POINTS = 16384
 CDF_TAIL_TOL = 1e-9  # envelope bound on the mass outside the grid, relative
 
 
-def _tail_mass_bound(w: PointerWavefunction, lo: float, hi: float) -> float:
+def _tail_mass_bound(w: MeterState, lo: float, hi: float) -> float:
     # Cauchy-Schwarz envelope: |psi|^2 <= (sum|w|) * sum |w_t| G(x - c_t)
     absw = np.abs(w.weights)
-    tails = np.array([gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in w.centers])
+    tails = np.array([gaussian_upper_tail(c_t - lo) + gaussian_upper_tail(hi - c_t) for c_t in w.centers[0]])
     return float(absw.sum() * (absw * tails).sum())
 
 
-def cumulative_distribution(w: PointerWavefunction) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and trapezoid CDF of the density of ``w``, 1 at the right edge.
+def cumulative_distribution(w: MeterState) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and trapezoid CDF of the density of the one-meter state ``w``, 1 at the right edge.
 
     The grid spans the term centers plus CDF_HALFWIDTH on each side; the
     envelope bound on the mass outside it must stay below CDF_TAIL_TOL."""
-    c = w.centers
+    (c,) = w.centers
     grid = np.linspace(float(np.min(c)) - CDF_HALFWIDTH, float(np.max(c)) + CDF_HALFWIDTH, CDF_POINTS)
-    pdf = density(w, grid)
+    pdf = w.density(grid)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
-    tail = _tail_mass_bound(w, grid[0], grid[-1]) / squared_norm(w)
+    tail = _tail_mass_bound(w, grid[0], grid[-1]) / w.squared_norm()
     assert tail <= CDF_TAIL_TOL, f"tail mass bound {tail:.3e} outside the CDF grid"
     return grid, cdf / cdf[-1]
 

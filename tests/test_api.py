@@ -4,7 +4,8 @@ Walks the syntax trees of the package modules. Every public top-level
 function, class or ALL_CAPS constant must be referenced from another
 top-level definition or statement of the package (``__init__.py``, which only re-exports, does not
 count), or be listed in ``KEPT_FOR_ACCEPTANCE`` with the acceptance test that
-keeps it. A reference is a bare name used in the defining module or imported
+keeps it; that test must exist in ``tests/test_acceptance.py`` and use the
+name. A reference is a bare name used in the defining module or imported
 from it, or an attribute of a module alias (``proto.conditional_meter_state``
 in ``cli``). Import statements alone are not references.
 """
@@ -16,15 +17,16 @@ import weakmeas
 
 PACKAGE = Path(weakmeas.__file__).parent
 
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+# (module, name) -> the test function of tests/test_acceptance.py that uses it
 KEPT_FOR_ACCEPTANCE = {
-    # tests/test_acceptance.py::test_criterion_04_kick_xprime_duality
-    ("protocols", "kick_postselection_probability"),
-    ("protocols", "kick_protocol_conditional_density"),
-    ("protocols", "conditional_meter_density"),
-    # tests/test_acceptance.py::test_criterion_10_monte_carlo_fidelity
-    ("protocols", "sequential_means"),
-    # tests/test_acceptance.py::test_criterion_09_lindblad_decomposition
-    ("lindblad", "gauss_legendre"),
+    ("protocols", "kick_postselection_probability"): "test_criterion_04_kick_xprime_duality",
+    ("protocols", "kick_protocol_conditional_density"): "test_criterion_04_kick_xprime_duality",
+    ("protocols", "conditional_meter_density"): "test_criterion_04_kick_xprime_duality",
+    ("lindblad", "gauss_legendre"): "test_criterion_09_lindblad_decomposition",
+    ("protocols", "sequential_means"): "test_criterion_10_monte_carlo_fidelity",
+    ("pointer", "moment"): "test_criterion_10_monte_carlo_fidelity",
 }
 
 
@@ -51,17 +53,24 @@ def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
 
 
 def _references(module: str, tree: ast.Module) -> dict[tuple[str, str], set[int]]:
-    """(defining module, name) -> ids of the top-level statements using it."""
+    """(defining module, name) -> ids of the top-level statements using it.
+
+    Package modules import each other relatively; a test module imports
+    ``weakmeas.<module>``, which counts the same, at top level or inside a
+    function."""
     imported: dict[str, tuple[str, str]] = {}
     module_aliases: dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module and node.module.removeprefix("weakmeas.")
+        if node.level == 1 or source != node.module:
             for alias in node.names:
                 local = alias.asname or alias.name
                 if node.module is None:
                     module_aliases[local] = alias.name
                 else:
-                    imported[local] = (node.module, alias.name)
+                    imported[local] = (source, alias.name)
     refs: dict[tuple[str, str], set[int]] = {}
     for stmt in tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
@@ -94,7 +103,7 @@ def unreferenced_public_names() -> set[tuple[str, str]]:
 
 
 def test_every_public_name_is_reached():
-    missing = unreferenced_public_names() - KEPT_FOR_ACCEPTANCE
+    missing = unreferenced_public_names() - KEPT_FOR_ACCEPTANCE.keys()
     assert not missing, f"public names no other package code uses: {sorted(missing)}"
 
 
@@ -103,4 +112,13 @@ def test_kept_names_exist_and_are_otherwise_unreached():
     for module, name in KEPT_FOR_ACCEPTANCE:
         assert name in _public_definitions(modules[module]), (module, name)
     # a kept name that gains a caller no longer needs its entry
-    assert KEPT_FOR_ACCEPTANCE <= unreferenced_public_names()
+    assert KEPT_FOR_ACCEPTANCE.keys() <= unreferenced_public_names()
+
+
+def test_kept_names_are_used_by_their_acceptance_test():
+    tree = ast.parse(ACCEPTANCE.read_text(), filename=str(ACCEPTANCE))
+    tests = {node.name: id(node) for node in tree.body if isinstance(node, ast.FunctionDef)}
+    refs = _references(ACCEPTANCE.stem, tree)
+    for key, test in KEPT_FOR_ACCEPTANCE.items():
+        assert test in tests, f"{test} is not a test function of {ACCEPTANCE.name}"
+        assert tests[test] in refs.get(key, ()), f"{test} does not use {'.'.join(key)}"

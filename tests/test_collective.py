@@ -20,12 +20,8 @@ from weakmeas.collective import (
 from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
-    PointerWavefunction,
-    density,
+    MeterState,
     gaussian_density,
-    moment,
-    squared_norm,
-    to_xprime_basis,
 )
 from weakmeas.protocols import (
     MeasurementSetup,
@@ -44,14 +40,14 @@ PHI_REAL = ket(0.3, math.sqrt(0.91))
 PHI_COMPLEX = PureState(np.array([0.3, 1j * math.sqrt(0.91)]))
 
 
-def two_system_pointer(cs: CollectiveSetup) -> PointerWavefunction:
+def two_system_pointer(cs: CollectiveSetup) -> MeterState:
     """The N = 2 meter state written out: weights w_i w_j at centers
     lam (a_i + a_j) / 2, unnormalized so its squared norm is P."""
     w = branch_weights(cs.observable, cs.preselect, cs.postselect)
     a = cs.observable.eigensystem.eigenvalues
     weights = np.outer(w, w).ravel()
     centers = (cs.coupling * (a[:, None] + a[None, :]) / 2.0).ravel()
-    return PointerWavefunction(weights, centers, np.zeros_like(centers), BASIS_X)
+    return MeterState(weights, (centers,), (np.zeros_like(centers),), (BASIS_X,))
 
 
 class TestReductionToSingleMeasurement:
@@ -112,16 +108,16 @@ class TestExpansion:
             psi, phi = random_selection_pair(rng, dim)
             cs = CollectiveSetup(random_observable(rng, dim), 0.8, psi, phi, 2)
             pointer_x = two_system_pointer(cs)
-            prob = squared_norm(pointer_x)
+            prob = pointer_x.squared_norm()
             assert collective_postselection_ratio(cs) * abs(phi.overlap(psi)) ** 4 == pytest.approx(
                 prob, rel=1e-12
             )
             xs = np.linspace(-6.0, 6.0, 121)
-            for basis, pointer in ((BASIS_X, pointer_x), (BASIS_XPRIME, to_xprime_basis(pointer_x))):
+            for basis, pointer in ((BASIS_X, pointer_x), (BASIS_XPRIME, pointer_x.to_xprime())):
                 got = collective_conditional_density(cs, basis, xs)
-                assert np.max(np.abs(got - density(pointer, xs) / prob)) < 1e-12
+                assert np.max(np.abs(got - pointer.density(xs) / prob)) < 1e-12
                 assert collective_conditional_mean(cs, basis) == pytest.approx(
-                    moment(pointer, 1), abs=1e-12
+                    pointer.first_moment(), abs=1e-12
                 )
 
     def test_zero_coupling_probability_in_log_domain(self):

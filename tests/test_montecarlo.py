@@ -44,7 +44,6 @@ from weakmeas.protocols import (
     kick_pointer_state,
     postselection_probability,
     sequential_cross_covariance,
-    squared_norm,
 )
 
 

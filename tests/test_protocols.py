@@ -446,7 +446,8 @@ class TestSequentialProductForm:
         xs = np.linspace(-6.0 - max(lam1, lam2), 6.0 + max(lam1, lam2), 101)
         want = branch_sum_sequential(sq, xs, xs)
 
-        state, prob = sequential_meter_state(sq)
+        state = sequential_meter_state(sq)
+        prob = state.squared_norm()
         means = state.first_moment(0), state.first_moment(1)
         cross = state.cross_moment()
         assert prob == pytest.approx(want["probability"], rel=1e-12)
@@ -484,7 +485,7 @@ class TestSequentialProductForm:
         # bases the covariance can sit far below the rounding of E[x1 x2],
         # since W[i, j] = <phi|Q_j P_i|psi> off the shared eigenspaces is
         # zero only to rounding
-        state, _ = sequential_meter_state(fwd)
+        state = sequential_meter_state(fwd)
         cov_scale = (1.0 + abs(state.first_moment(0))) * (1.0 + abs(state.first_moment(1)))
         gap = sequential_cross_covariance(fwd) - sequential_cross_covariance(rev)
         assert abs(gap) <= 1e-12 * cov_scale

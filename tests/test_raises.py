@@ -40,7 +40,7 @@ ALLOWED = {
     ("protocols", "extrapolate_to_zero_coupling", "ValueError"): (
         "parse_config refuses a lambda_grid without two distinct |lambda|"
     ),
-    ("pointer", "PointerWavefunction.__post_init__", "ValueError"): (
+    ("pointer", "MeterState.__post_init__", "ValueError"): (
         "bases are the package's constants; centres lam * a_i stay finite while "
         "|lam| * spectral radius is below 1.8e308, far past the valid range"
     ),
