@@ -22,19 +22,20 @@ when u * P < |amp|^2, with no division. The constants cancel between |amp|^2
 and P, so the records are those of the normalized formulas.
 
 Memory: a run allocates its records array once (17 bytes a trial for two
-meters, 9 for one) and each block fills its own slice of it. Within a block
-the draws and the single runner's temporaries are (n,) or (k, n) real
-arrays; the sequential runner evaluates the physics in tiles of ``TILE``
-trials, so its other temporaries are a few (2d, TILE) float arrays that stay
-in cache, not (n, d) complex arrays streamed through memory. A d = 16
-sequential block peaks at about 8.4 MiB traced, most of it the five (n,)
-draws and the records.
+meters, 9 for one) and each block fills its own slice of it. A block draws
+its random arrays for all of its trials, as (n,) arrays in a fixed order;
+every runner then evaluates the rest in tiles of ``TILE`` trials, so its
+other temporaries are a few (k, TILE) or (2d, TILE) float arrays that stay
+in cache and that the allocator hands back from tile to tile, not (k, n)
+arrays whose fresh pages every block faults in. At d = 16 a block peaks at
+about 8.4 MiB traced for the sequential runner, most of it the five (n,)
+draws and the records, and at 3.2, 4.1 and 1.8 MiB for single, kick and
+threshold (13.6, 27.6 and 2.6 MiB with untiled blocks).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,18 @@ from .pointer import gaussian_density, gaussian_upper_tail, stream_rng
 from .protocols import check_couplings
 
 BLOCK_SIZE = 65536
-# Trials per tile of the sequential kernel. Smaller tiles stay in cache but make
-# more numpy calls, each of which drops and retakes the GIL. Median of three
-# run_plan calls of 10^6 trials on a 2-core VM with one BLAS thread, seconds
-# at 2,048 / 4,096 / 8,192: d = 2 0.21/0.19/0.19 on one thread and
-# 0.20/0.16/0.15 on two; d = 8 0.22/0.20/0.21 and 0.20/0.15/0.16; d = 16
-# 0.40/0.40/0.42 and 0.27/0.21/0.25. Two cores cannot show scaling past two
-# threads.
+# Trials per tile of every kernel. Smaller tiles stay in cache but make more
+# numpy calls, each of which drops and retakes the GIL. On a 2-core VM with one
+# BLAS thread, seconds per run_plan call of 10^6 trials at 2,048 / 4,096 / 8,192:
+# - sequential, median of three: d = 2 0.21/0.19/0.19 on one thread and
+#   0.20/0.16/0.15 on two; d = 8 0.22/0.20/0.21 and 0.20/0.15/0.16; d = 16
+#   0.40/0.40/0.42 and 0.27/0.21/0.25.
+# - one meter, one thread, untiled blocks first, median of six alternating
+#   processes: at d = 2, single 0.086 against 0.101/0.080/0.085, kick 0.126
+#   against 0.117/0.101/0.122, threshold 0.052 against 0.062/0.051/0.049; at
+#   d = 16, 0.174 against 0.144/0.117/0.115, 0.562 against 0.429/0.406/0.489
+#   and 0.065 against 0.091/0.072/0.068.
+# Two cores cannot show scaling past two threads.
 TILE = 4096
 
 PROTOCOLS = ("single", "kick", "sequential", "threshold")
@@ -118,13 +124,11 @@ def _eigen_arrays(observable: Observable, psi: PureState):
 
 def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Branch i with cdf[i - 1] <= u < cdf[i], the last branch when u >= cdf[-1]:
-    the count of cdf[:-1] entries <= u, one pass per branch boundary."""
+    the count of cdf[:-1] entries <= u, one (k - 1, n) comparison summed over
+    the branch boundaries."""
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    branch = np.zeros(u.shape, np.intp)
-    for edge in cdf[:-1]:
-        branch += edge <= u
-    return branch
+    return (cdf[:-1, None] <= u).sum(axis=0)
 
 
 def _root_gaussian(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -135,6 +139,11 @@ def _root_gaussian(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         np.square(h, out=h)
     h *= -0.25
     return np.exp(h, out=h)
+
+
+def _tiles(n: int):
+    """Slices of ``TILE`` trials over a block of ``n``, the last one shorter."""
+    return (slice(t, t + TILE) for t in range(0, n, TILE))
 
 
 def _run_blocks(plan: TrialPlan, dtype: np.dtype, block_fn) -> np.ndarray:
@@ -150,6 +159,10 @@ def _run_blocks(plan: TrialPlan, dtype: np.dtype, block_fn) -> np.ndarray:
         block_fn(stream_rng(plan.seed, b), records[starts[b] : starts[b] + BLOCK_SIZE])
 
     if plan.threads > 1 and len(starts) > 1:
+        # Imported here, not at module level: every command pays the import of
+        # weakmeas.cli, and only a threaded run of more than one block needs the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             list(pool.map(one, range(len(starts))))
     else:
@@ -206,14 +219,15 @@ def run_single(plan: TrialPlan):
         u_branch = rng.random(n)
         z = rng.standard_normal(n)
         u_accept = rng.random(n)
-        branch = _categorical(u_branch, probs)
-        x = lam * eigenvalues[branch] + z
-        h = _root_gaussian(x, centers)  # (k, n)
-        amp = post @ h
-        h *= h
-        out["x"] = x
-        # accept with |<phi|chi_x>|^2 = |amp|^2 / sum_i p_i h_i^2, the constants cancelled
-        out["postselected"] = u_accept * (probs @ h) < amp[0] ** 2 + amp[1] ** 2
+        x_out, kept_out = out["x"], out["postselected"]
+        for tile in _tiles(n):
+            x = lam * eigenvalues[_categorical(u_branch[tile], probs)] + z[tile]
+            h = _root_gaussian(x, centers)  # (k, tile)
+            amp = post @ h
+            h *= h
+            x_out[tile] = x
+            # accept with |<phi|chi_x>|^2 = |amp|^2 / sum_i p_i h_i^2, the constants cancelled
+            kept_out[tile] = u_accept[tile] * (probs @ h) < amp[0] ** 2 + amp[1] ** 2
 
     records = _run_blocks(plan, _DTYPE_ONE, block)
     return records, _basic_stats(records)
@@ -227,7 +241,7 @@ def run_kick(plan: TrialPlan):
 
     The amplitude sum_i w_i exp(-i theta_i), theta_i = (lam a_i / 2) x', is
     evaluated in real arithmetic: [Re; Im] = [[Re w, Im w], [Im w, -Re w]]
-    @ [cos theta; sin theta], one (2, 2k) by (2k, n) product.
+    @ [cos theta; sin theta], one (2, 2k) by (2k, TILE) product a tile.
     """
     eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
     w_phi = comps @ np.conj(plan.postselect.amplitudes)
@@ -240,13 +254,15 @@ def run_kick(plan: TrialPlan):
         n = out.size
         xp = rng.standard_normal(n)
         u_accept = rng.random(n)
-        theta = half_kicks * xp  # (k, n)
-        cos_sin = np.empty((2 * k, n))
-        np.cos(theta, out=cos_sin[:k])
-        np.sin(theta, out=cos_sin[k:])
-        amp = post @ cos_sin
         out["x"] = xp
-        out["postselected"] = u_accept < amp[0] ** 2 + amp[1] ** 2
+        kept_out = out["postselected"]
+        for tile in _tiles(n):
+            theta = half_kicks * xp[tile]  # (k, tile)
+            cos_sin = np.empty((2 * k, theta.shape[1]))
+            np.cos(theta, out=cos_sin[:k])
+            np.sin(theta, out=cos_sin[k:])
+            amp = post @ cos_sin
+            kept_out[tile] = u_accept[tile] < amp[0] ** 2 + amp[1] ** 2
 
     records = _run_blocks(plan, _DTYPE_ONE, block)
     return records, _basic_stats(records)
@@ -307,8 +323,7 @@ def run_sequential(plan: TrialPlan):
         out["x"] = x1
         x2_out, kept_out = out["x2"], out["postselected"]
 
-        for t in range(0, n, TILE):
-            tile = slice(t, t + TILE)
+        for tile in _tiles(n):
             # Re and Im of chi1's unnormalized coordinates, (2, d, tile)
             re_im = (rot @ _root_gaussian(x1[tile], centers1)).reshape(2, d, -1)
             weight = np.square(re_im[0])
@@ -353,10 +368,11 @@ def run_threshold(plan: TrialPlan):
         n = out.size
         u_branch = rng.random(n)
         z = rng.standard_normal(n)
-        branch = _categorical(u_branch, probs)
-        x = lam * eigenvalues[branch] + z
-        out["x"] = x
-        out["postselected"] = x >= threshold
+        x_out, kept_out = out["x"], out["postselected"]
+        for tile in _tiles(n):
+            x = lam * eigenvalues[_categorical(u_branch[tile], probs)] + z[tile]
+            x_out[tile] = x
+            kept_out[tile] = x >= threshold
 
     records = _run_blocks(plan, _DTYPE_ONE, block)
     return records, _basic_stats(records)

@@ -7,33 +7,44 @@ round-trip), and no timestamps or environment data are written. Every CSV
 ends with a comment line carrying the config hash and seed so outputs are
 self-identifying.
 
-Tables are structured arrays, written by column ``_CHUNK_ROWS`` rows at a
-time. A chunk of single-meter records (one float64 field, optionally followed
-by one bool field) whose every float is one orjson writes as ``repr`` does
-(0, |x| below 1e-9 or in [1e-4, 1e16)) is laid out as bytes: one orjson dump
-of the floats, every ``,`` replaced by the row template with a ``0`` flag, and
-the flag byte of each kept row set to ``1``. Every other chunk (a float
-outside those ranges, NaN or an infinity, or any other field layout) is
-formatted a field slice at a time: float64 through ``orjson``, its exponent
-notation made ``repr``'s by one text fix, with ``float.__repr__`` only for
-|x| in [1e-5, 1e-4) and non-finite values; bool as ``0``/``1``; int64
-through ``str``; any other field (labels, None, mixed objects, and in JSON
-NaN or infinities) cell by cell. Both routes write the bytes of
-``csv.writer`` over ``format_cell`` and of ``json.dumps(jsonable(payload),
-sort_keys=True, indent=2)`` over the table's rows, a bool field being
-written as the integers 0 and 1.
+Tables are structured arrays, written by column a chunk at a time, and files
+are written as UTF-8 bytes. A chunk of single-meter records (one float64
+field, optionally followed by one bool field) with no NaN or infinity is
+laid out as bytes, ``_RECORD_CHUNK_ROWS`` rows at a time: one orjson dump of
+the floats, ``repr``'s text spliced in for the few values orjson writes in
+another notation (|x| in [1e-9, 1e-4) or from 1e16 up), every ``,``
+replaced by the row template with a ``0`` flag, and the flag byte of each
+kept row set to ``1``. Every other chunk (records holding NaN or an
+infinity, or any other field layout) is formatted ``_CHUNK_ROWS`` rows and
+a field slice at a time: float64 through ``orjson``, its exponent notation
+made ``repr``'s by one text fix, with ``float.__repr__`` only for |x| in
+[1e-5, 1e-4) and non-finite values; bool as ``0``/``1``; int64 through
+``str``; any other field (labels, None, mixed objects, and in JSON NaN or
+infinities) cell by cell. Both routes write the bytes of ``csv.writer`` over
+``format_cell`` and of ``json.dumps(jsonable(payload), sort_keys=True,
+indent=2)`` over the table's rows, a bool field being written as the
+integers 0 and 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+# Rows per chunk. A chunk formatted cell by cell holds a str per cell, and 1,024
+# rows keep the largest grid's chunks small. A records chunk costs a few numpy
+# passes and one orjson dump, so it can be longer, until its buffers outgrow what
+# the allocator keeps for reuse and every chunk faults in fresh pages. Writing
+# 65,536 JSON records in-process on a 2-vCPU VM took no page faults and about
+# 14 ms at 4,096 rows, and 1,610 faults and about 20 ms at 16,384.
 _CHUNK_ROWS = 1024
+_RECORD_CHUNK_ROWS = 4096
+_RECORD_DTYPES = (np.dtype(np.float64), np.dtype(np.bool_))
 _CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 # (head, cell separator, row separator, tail) of a chunk of table rows
 _CSV_LAYOUT = ("", ",", "\r\n", "\r\n")
@@ -72,8 +83,15 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _is_records(dtypes: list) -> bool:
+    """A float64 field, optionally followed by a bool field: single-meter records."""
+    return 0 < len(dtypes) <= 2 and tuple(dtypes) == _RECORD_DTYPES[: len(dtypes)]
+
+
 def _column_chunks(table):
-    """(row count, field columns) of each ``_CHUNK_ROWS`` rows of a structured array."""
+    """(row count, field columns) of each chunk of a structured array: each
+    ``_RECORD_CHUNK_ROWS`` rows of single-meter records, each ``_CHUNK_ROWS``
+    rows of any other table."""
     if not isinstance(table, np.ndarray):
         # The same table given record by record, as perfbench/spans.py's CSV
         # row counter gives it: each chunk of records is rebuilt into an array.
@@ -82,9 +100,11 @@ def _column_chunks(table):
         while chunk := list(islice(it, _CHUNK_ROWS)):
             yield from _column_chunks(np.array(chunk, dtype=chunk[0].dtype))
         return
-    for start in range(0, len(table), _CHUNK_ROWS):
-        block = table[start : start + _CHUNK_ROWS]
-        yield len(block), [block[name] for name in table.dtype.names]
+    fields = table.dtype.names
+    size = _RECORD_CHUNK_ROWS if _is_records([table.dtype[name] for name in fields]) else _CHUNK_ROWS
+    for start in range(0, len(table), size):
+        block = table[start : start + size]
+        yield len(block), [block[name] for name in fields]
 
 
 def _dump_floats(column: np.ndarray) -> bytes:
@@ -132,33 +152,57 @@ def _float_texts(column: np.ndarray) -> list[str]:
     return texts
 
 
-def _record_rows(columns: list, layout: tuple[str, str, str, str]) -> str | None:
-    """A chunk of single-meter records laid out as bytes, or None where it is
-    not one: a float64 column, optionally followed by a bool column, whose
-    every float orjson writes as ``repr`` does.
+def _commas(text: bytes) -> np.ndarray:
+    return np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
 
-    The floats are dumped once and a ``,`` appended; every ``,`` becomes the
-    row template with a ``0`` flag, and each kept row's flag byte, at
-    comma_i + i (len(template) - 1) + len(cell separator), is set to ``1``.
+
+def _spliced(dump: bytearray, rows: np.ndarray, values: list[float]) -> bytearray:
+    """``dump``, a float list whose ``]`` is a ``,``, with the text of each row
+    in ``rows`` replaced by ``repr``'s text of its value."""
+    commas = _commas(dump)
+    ends = commas[rows]
+    starts = np.where(rows > 0, commas[rows - 1], 0) + 1  # the "[" bounds row 0
+    pieces, pos = [], 0
+    for start, end, value in zip(starts.tolist(), ends.tolist(), values):
+        pieces += (dump[pos:start], float.__repr__(value).encode())
+        pos = end
+    pieces.append(dump[pos:])
+    return bytearray().join(pieces)
+
+
+def _record_rows(columns: list, layout: tuple[str, str, str, str]) -> list | None:
+    """A chunk of single-meter records as byte pieces, or None where it is not
+    one: a float64 column, optionally followed by a bool column, with no NaN or
+    infinity.
+
+    The floats are dumped once and the closing ``]`` made a ``,``. Where
+    orjson's notation is not ``repr``'s (|x| in [1e-9, 1e-4) or from 1e16 up),
+    ``repr``'s text is spliced in between the commas that bound the value.
+    Every ``,`` then becomes the row template with a ``0`` flag, and each kept
+    row's flag byte, at comma_i + i (len(template) - 1) + len(cell separator),
+    is set to ``1``. The pieces are views of that one buffer and the layout's
+    ends, so no text of the chunk is copied or decoded.
     """
-    if not 0 < len(columns) <= 2 or columns[0].dtype != np.float64:
-        return None
-    flags = columns[1] if len(columns) == 2 else None
-    if flags is not None and flags.dtype != np.bool_:
+    if not _is_records([column.dtype for column in columns]):
         return None
     column = np.ascontiguousarray(columns[0])
-    if not _written_as_repr(np.abs(column)).all():
+    tails = np.flatnonzero(~_written_as_repr(np.abs(column)))
+    tail_values = column[tails].tolist()
+    if not all(map(math.isfinite, tail_values)):
         return None
+    flags = columns[1] if len(columns) == 2 else None
     head, cell_sep, row_sep, tail = layout
     template = (cell_sep + "0" if flags is not None else "") + row_sep
-    body = _dump_floats(column)[1:-1] + b","
-    text = bytearray(body.replace(b",", template.encode()))
+    dump = bytearray(_dump_floats(column))
+    dump[-1] = ord(",")
+    if tails.size:
+        dump = _spliced(dump, tails, tail_values)
+    text = dump.replace(b",", template.encode())
     if flags is not None:
-        commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
         kept = np.flatnonzero(flags)
-        flag_at = commas[kept] + kept * (len(template) - 1) + len(cell_sep)
+        flag_at = _commas(dump)[kept] + kept * (len(template) - 1) + len(cell_sep)
         np.frombuffer(text, np.uint8)[flag_at] = ord("1")
-    return head + text[: -len(row_sep)].decode() + tail
+    return [head.encode(), memoryview(text)[1 : -len(row_sep)], tail.encode()]
 
 
 def _format_column(column: np.ndarray, cell, finite_floats: bool = False) -> list[str]:
@@ -185,28 +229,28 @@ def _joined(texts: list[list[str]], layout: tuple[str, str, str, str]) -> str:
     return head + row_sep.join(map(cell_sep.join, zip(*texts))) + tail
 
 
-def _csv_lines(n: int, columns: list) -> str:
-    """CRLF-terminated CSV lines of ``n`` rows given as columns."""
-    if (text := _record_rows(columns, _CSV_LAYOUT)) is not None:
-        return text
+def _csv_lines(n: int, columns: list) -> list:
+    """CRLF-terminated CSV lines of ``n`` rows given as columns, as byte pieces."""
+    if (pieces := _record_rows(columns, _CSV_LAYOUT)) is not None:
+        return pieces
     texts = [_format_column(col, _csv_cell) for col in columns]
     if not texts:
-        return "\r\n" * n
+        return [b"\r\n" * n]
     if len(texts) == 1:  # csv.writer quotes a lone empty field
         texts[0] = ['""' if text == "" else text for text in texts[0]]
-    return _joined(texts, _CSV_LAYOUT)
+    return [_joined(texts, _CSV_LAYOUT).encode()]
 
 
 def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
-    """RFC-4180 CSV with header and a trailing '# ...' metadata comment.
+    """RFC-4180 CSV in UTF-8 with header and a trailing '# ...' metadata comment.
 
     ``rows`` is a structured array, or its records one at a time.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_lines(1, [np.array([name], dtype=object) for name in header]))
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_lines(1, [np.array([name], dtype=object) for name in header]))
         for n, columns in _column_chunks(rows):
-            fh.write(_csv_lines(n, columns))
-        fh.write(f"# {metadata}\n")
+            fh.writelines(_csv_lines(n, columns))
+        fh.write(f"# {metadata}\n".encode())
 
 
 def _json_value(value, indent: str) -> str:
@@ -218,39 +262,40 @@ def _json_cell(value) -> str:
     return _json_value(value, "      ")
 
 
-def _json_rows(n: int, columns: list) -> str:
-    """``n`` rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins them."""
-    if (text := _record_rows(columns, _JSON_LAYOUT)) is not None:
-        return text
+def _json_rows(n: int, columns: list) -> list:
+    """``n`` rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins
+    them, as byte pieces."""
+    if (pieces := _record_rows(columns, _JSON_LAYOUT)) is not None:
+        return pieces
     texts = [_format_column(col, _json_cell, finite_floats=True) for col in columns]
     if not texts:
-        return ",\n    ".join(["[]"] * n)
-    return _joined(texts, _JSON_LAYOUT)
+        return [",\n    ".join(["[]"] * n).encode()]
+    return [_joined(texts, _JSON_LAYOUT).encode()]
 
 
 def write_json(path: Path, payload: dict) -> None:
     """``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` plus a newline.
 
     ``payload`` has str keys. Its values are rendered one at a time. A
-    ``"rows"`` value that is a structured array is written ``_CHUNK_ROWS``
-    rows at a time.
+    ``"rows"`` value that is a structured array is written a chunk at a time.
     """
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if not payload:
-            fh.write("{}\n")
+            fh.write(b"{}\n")
             return
         sep = "{\n  "
         for key in sorted(payload):
-            fh.write(f"{sep}{json.dumps(key)}: ")
+            fh.write(f"{sep}{json.dumps(key)}: ".encode())
             sep = ",\n  "
             value = payload[key]
             is_table = isinstance(value, np.ndarray) and value.dtype.names is not None
             if key == "rows" and is_table and len(value):
-                row_sep = "[\n    "
+                row_sep = b"[\n    "
                 for n, columns in _column_chunks(value):
-                    fh.write(row_sep + _json_rows(n, columns))
-                    row_sep = ",\n    "
-                fh.write("\n  ]")
+                    fh.write(row_sep)
+                    fh.writelines(_json_rows(n, columns))
+                    row_sep = b",\n    "
+                fh.write(b"\n  ]")
             else:
-                fh.write(_json_value(value, "  "))
-        fh.write("\n}\n")
+                fh.write(_json_value(value, "  ").encode())
+        fh.write(b"\n}\n")

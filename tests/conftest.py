@@ -1,8 +1,8 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
 and the test oracles: the pairwise projector checks of an eigensystem, the
 direct-kernel collective x density, the
-complex-amplitude single and kick and the projector-stack sequential Monte
-Carlo records, the branch-sum sequential
+complex-amplitude single and kick, the untiled threshold and the
+projector-stack sequential Monte Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
 grid CDF of a meter density and the Kraus completeness residual; and
 ``run_python``, a fresh interpreter that imports the package under test.
@@ -177,6 +177,27 @@ def complex_kick(plan: TrialPlan) -> np.ndarray:
         out = np.empty(n, dtype=_DTYPE_ONE)
         out["x"] = xp
         out["postselected"] = u_accept < amp.real**2 + amp.imag**2
+        parts.append(out)
+    return np.concatenate(parts)
+
+
+def untiled_threshold(plan: TrialPlan) -> np.ndarray:
+    """Threshold-protocol records from one pass over each whole block: the
+    branch drawn by ``np.searchsorted`` on the CDF, and a run kept when
+    x >= threshold_multiple * lam. Draws as the runner does."""
+    eigenvalues, _, probs = _eigen_arrays(plan.observable, plan.preselect)
+    lam = plan.coupling
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    parts = []
+    for b, start in enumerate(range(0, plan.trials, BLOCK_SIZE)):
+        rng, n = stream_rng(plan.seed, b), min(BLOCK_SIZE, plan.trials - start)
+        u_branch = rng.random(n)
+        z = rng.standard_normal(n)
+        branch = np.searchsorted(cdf, u_branch, side="right").clip(0, probs.size - 1)
+        out = np.empty(n, dtype=_DTYPE_ONE)
+        out["x"] = lam * eigenvalues[branch] + z
+        out["postselected"] = out["x"] >= plan.threshold_multiple * lam
         parts.append(out)
     return np.concatenate(parts)
 

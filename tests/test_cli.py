@@ -52,6 +52,17 @@ class TestParseConfig:
             parse_config("weak-value", config(observable=bad, psi=KET0, phi=PHI68))
         assert err.value.path == "observable"
 
+    def test_seed_past_64_bits_stays_an_exact_int(self):
+        # orjson 3.8 reads an integer past 2**64 - 1 as a float, 2**64 + 1 as
+        # 1.8446744073709552e+19; json.loads keeps every digit, and so must any parser
+        seed = 2**64 + 1
+        cfg = parse_config(
+            "simulate",
+            config(protocol="threshold", observable=SX_JSON, psi=KET0, trials=10, seed=seed),
+        )
+        for value in (cfg.params["seed"], cfg.raw["seed"]):
+            assert type(value) is int and value == seed
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError) as err:
             parse_config(

@@ -19,6 +19,8 @@ from conftest import (
     projector_stack_sequential,
     random_observable,
     random_selection_pair,
+    run_python,
+    untiled_threshold,
 )
 from weakmeas.core import Observable, PureState
 from weakmeas.errors import NoPostselectedRuns, OrthogonalPostselection
@@ -115,15 +117,16 @@ class TestRunSingle:
 
 
 class TestSingleAgainstComplexFormula:
-    """run_single's real, constant-free kernel gives the same records, byte for
-    byte, as the complex amplitude over normalized Gaussians."""
+    """run_single's real, constant-free kernel, evaluated in tiles, gives the
+    same records, byte for byte, as the complex amplitude over normalized
+    Gaussians on whole blocks."""
 
     @settings(max_examples=50)
     @given(
         dim=st.integers(2, 16),
         seed=st.integers(0, 2**32 - 1),
         lam=st.floats(1e-3, 20.0),
-        trials=st.integers(1, 4096),
+        trials=st.integers(1, 3 * TILE + 1),
         data=st.data(),
     )
     def test_records_match_on_degenerate_spectra(self, dim, seed, lam, trials, data):
@@ -151,15 +154,16 @@ class TestSingleAgainstComplexFormula:
 
 
 class TestKickAgainstComplexFormula:
-    """run_kick's real cos/sin kernel gives the same records, byte for byte,
-    as the complex exponential of the (n, k) outer product."""
+    """run_kick's real cos/sin kernel, evaluated in tiles, gives the same
+    records, byte for byte, as the complex exponential of the (n, k) outer
+    product of a whole block."""
 
     @settings(max_examples=50)
     @given(
         dim=st.integers(2, 16),
         seed=st.integers(0, 2**32 - 1),
         log_lam=st.floats(math.log(1e-3), math.log(20.0)),
-        trials=st.integers(1, 4096),
+        trials=st.integers(1, 3 * TILE + 1),
         data=st.data(),
     )
     def test_records_match_on_degenerate_spectra(self, dim, seed, log_lam, trials, data):
@@ -183,6 +187,48 @@ class TestKickAgainstComplexFormula:
         plan = TrialPlan("kick", a, 3.1, psi, phi, BLOCK_SIZE + 1, 9, threads=threads)
         records, _ = run_kick(plan)
         assert records.tobytes() == complex_kick(plan).tobytes()
+
+
+class TestThresholdAgainstUntiledBlocks:
+    """run_threshold's tiled kernel gives the same records, byte for byte, as
+    one pass over each whole block."""
+
+    @settings(max_examples=50)
+    @given(
+        dim=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(math.log(1e-3), math.log(20.0)),
+        log_multiple=st.floats(math.log(1e-2), math.log(1e3)),
+        trials=st.integers(1, 3 * TILE + 1),
+        data=st.data(),
+    )
+    def test_records_match_on_degenerate_spectra(self, dim, seed, log_lam, log_multiple, trials, data):
+        rng = np.random.default_rng(seed)
+        a = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"))
+        psi, _ = random_selection_pair(rng, dim)
+        plan = TrialPlan(
+            "threshold", a, math.exp(log_lam), psi, None, trials, int(rng.integers(2**31)),
+            threshold_multiple=math.exp(log_multiple),
+        )
+        expected = untiled_threshold(plan)
+        if not expected["postselected"].any():
+            with pytest.raises(NoPostselectedRuns):
+                run_threshold(plan)
+            return
+        records, _ = run_threshold(plan)
+        assert records.dtype == expected.dtype
+        assert records.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_two_blocks(self, threads):
+        rng = np.random.default_rng(70_005)
+        a = degenerate_observable(rng, 7, 3)
+        psi, _ = random_selection_pair(rng, 7)
+        plan = TrialPlan(
+            "threshold", a, 0.4, psi, None, BLOCK_SIZE + TILE + 1, 10, threshold_multiple=2.0, threads=threads
+        )
+        records, _ = run_threshold(plan)
+        assert records.tobytes() == untiled_threshold(plan).tobytes()
 
 
 class TestCategorical:
@@ -355,6 +401,24 @@ class TestSequentialAgainstProjectorStack:
         assert peak <= 16 * 2**20
 
 
+@pytest.mark.parametrize("protocol", ["single", "kick", "threshold"])
+def test_one_meter_block_memory_is_tile_sized(protocol):
+    # at d = 16 a block of (k, n) temporaries peaked at 13.6 MiB for single and
+    # 27.6 MiB for kick; tiles hold them to a few MiB beside the draws and records
+    rng = np.random.default_rng(65_536)
+    a = random_observable(rng, 16)
+    psi, phi = random_selection_pair(rng, 16)
+    post = None if protocol == "threshold" else phi
+    plan = TrialPlan(protocol, a, 0.1, psi, post, BLOCK_SIZE, 3, threshold_multiple=1.0)
+    tracemalloc.start()
+    try:
+        run_plan(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
 class TestRunThreshold:
     def test_mean_exceeds_threshold(self):
         plan = TrialPlan("threshold", OBS, 0.05, PSI, None, 50_000, 13, threshold_multiple=10.0)
@@ -429,6 +493,12 @@ class TestPlanAndRecords:
     def test_statistics_validation(self):
         with pytest.raises(ValueError):
             TrialStatistics(10, 11, 1.1, (0.0,), (1.0,))
+
+    def test_importing_the_cli_leaves_the_thread_pool_unloaded(self):
+        # concurrent.futures is imported by the first threaded run of two or more
+        # blocks; its import stays out of every command's start-up
+        proc = run_python("-c", "import sys, weakmeas.cli; print('concurrent.futures' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_run_plan_dispatch(self):
         plan = TrialPlan("kick", OBS, 0.1, PSI, PHI, 100, 0)

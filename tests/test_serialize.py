@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from weakmeas import cli, serialize
 from weakmeas import montecarlo as mc
 from conftest import run_python
 from weakmeas.montecarlo import _DTYPE_ONE
-from weakmeas.serialize import _CHUNK_ROWS, _float_texts, format_cell, jsonable, write_csv, write_json
+from weakmeas.serialize import (
+    _CHUNK_ROWS,
+    _RECORD_CHUNK_ROWS,
+    _float_texts,
+    format_cell,
+    jsonable,
+    write_csv,
+    write_json,
+)
 
 METADATA = "config_sha256=0123456789abcdef seed=7"
 
@@ -241,9 +250,10 @@ def test_column_tables(out_dir, n, kinds, pool, seed):
     assert_column_table_bytes(out_dir, table)
 
 
-# Single-meter records: a float64 field x, with or without a bool field. Chunks take
-# turns drawing x from floats orjson writes as repr does (the byte route) and from
-# tail floats (mostly the per-cell route).
+# Single-meter records: a float64 field x, with or without a bool field. Stretches of
+# _CHUNK_ROWS rows take turns drawing x from floats orjson writes as repr does and
+# from tail floats, NaN and infinities among them, which send a chunk to the per-cell
+# route.
 plain_floats = floats.filter(lambda v: abs(v) < 1e-9 or 1e-4 <= abs(v) < 1e16)
 
 
@@ -278,6 +288,68 @@ def test_plain_records_take_the_byte_route(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_float_texts", per_cell_route)
     assert_column_table_bytes(tmp_path, table)
+
+
+# Finite floats orjson writes in another notation than repr: |x| in [1e-9, 1e-4) and
+# from 1e16 up, their edges among them
+finite_tail_floats = st.tuples(
+    st.one_of(
+        st.floats(1e-9, 1e-4, exclude_max=True),
+        st.floats(1e16, 1.7976931348623157e308),
+        st.sampled_from([1e-9, 1e-5, float(np.nextafter(1e-4, 0.0)), 1e16]),
+    ),
+    st.booleans(),
+).map(lambda t: -t[0] if t[1] else t[0])
+RECORD_ROW_COUNTS = [_CHUNK_ROWS - 1, _CHUNK_ROWS + 1, _RECORD_CHUNK_ROWS - 1, _RECORD_CHUNK_ROWS, _RECORD_CHUNK_ROWS + 1]
+
+
+def per_cell_route(column):
+    raise AssertionError("a finite records chunk was formatted cell by cell")
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from(RECORD_ROW_COUNTS),
+    plain=st.lists(plain_floats | st.sampled_from([0.0, -0.0, 1e-4, -1e-4]), min_size=1, max_size=8),
+    tails=st.lists(finite_tail_floats, min_size=1, max_size=8),
+    share=st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
+    flags=st.sampled_from(["none", "all 0", "all 1", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_finite_tail_records_take_the_byte_route(out_dir, n, plain, tails, share, flags, seed):
+    # plain and tail floats mixed in every chunk, each chunk's first row a tail float
+    rng = np.random.default_rng(seed)
+    table = np.empty(n, dtype=_DTYPE_ONE if flags != "none" else [("x", "f8")])
+    table["x"] = np.where(rng.random(n) < share, rng.choice(np.array(tails), n), rng.choice(np.array(plain), n))
+    table["x"][::_CHUNK_ROWS] = tails[0]
+    if flags != "none":
+        table["postselected"] = {"all 0": False, "all 1": True, "random": rng.random(n) < 0.5}[flags]
+    with mock.patch.object(serialize, "_float_texts", per_cell_route):
+        assert_column_table_bytes(out_dir, table)
+
+
+@pytest.mark.parametrize("flags", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_records_with_nan_or_infinity_fall_back(tmp_path, monkeypatch, bad, flags):
+    # the chunk holding the value is formatted cell by cell, the next one is not
+    rng = np.random.default_rng(21)
+    n = _RECORD_CHUNK_ROWS + 1
+    table = np.empty(n, dtype=_DTYPE_ONE if flags else [("x", "f8")])
+    table["x"] = rng.normal(size=n)
+    table["x"][5] = bad
+    if flags:
+        table["postselected"] = rng.random(n) < 0.3
+    sizes = []
+
+    def counted(column):
+        sizes.append(column.size)
+        return _float_texts(column)
+
+    monkeypatch.setattr(serialize, "_float_texts", counted)
+    assert_column_table_bytes(tmp_path, table)
+    # CSV whole, then record by record in _CHUNK_ROWS rows; JSON writes NaN and
+    # infinities cell by cell, through json.dumps
+    assert sizes == [_RECORD_CHUNK_ROWS, _CHUNK_ROWS]
 
 
 class TestFloatTexts:
