@@ -8,7 +8,17 @@ Config is a single JSON document, given as a file path or inline with
 ``--config '{...}'``. Complex numbers are [re, im] pairs, observables
 row-major lists of pairs, and states are normalized on input. Unknown keys
 are rejected with their field path. A short hash of the merged config stamps
-every emitted file.
+every emitted file (``serialize.config_hash``).
+
+The document is read by ``orjson.loads``, with two fallbacks to
+``json.loads``, which reads the same values: a text holding a run of 19 or
+more digits outside a fraction, as orjson reads an int past 64 bits as a
+float, and a text orjson refuses, so that ``NaN``, ``Infinity`` and ``1e400``
+reach the finiteness checks and malformed JSON keeps ``json.loads``'s
+message. A list of [re, im] pairs of ints and floats is read in one
+``np.array``; any other list takes the per-entry reader, which words every
+refusal. ``collective``, ``lindblad`` and ``montecarlo`` are imported by the
+commands that use them, so importing this module leaves them out.
 
 Exit codes: 0 success, 2 config error, 3 domain error (bad physics inputs),
 4 numeric-quality failure.
@@ -18,18 +28,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import collective as coll
 from . import core
-from . import lindblad as lb
-from . import montecarlo as mc
 from . import pointer as ptr
 from . import protocols as proto
 from .errors import (
@@ -48,6 +57,13 @@ DEFAULT_N_GRID = (25, 50, 100, 200, 400)
 DEFAULT_TRIALS = 100_000
 DEFAULT_GRID_POINTS = 512
 _BRANCH_HALFWIDTH = 10.0  # past this a branch adds at most G(10) ~ 7.7e-23 of its weight to the density
+_REALS = {int, float}  # by exact type: bool is an int, and a number to no command
+# A run of 19 digits not after a "." may be an int past 64 bits, which orjson
+# reads as a float. With every digit made a 9, the search skips to each run by
+# its literal instead of testing every character; orjson reads a fraction's
+# digits as json.loads does.
+_DIGITS_AS_NINE = bytes.maketrans(b"012345678", b"999999999")
+_LONG_DIGIT_RUN = re.compile(b"9" * 19 + b"(?<![.9]" + b"9" * 19 + b")")
 
 _SIMULATE_KEYS = {
     "protocol",
@@ -103,7 +119,26 @@ class RunConfig:
         return config_hash({"command": self.command, **doc})
 
 
-def _parse_complex_pairs(value, path: str) -> list[complex]:
+def _parse_complex_pairs(value, path: str) -> np.ndarray:
+    """A non-empty list of [re, im] pairs of numbers as a complex128 array.
+
+    A list of 2-lists of int or float whose float64 values are all finite is
+    read in one ``np.array``. Every other input, and ints past the float
+    range, take the loop, which reads each entry as ``_parse_number`` reads a
+    number and words the refusal that names it.
+    """
+    if (
+        isinstance(value, list)
+        and set(map(type, value)) == {list}
+        and set(map(len, value)) == {2}
+        and set(map(type, itertools.chain.from_iterable(value))) <= _REALS
+    ):
+        try:
+            pairs = np.array(value, np.float64)
+        except OverflowError:
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            return pairs.view(np.complex128).ravel()
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
     out = []
@@ -112,13 +147,13 @@ def _parse_complex_pairs(value, path: str) -> list[complex]:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(entry, "expected an [re, im] pair of numbers")
         out.append(complex(_parse_number(item[0], entry), _parse_number(item[1], entry)))
-    return out
+    return np.array(out)
 
 
 def _parse_state(value, path: str) -> core.PureState:
     amps = _parse_complex_pairs(value, path)
     try:
-        return core.PureState.normalized(np.array(amps))
+        return core.PureState.normalized(amps)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -129,7 +164,7 @@ def _parse_observable(value, path: str) -> core.Observable:
     if dim * dim != len(entries):
         raise SchemaError(path, f"row-major length {len(entries)} is not a square")
     try:
-        return core.Observable(np.array(entries).reshape(dim, dim))
+        return core.Observable(entries.reshape(dim, dim))
     except (ValueError, DomainError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -174,6 +209,23 @@ def _parse_number_list(value, path: str, kind=float, minimum=None) -> tuple:
     return tuple(_parse_number(v, f"{path}[{i}]", kind, minimum) for i, v in enumerate(value))
 
 
+def _orjson_document(text: str):
+    """``orjson.loads(text)``, or None where it might differ from ``json.loads``:
+    where the text holds a run of 19 or more digits that is not a fraction's
+    (orjson reads an int past 2**64 - 1, or below -2**63, as a float) and where
+    orjson refuses the text (``json.loads`` reads ``NaN``, ``Infinity``,
+    ``1e400`` and lone surrogates, and words the refusal of malformed JSON its
+    own way). Both read every float to the nearest double."""
+    import orjson  # see serialize._dump_floats
+
+    if _LONG_DIGIT_RUN.search(text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_NINE)):
+        return None
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+
+
 def load_config_document(source: str) -> dict:
     """Read the JSON config from an inline string or a file path."""
     text = source
@@ -182,10 +234,12 @@ def load_config_document(source: str) -> dict:
             text = Path(source).read_text()
         except OSError as exc:
             raise FileError(f"cannot read config file {source}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    doc = _orjson_document(text)
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "config document must be a JSON object")
     return doc
@@ -227,6 +281,8 @@ def parse_config(command: str, source: str, overrides: dict | None = None) -> Ru
         elif key == "target":
             params[key] = _parse_choice(value, key, {"re", "im"})
         elif key == "protocol":
+            from . import montecarlo as mc
+
             params[key] = _parse_choice(value, key, set(mc.PROTOCOLS))
         elif key == "grid":
             params[key] = _parse_grid(value, key)
@@ -458,6 +514,8 @@ def _cmd_sequential(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
 
 def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
+    from . import collective as coll
+
     p = cfg.params
     lam = p["lambda"]
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
@@ -484,6 +542,8 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
 
 def _cmd_lindblad(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
+    from . import lindblad as lb
+
     p = cfg.params
     lam = p["lambda"]
     report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])
@@ -512,7 +572,10 @@ def _cmd_disturbance(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     }
 
 
-def _build_plan(p: dict) -> mc.TrialPlan:
+def _build_plan(p: dict):
+    """The ``montecarlo.TrialPlan`` of a ``simulate`` config's parameters."""
+    from . import montecarlo as mc
+
     return mc.TrialPlan(
         protocol=p["protocol"],
         observable=p["observable"],
@@ -529,8 +592,9 @@ def _build_plan(p: dict) -> mc.TrialPlan:
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
-    plan = _build_plan(cfg.params)
-    records, stats = mc.run_plan(plan)
+    from . import montecarlo as mc
+
+    records, stats = mc.run_plan(_build_plan(cfg.params))
     # fields x[, x2], postselected: the table as it stands, bools written as 0/1
     _write_table(cfg, out_dir, "records", records, fmt)
     write_json(out_dir / "stats.json", {**asdict(stats), "metadata": _metadata(cfg)})
@@ -546,6 +610,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
 
 def _cmd_threshold(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
+    from . import montecarlo as mc
+
     p = cfg.params
     mult = p["threshold_multiple"]
 

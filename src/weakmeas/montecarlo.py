@@ -28,9 +28,10 @@ every runner then evaluates the rest in tiles of ``TILE`` trials, so its
 other temporaries are a few (k, TILE) or (2d, TILE) float arrays that stay
 in cache and that the allocator hands back from tile to tile, not (k, n)
 arrays whose fresh pages every block faults in. At d = 16 a block peaks at
-about 8.4 MiB traced for the sequential runner, most of it the five (n,)
-draws and the records, and at 3.2, 4.1 and 1.8 MiB for single, kick and
-threshold (13.6, 27.6 and 2.6 MiB with untiled blocks).
+about 7.8 MiB traced for the sequential runner, most of it the five (n,)
+draws and the records (8.3 MiB with its first meter's outcome formed for the
+whole block), and at 3.2, 4.1 and 1.8 MiB for single, kick and threshold
+(13.6, 27.6 and 2.6 MiB with untiled blocks).
 """
 
 from __future__ import annotations
@@ -288,11 +289,11 @@ def run_sequential(plan: TrialPlan):
     chi1, P(x2 | x1) and every Gaussian constant cancel from both sides.
 
     A block draws its five uniforms and normals for all of its trials, then
-    evaluates the collapses in tiles of ``TILE`` trials in real arithmetic,
-    branch-major: the real and imaginary parts of the d coordinates are the
-    2d rows of one (2d, TILE) array. A block costs O(n d^2) and, beyond the
-    five (n,) draws, holds only tile-sized arrays (1 MiB for the coordinates
-    at d = 16).
+    forms x1 and evaluates the collapses in tiles of ``TILE`` trials, in real
+    arithmetic and branch-major: the real and imaginary parts of the d
+    coordinates are the 2d rows of one (2d, TILE) array. A block costs
+    O(n d^2) and, beyond the five (n,) draws, holds only tile-sized arrays
+    (1 MiB for the coordinates at d = 16).
     """
     a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
     b_system = plan.second_observable.eigensystem
@@ -319,13 +320,12 @@ def run_sequential(plan: TrialPlan):
         u2 = rng.random(n)
         z2 = rng.standard_normal(n)
         u3 = rng.random(n)
-        x1 = lam1 * a_vals[_categorical(u1, probs_a)] + z1
-        out["x"] = x1
-        x2_out, kept_out = out["x2"], out["postselected"]
+        x1_out, x2_out, kept_out = out["x"], out["x2"], out["postselected"]
 
         for tile in _tiles(n):
+            x1 = lam1 * a_vals[_categorical(u1[tile], probs_a)] + z1[tile]
             # Re and Im of chi1's unnormalized coordinates, (2, d, tile)
-            re_im = (rot @ _root_gaussian(x1[tile], centers1)).reshape(2, d, -1)
+            re_im = (rot @ _root_gaussian(x1, centers1)).reshape(2, d, -1)
             weight = np.square(re_im[0])
             weight += np.square(re_im[1])
             cdf = cum @ weight  # unnormalized branch-2 CDF, (k_B, tile)
@@ -336,6 +336,7 @@ def run_sequential(plan: TrialPlan):
             amp = post @ re_im.reshape(2 * d, -1)
             h2 *= h2
             h2 *= weight
+            x1_out[tile] = x1
             x2_out[tile] = x2
             kept_out[tile] = u3[tile] * h2.sum(axis=0) < amp[0] ** 2 + amp[1] ** 2
 

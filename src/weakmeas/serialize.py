@@ -5,7 +5,12 @@ such pairs. All emitted files are byte-stable functions of their inputs:
 keys are sorted, floats are written as ``repr`` writes them (shortest
 round-trip), and no timestamps or environment data are written. Every CSV
 ends with a comment line carrying the config hash and seed so outputs are
-self-identifying.
+self-identifying. The hash is the sha256 of ``json.dumps(config,
+sort_keys=True, separators=(",", ":"))``. orjson writes that text with its
+number notation fixed in place (``_compact_json``); ``json.dumps`` itself
+writes it for a config orjson would write otherwise: one with an int past 64
+bits, non-ASCII text, NaN or an infinity, or a string holding a backslash or
+text a number fix would match.
 
 Tables are structured arrays, written by column a chunk at a time, and files
 are written as UTF-8 bytes. A chunk of single-meter records (one float64
@@ -31,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from itertools import islice
 from pathlib import Path
 
@@ -49,6 +55,18 @@ _CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 # (head, cell separator, row separator, tail) of a chunk of table rows
 _CSV_LAYOUT = ("", ",", "\r\n", "\r\n")
 _JSON_LAYOUT = ("[\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]")
+# Where orjson's compact JSON writes a number in another notation than repr,
+# and the fix of each. Every pattern begins with a literal, so a search skips
+# to its next occurrence instead of testing every digit. Exponents: orjson
+# writes one from 1e16 up (no "+") and below 1e-5 (no zero pad).
+_OTHER_NOTATION = re.compile(rb"e-?[0-9]|0\.0000")
+_REPR_FIXES = (
+    (re.compile(rb"e(?=[0-9])"), b"e+"),
+    (re.compile(rb"e-(?=[0-9](?![0-9]))"), b"e-0"),
+    # |x| in [1e-5, 1e-4), the token's start (after a sign, if any)
+    (re.compile(rb"0\.0000(?<=[-,:[]0\.0000)[0-9]*"), lambda m: float.__repr__(float(m[0])).encode()),
+)
+_STRING = re.compile(rb'"[^"]*"')
 
 
 def jsonable(obj):
@@ -69,8 +87,39 @@ def jsonable(obj):
 def config_hash(config: dict) -> str:
     """The first 16 hex digits of the sha256 of ``config`` as compact JSON with
     sorted keys. ``config`` must be JSON-native: it is not converted first."""
-    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_compact_json(config)).hexdigest()[:16]
+
+
+def _compact_json(config: dict) -> bytes:
+    """``json.dumps(config, sort_keys=True, separators=(",", ":"))`` as bytes.
+
+    orjson writes the same text, but for the numbers it writes in another
+    notation than ``repr``: exponents (``1e-7`` for ``1e-07``, ``1e16`` for
+    ``1e+16``) and the plain decimals of |x| in [1e-5, 1e-4) (``0.00001`` for
+    ``1e-05``). Its digits round-trip, so fixing the exponents' text and
+    rewriting those decimals with ``float.__repr__`` is exact. ``json.dumps``
+    writes the text where that would not give its bytes: an int past 64 bits,
+    which orjson refuses; non-ASCII text or DEL, which ``json.dumps`` escapes;
+    NaN and infinities, which orjson writes as ``null``; and a string holding
+    a backslash or text a fix would match, which the fixes cannot tell apart
+    from numbers.
+    """
+    import orjson  # see _dump_floats
+
+    try:
+        text = orjson.dumps(config, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError:  # an int past 64 bits
+        text = None
+    if (
+        text is None
+        or not text.isascii()
+        or any(mark in text for mark in (b"\\", b"\x7f", b"null"))
+        or _OTHER_NOTATION.search(b"".join(_STRING.findall(text)))
+    ):
+        return json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    for pattern, repl in _REPR_FIXES:
+        text = pattern.sub(repl, text)
+    return text
 
 
 def format_cell(value) -> str:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,6 +139,162 @@ class TestParseConfig:
             config(protocol="threshold", observable=SX_JSON, psi=KET0, threads=8),
         )
         assert a.hash == b.hash
+
+
+class _Pair(list):
+    """A pair that fails the bulk reader's exact type check, so
+    ``_parse_complex_pairs`` reads it in its per-entry loop."""
+
+
+def read_pairs(value):
+    """(complex128 bytes, None) of ``_parse_complex_pairs``, or (None, refusal text)."""
+    try:
+        return cli._parse_complex_pairs(value, "pairs").tobytes(), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+# Numbers a pair entry can hold: ints near 2**53 (where float rounding starts) and
+# past the float range, signed zeros, and floats from subnormals to the top
+PAIR_NUMBERS = st.one_of(
+    st.integers(-(2**54), 2**54),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63, 2**64 + 1, 10**308, 10**309, -(10**400)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+)
+
+# JSON-native documents whose numbers span what json.loads reads exactly: ints
+# around +-2**63 and 2**64 and up to 2**70, every finite float, and keys and
+# strings of digits, exponents and non-ASCII text
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, -(2**64)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="0123456789eE.-+ \"aé", max_size=8),
+)
+JSON_DOCUMENTS = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=20,
+    ),
+    max_size=6,
+)
+
+SX_TEXT = json.dumps({"observable": SX_JSON, "psi": KET0, "phi": PHI68})[1:-1]
+# Documents orjson refuses or may read otherwise than json.loads, each with the
+# command that reads it
+FALLBACK_DOCUMENTS = {
+    "NaN": ("density", "{" + SX_TEXT + ', "lambda": NaN}'),
+    "Infinity": ("density", "{" + SX_TEXT + ', "lambda": -Infinity}'),
+    "1e400": ("density", "{" + SX_TEXT + ', "lambda": 1e400}'),
+    "escaped lone surrogate": ("density", "{" + SX_TEXT + ', "basis": "\\ud800"}'),
+    "lone surrogate": ("density", "{" + SX_TEXT + ', "basis": "\ud800"}'),
+    "BOM": ("weak-value", "\ufeff{" + SX_TEXT + "}"),
+    "trailing garbage": ("weak-value", "{" + SX_TEXT + "} x"),
+    "unclosed": ("weak-value", "{" + SX_TEXT),
+    "duplicate keys": ("density", "{" + SX_TEXT + ', "lambda": 0.5, "lambda": 0.25}'),
+    "20-digit negative int": ("simulate", "{" + SX_TEXT + ', "protocol": "single", "threads": -12345678901234567890}'),
+    "20-digit negative lambda": ("density", "{" + SX_TEXT + ', "lambda": -12345678901234567890}'),
+    "20-digit int in a pair": ("weak-value", "{" + SX_TEXT.replace("[1, 0]", "[12345678901234567890, 0]", 1) + "}"),
+}
+
+
+def parse_outcome(command: str, source: str):
+    """What ``parse_config`` makes of a document: the refusal's class and text,
+    or the exact repr of the hashed document and its hash."""
+    try:
+        cfg = parse_config(command, source)
+    except (SchemaError, FileError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(cfg.raw), cfg.hash
+
+
+class TestConfigIntake:
+    """The bulk readers give what the json.loads and per-entry readers gave."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(PAIR_NUMBERS, PAIR_NUMBERS), min_size=1, max_size=20))
+    def test_bulk_pairs_match_the_loop_bit_for_bit(self, entries):
+        value = [list(entry) for entry in entries]
+        got = read_pairs(value)
+        assert got == read_pairs([_Pair(entry) for entry in entries])
+        if got[0] is not None:  # and both are the complex of each entry's floats
+            assert got[0] == np.array([complex(float(a), float(b)) for a, b in entries]).tobytes()
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[True, 0], [0, 0]],
+            [[0, 0], [0, "1"]],
+            [[0, 0], [0]],
+            [[0, 0], (0, 0)],
+            [[0, 0], [0, None]],
+            [[0, 0], [math.nan, 0]],
+            [[0, 0], [0, -math.inf]],
+            [[0, 0], [10**400, 0]],
+            [],
+            {"re": 0},
+        ],
+        ids=["bool", "str", "short", "tuple", "None", "nan", "-inf", "past the float range", "empty", "dict"],
+    )
+    def test_refusals_are_worded_by_the_loop(self, value):
+        got = read_pairs(value)
+        assert got[0] is None
+        if isinstance(value, list) and value:
+            assert got == read_pairs([_Pair(item) if isinstance(item, list) else item for item in value])
+
+    @settings(max_examples=150)
+    @given(JSON_DOCUMENTS, st.sampled_from([None, 2, "\t"]))
+    def test_documents_read_as_json_loads_reads_them(self, doc, indent):
+        text = json.dumps(doc, indent=indent)
+        assert repr(cli.load_config_document(text)) == repr(json.loads(text))
+
+    @pytest.mark.parametrize("case", sorted(FALLBACK_DOCUMENTS))
+    def test_fallback_documents_as_json_loads_reads_them(self, tmp_path, case):
+        command, source = FALLBACK_DOCUMENTS[case]
+        if not source.startswith("{"):  # a BOM: inline text must start with "{", so read it from a file
+            (tmp_path / "config.json").write_text(source, "utf-8")
+            source = str(tmp_path / "config.json")
+        got = parse_outcome(command, source)
+        with mock.patch.object(cli, "_orjson_document", return_value=None):
+            want = parse_outcome(command, source)
+        assert got == want
+
+    def test_plain_configs_take_orjson(self):
+        # a config of plain numbers reaches neither json.loads nor json.dumps, not
+        # even with 19 or more digits after a point
+        obs = [[0.0012345678901234567, 0], [1e-7, 2**59], [1e-7, -(2**59)], [1.5e-5, 0]]
+        text = config(observable=obs, psi=KET0, phi=PHI68, lambda_grid=[1e16, 0.25])
+        want = parse_config("kick", text)
+        with (
+            mock.patch.object(json, "loads", side_effect=AssertionError),
+            mock.patch.object(json, "dumps", side_effect=AssertionError),
+        ):
+            got = parse_config("kick", text)
+            assert got.hash == want.hash
+        assert repr(got.raw) == repr(want.raw)
+
+    def test_importing_the_cli_leaves_three_layers_unloaded(self):
+        # collective, lindblad and montecarlo are imported by the commands that use them
+        script = (
+            "import sys, weakmeas.cli; "
+            "print(sorted(m for m in sys.modules if m in ('weakmeas.collective', 'weakmeas.lindblad', 'weakmeas.montecarlo')))"
+        )
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_package_names_load_on_first_use(self):
+        script = (
+            "import weakmeas; from weakmeas import run_plan, CollectiveSetup, gdi_diagnostic; "
+            "import weakmeas.montecarlo as mc; print(run_plan is mc.run_plan, 'gdi_diagnostic' in dir(weakmeas), "
+            "weakmeas.lindblad.__name__, hasattr(weakmeas, 'no_such_name'))"
+        )
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True weakmeas.lindblad False\n", "")
 
 
 class TestExitCodes:

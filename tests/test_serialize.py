@@ -9,6 +9,7 @@ bytes.
 """
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -53,6 +54,21 @@ def as_table(header, rows, dtypes) -> np.ndarray:
     return np.array([tuple(row) for row in rows], dtype=list(zip(header, dtypes)))
 
 
+def assert_same_bytes(got_path, want_path):
+    """The two files hold the same bytes. A failure names the first differing
+    offset with 40 bytes on either side: pytest's own diff of two ~100 kB
+    files, redone at every hypothesis shrink step, took about 1 GB."""
+    got, want = got_path.read_bytes(), want_path.read_bytes()
+    at = None
+    if got != want:
+        n = min(len(got), len(want))
+        diff = np.flatnonzero(np.frombuffer(got[:n], np.uint8) != np.frombuffer(want[:n], np.uint8))
+        at = int(diff[0]) if diff.size else n
+        window = slice(max(at - 40, 0), at + 40)
+        got, want = got[window], want[window]
+    assert got == want, f"{got_path} first differs from {want_path} at byte {at}"
+
+
 def assert_table_bytes(out_dir, table: np.ndarray, rows):
     """Both formats of one table, laid out as the CLI lays tables out,
     against the reference writers over ``rows``."""
@@ -61,17 +77,17 @@ def assert_table_bytes(out_dir, table: np.ndarray, rows):
     # whole, and record by record as perfbench's traced CSV writer passes it on
     for given in (table, iter(table)):
         write_csv(out_dir / "got.csv", header, given, METADATA)
-        assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
+        assert_same_bytes(out_dir / "got.csv", out_dir / "want.csv")
     payload = {"columns": header, "rows": table, "metadata": METADATA}
     write_json(out_dir / "got.json", payload)
     reference_json(out_dir / "want.json", {**payload, "rows": rows})
-    assert (out_dir / "got.json").read_bytes() == (out_dir / "want.json").read_bytes()
+    assert_same_bytes(out_dir / "got.json", out_dir / "want.json")
 
 
 def assert_json_bytes(out_dir, payload):
     write_json(out_dir / "got.json", payload)
     reference_json(out_dir / "want.json", payload)
-    assert (out_dir / "got.json").read_bytes() == (out_dir / "want.json").read_bytes()
+    assert_same_bytes(out_dir / "got.json", out_dir / "want.json")
 
 
 class TestSameBytes:
@@ -365,9 +381,70 @@ class TestFloatTexts:
         assert _float_texts(values) == list(map(float.__repr__, values.tolist()))
 
     def test_importing_the_cli_leaves_orjson_unloaded(self):
-        # orjson is imported on the first table written; its 13 ms stay out of every command's start-up
+        # orjson is imported by the first config read or table written, so its
+        # import is not part of importing the CLI
         proc = run_python("-c", "import sys, weakmeas.cli; print('orjson' in sys.modules)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def reference_hash(config) -> str:
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# Floats from 5e-324 to 1e308, log-uniform and with the edges of orjson's notations
+HASH_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-323, 307),
+    ),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e308, *[s * e for s in (1.0, -1.0) for e in (1e-9, 1e-5, 1e-4, 1e16)]]
+        + [math.nextafter(e, t) for e in (1e-9, 1e-5, 1e-4, 1e16) for t in (0.0, math.inf)]
+        + [10.00001, -200.000015, 100000.00001]  # "0.0000" inside repr's own text
+    ),
+)
+# Ints around +-2**63 and 2**64 and up to 2**70
+HASH_INTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda edge, step: edge + step, st.sampled_from([2**63, -(2**63), 2**64, -(2**64)]), st.integers(-2, 2)),
+)
+# Strings of digits, signs, points and exponents, which a number fix must not touch
+HASH_TEXT = st.text(alphabet="0123456789eE.-+:,[]{} \"\\ax", max_size=12) | st.text(max_size=4)
+HASH_LEAVES = st.one_of(st.none(), st.booleans(), HASH_FLOATS, HASH_INTS, HASH_TEXT)
+
+
+class TestConfigHash:
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            HASH_TEXT,
+            st.recursive(
+                HASH_LEAVES,
+                lambda inner: st.lists(inner, max_size=5) | st.dictionaries(HASH_TEXT, inner, max_size=4),
+                max_leaves=30,
+            ),
+            max_size=6,
+        ),
+        st.fixed_dictionaries({}, optional={"grid": st.fixed_dictionaries({"xmin": HASH_FLOATS, "xmax": HASH_FLOATS, "points": HASH_INTS})}),
+    )
+    def test_same_hash_as_json_dumps(self, config, grid):
+        config = {**config, **grid}
+        assert serialize.config_hash(config) == reference_hash(config)
+
+    def test_non_finite_and_non_ascii_configs(self):
+        for config in ({"x": math.nan}, {"x": [-math.inf, 1e-7]}, {"é": 1e16}, {"x": "\x7f"}, {"x": "\n1e5"}, {"x": 2**70}):
+            assert serialize.config_hash(config) == reference_hash(config)
+
+    def test_number_fixes_skip_json_dumps(self):
+        # every notation orjson writes differently is fixed in its own text
+        config = {"a": [1e-7, -1.5e-5, 1e-4, 9.99e-5, 1e16, -2.5e300, 5e-324, 0.1, 10.00001], "b": "xprime", "n": 2**64 - 1}
+        want = reference_hash(config)
+        with mock.patch.object(json, "dumps", side_effect=AssertionError):
+            assert serialize.config_hash(config) == want
 
 
 class TestColumnTables:
@@ -422,7 +499,7 @@ class TestSimulateRecords:
             got = tmp_path / fmt
             assert cli.main(["simulate", "--config", json.dumps(doc), "--out", str(got), "--format", fmt]) == 0
             for name in (f"records.{fmt}", "stats.json"):
-                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+                assert_same_bytes(got / name, want / name)
 
         with open(tmp_path / "csv" / "records.csv", newline="") as fh:
             lines = [line for line in fh if not line.startswith("#")]
