@@ -231,9 +231,11 @@ def load_config_document(source: str) -> dict:
     text = source
     if not source.lstrip().startswith("{"):
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             raise FileError(f"cannot read config file {source}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"config file {source} is not valid UTF-8: {exc}") from exc
     doc = _orjson_document(text)
     if doc is None:
         try:
@@ -519,12 +521,11 @@ def _cmd_collective(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     p = cfg.params
     lam = p["lambda"]
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
+    xs = np.linspace(lam * a_w.real - 8.0, lam * a_w.real + 8.0, 512)
+    setups = [coll.CollectiveSetup(p["observable"], lam, p["psi"], p["phi"], int(n)) for n in p["n_grid"]]
     rows = []
-    for n in p["n_grid"]:
-        cs = coll.CollectiveSetup(p["observable"], lam, p["psi"], p["phi"], int(n))
+    for n, cs, dens in zip(p["n_grid"], setups, coll.collective_x_densities(setups, xs)):
         ratio = coll.collective_postselection_ratio(cs)
-        xs = np.linspace(lam * a_w.real - 8.0, lam * a_w.real + 8.0, 512)
-        dens = coll.collective_conditional_density(cs, ptr.BASIS_X, xs)
         supnorm = float(np.max(np.abs(dens - ptr.gaussian_density(xs - lam * a_w.real))))
         xp_mean = coll.collective_conditional_mean(cs, ptr.BASIS_XPRIME)
         rows.append([n, "postselection_ratio", ratio])

@@ -16,8 +16,11 @@ is a quadrature of this one profile, evaluated once per setup on a fixed
   exp(i x x'/2) f(x') dx'``. Both the grid and the requested x are evenly
   spaced, so the sum over the grid is a chirp-z transform: Bluestein's
   method does it with three FFTs of the next power of two >= 8192 + len(x)
-  - 1 points, in place of a len(x) x 8192 kernel. Unevenly spaced x is
-  refused with ``ValueError``;
+  - 1 points, in place of a len(x) x 8192 kernel. The pre-chirp and the FFT
+  of the chirp depend only on the x and x' grids, so they are built once per
+  x grid: :func:`collective_x_densities` shares them across all the setups it
+  is given, and each setup then costs one FFT, one product and one inverse
+  FFT. Unevenly spaced x is refused with ``ValueError``;
 * the x mean is ``lam Int |f|^2 Re A_w(x') dx' / Int |f|^2``, because x acts
   as ``2i d/dx'`` on f. Here ``A_w(x') = sum_i a_i w_i e_i / sum_i w_i e_i``
   is the local weak value.
@@ -42,6 +45,7 @@ does not grow with N and nothing caps it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,32 +129,41 @@ def _xprime_profile(cs: CollectiveSetup) -> _Profile:
     return _Profile(grid, amplitude, density, norm, scale, local_wv)
 
 
-def _x_synthesis_density(prof: _Profile, x: np.ndarray) -> np.ndarray:
-    """|(4 pi)^(-1/2) sum_k f(x'_k) e^(i x_j x'_k / 2) dx'|^2 by chirp-z.
+def _x_synthesis_density(grid: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map f -> |(4 pi)^(-1/2) sum_k f(x'_k) e^(i x_j x'_k / 2) dx'|^2 for
+    amplitudes f on ``grid``, by chirp-z.
 
     On centred indices, x_j = x_c + j dx and x'_k = g_c + k dg. With
     a = dx dg / 2, jk = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into
     e^(i (x_c g_c + j dx g_c + a j^2) / 2) times one linear convolution of
     f_k e^(i (x_c k dg + a k^2) / 2) with e^(-i a (j - k)^2 / 2), done by
     FFT (Bluestein). The factor in front has unit modulus and drops out.
+    The pre-chirp and the FFT of the chirp depend only on the two grids and
+    are built here, once; each f then costs one FFT, one product and one
+    inverse FFT.
     """
-    m, n = x.size, prof.grid.size
+    m, n = x.size, grid.size
     if m == 0:
-        return np.zeros(0)
+        return lambda amplitude: np.zeros(0)
     j = np.arange(m) - 0.5 * (m - 1)
     k = np.arange(n) - 0.5 * (n - 1)
     x_c = 0.5 * (x[0] + x[-1])
     dx = (x[-1] - x[0]) / max(m - 1, 1)
     if np.max(np.abs(x - (x_c + j * dx))) > _SPACING_TOL * np.max(np.abs(x)):
         raise ValueError("the collective x-basis density needs evenly spaced x")
-    dg = (prof.grid[-1] - prof.grid[0]) / (n - 1)
+    dg = (grid[-1] - grid[0]) / (n - 1)
     a = 0.5 * dx * dg
     size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
-    chirped = np.fft.fft(prof.amplitude * np.exp(0.5j * (x_c * dg * k + a * k * k)), size)
+    prechirp = np.exp(0.5j * (x_c * dg * k + a * k * k))
     j_minus_k = np.arange(1 - n, m) + 0.5 * (n - m)
     chirp = np.fft.fft(np.exp(-0.5j * a * j_minus_k * j_minus_k), size)
-    amp = np.fft.ifft(chirped * chirp)[n - 1 : n - 1 + m] * dg / math.sqrt(4.0 * math.pi)
-    return amp.real**2 + amp.imag**2
+
+    def density(amplitude: np.ndarray) -> np.ndarray:
+        chirped = np.fft.fft(amplitude * prechirp, size)
+        amp = np.fft.ifft(chirped * chirp)[n - 1 : n - 1 + m] * dg / math.sqrt(4.0 * math.pi)
+        return amp.real**2 + amp.imag**2
+
+    return density
 
 
 def collective_postselection_ratio(cs: CollectiveSetup) -> float:
@@ -185,11 +198,25 @@ def collective_conditional_density(cs: CollectiveSetup, basis: str, x):
         logf, _ = _log_xprime_amplitude(cs, x)
         out = np.exp(2.0 * (logf.real - prof.scale)) / prof.norm
     elif basis == BASIS_X:
-        x = np.ravel(np.asarray(x, dtype=np.float64))
-        out = _x_synthesis_density(prof, x) / prof.norm  # the synthesis is unitary
+        (out,) = collective_x_densities([cs], x)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return float(out[0]) if scalar else out
+
+
+def collective_x_densities(setups: Sequence[CollectiveSetup], x) -> list[np.ndarray]:
+    """Normalized conditional x-basis densities of ``setups`` on one evenly
+    spaced ``x`` (``ValueError`` otherwise), one array per setup.
+
+    Every setup integrates on the same x' grid, so one chirp-z kernel serves
+    them all: it is built once per call, not once per setup.
+    """
+    if not setups:
+        return []
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    synthesize = _x_synthesis_density(setups[0]._profile.grid, x)
+    # the synthesis is unitary, so the profile's norm normalizes it
+    return [synthesize(cs._profile.amplitude) / cs._profile.norm for cs in setups]
 
 
 def collective_conditional_mean(cs: CollectiveSetup, basis: str = BASIS_X) -> float:

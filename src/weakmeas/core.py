@@ -14,6 +14,13 @@ Conventions:
 * eigenvalues closer than ``1e-10 * (spectral_radius + 1)`` are merged into a
   single projector, so degenerate spectra contribute one displacement each.
 
+The eigenbranch kernel works on whole arrays: when nothing merges, the
+projectors are one batched outer product of eigh's eigenvectors (merged
+groups keep one mean and one matmul each), the images P_i psi are one
+stacked matmul, and their norms and the weights <phi|P_i psi> one
+``np.vecdot`` each. The results equal those of a loop over eigenvalues and
+branches bit for bit.
+
 Each physics precondition has one check; every refusal is a DomainError (exit 3):
 
 * dimensions: :func:`check_dimensions`;
@@ -162,14 +169,19 @@ def eigendecompose(observable: Observable) -> EigenSystem:
     displacement center across numerically equal eigenvalues."""
     vals, vecs = np.linalg.eigh(observable.matrix)
     merge_tol = eigenvalue_merge_tolerance(float(np.max(np.abs(vals))))
-    groups: list[list[int]] = [[0]]
-    for idx in range(1, len(vals)):
-        if vals[idx] - vals[groups[-1][0]] <= merge_tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
-    projectors = np.stack([vecs[:, g] @ vecs[:, g].conj().T for g in groups])
+    if np.all(np.diff(vals) > merge_tol):
+        # nothing merges: every eigenvector is its own rank-one projector
+        eigenvalues = vals
+        projectors = np.matmul(vecs.T[:, :, None], vecs.T.conj()[:, None, :])
+    else:
+        groups: list[list[int]] = [[0]]
+        for idx in range(1, len(vals)):
+            if vals[idx] - vals[groups[-1][0]] <= merge_tol:
+                groups[-1].append(idx)
+            else:
+                groups.append([idx])
+        eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
+        projectors = np.stack([vecs[:, g] @ vecs[:, g].conj().T for g in groups])
     system = EigenSystem(eigenvalues, projectors)
     ortho_err = np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(vals))))
     # a merge moves eigenvalues by up to merge_tol; eigh rounds at a few ulps of the radius
@@ -246,16 +258,17 @@ def branch_components(observable: Observable, psi: PureState) -> tuple[np.ndarra
     the non-selective map) is built from these.
     """
     check_dimensions(observable, psi)
-    images = np.stack([p @ psi.amplitudes for p in observable.eigensystem.projectors])
-    norms_sq = np.array([float(np.vdot(c, c).real) for c in images])
-    return images, norms_sq
+    images = observable.eigensystem.projectors @ psi.amplitudes
+    # copied out of the complex result: callers reduce the norms as the
+    # contiguous array the per-branch loop returned
+    return images, np.vecdot(images, images).real.copy()
 
 
 def branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np.ndarray:
     """Eigenbranch weights w_i = <phi|P_i|psi>, one per distinct eigenvalue."""
     check_dimensions(observable, phi)
     images, _ = branch_components(observable, psi)
-    return np.array([complex(np.vdot(phi.amplitudes, c)) for c in images])
+    return np.vecdot(phi.amplitudes, images)
 
 
 def matrix_weak_value(matrix: np.ndarray, psi: PureState, phi: PureState) -> complex:

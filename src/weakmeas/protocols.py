@@ -218,8 +218,8 @@ def sequential_meter_state(sq: SequentialSetup) -> MeterState:
     second_coupling * b_j, all with phase slope 0.
     """
     first, second = sq.first.eigensystem, sq.second.eigensystem
-    images_a = first.projectors @ sq.preselect.amplitudes
-    images_b = second.projectors @ sq.postselect.amplitudes
+    images_a, _ = branch_components(sq.first, sq.preselect)
+    images_b, _ = branch_components(sq.second, sq.postselect)
     state = MeterState(
         images_a @ np.conj(images_b).T,
         (sq.first_coupling * first.eigenvalues, sq.second_coupling * second.eigenvalues),

@@ -1,6 +1,7 @@
 """Shared helpers: Pauli matrices, seeded random setups, hypothesis profile,
 and the test oracles: the pairwise projector checks of an eigensystem, the
-direct-kernel collective x density, the
+per-group eigensystem and per-branch images and weights, the
+direct-kernel and the single-setup chirp-z collective x density, the
 complex-amplitude single and kick, the untiled threshold and the
 projector-stack sequential Monte Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
@@ -27,7 +28,7 @@ from hypothesis import settings
 
 import weakmeas
 from weakmeas.collective import CollectiveSetup
-from weakmeas.core import EigenSystem, Observable, PureState, branch_components
+from weakmeas.core import EigenSystem, Observable, PureState, branch_components, eigenvalue_merge_tolerance
 from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
 from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, KrausFamily, gauss_legendre, integration_interval
 from weakmeas.montecarlo import (
@@ -113,6 +114,35 @@ def projector_defects(system: EigenSystem) -> dict:
     return defects
 
 
+def loop_eigensystem(observable: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Merged eigenvalues and projectors built one group at a time: eigh's
+    eigenvalues grouped within the merge tolerance of each group's first, then
+    the ``np.mean`` and ``V_g V_g^dag`` of every group."""
+    vals, vecs = np.linalg.eigh(observable.matrix)
+    merge_tol = eigenvalue_merge_tolerance(float(np.max(np.abs(vals))))
+    groups: list[list[int]] = [[0]]
+    for idx in range(1, len(vals)):
+        if vals[idx] - vals[groups[-1][0]] <= merge_tol:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    eigenvalues = np.array([float(np.mean(vals[g])) for g in groups])
+    projectors = np.stack([vecs[:, g] @ vecs[:, g].conj().T for g in groups])
+    return eigenvalues, projectors
+
+
+def loop_branch_components(observable: Observable, psi: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Projector images P_i psi and their squared norms, one ``vdot`` per branch."""
+    images = np.stack([p @ psi.amplitudes for p in observable.eigensystem.projectors])
+    return images, np.array([float(np.vdot(c, c).real) for c in images])
+
+
+def loop_branch_weights(observable: Observable, psi: PureState, phi: PureState) -> np.ndarray:
+    """<phi|P_i|psi>, one ``vdot`` per branch."""
+    images, _ = loop_branch_components(observable, psi)
+    return np.array([complex(np.vdot(phi.amplitudes, c)) for c in images])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -125,6 +155,25 @@ def direct_x_density(cs: CollectiveSetup, xs) -> np.ndarray:
     kernel = np.exp(0.5j * np.outer(np.atleast_1d(xs), prof.grid))
     step = prof.grid[1] - prof.grid[0]
     amp = kernel @ prof.amplitude * step / math.sqrt(4.0 * math.pi)
+    return (amp.real**2 + amp.imag**2) / prof.norm
+
+
+def single_x_synthesis_density(cs: CollectiveSetup, x: np.ndarray) -> np.ndarray:
+    """The collective x density by one chirp-z transform that builds its own
+    pre-chirp and chirp spectrum for this one setup and evenly spaced x."""
+    prof = cs._profile
+    m, n = x.size, prof.grid.size
+    j = np.arange(m) - 0.5 * (m - 1)
+    k = np.arange(n) - 0.5 * (n - 1)
+    x_c = 0.5 * (x[0] + x[-1])
+    dx = (x[-1] - x[0]) / max(m - 1, 1)
+    dg = (prof.grid[-1] - prof.grid[0]) / (n - 1)
+    a = 0.5 * dx * dg
+    size = 1 << (n + m - 2).bit_length()
+    chirped = np.fft.fft(prof.amplitude * np.exp(0.5j * (x_c * dg * k + a * k * k)), size)
+    j_minus_k = np.arange(1 - n, m) + 0.5 * (n - m)
+    chirp = np.fft.fft(np.exp(-0.5j * a * j_minus_k * j_minus_k), size)
+    amp = np.fft.ifft(chirped * chirp)[n - 1 : n - 1 + m] * dg / math.sqrt(4.0 * math.pi)
     return (amp.real**2 + amp.imag**2) / prof.norm
 
 

@@ -348,6 +348,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("content", [b"\xff{}", b'{"psi": "\xe9"}', b"\xfe\xff\x00{\x00}"])
+    def test_config_file_not_utf8_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["weak-value", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     def test_domain_error_is_3(self, tmp_path):
         code = main(
             [

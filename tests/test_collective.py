@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SX, direct_x_density, random_observable, random_selection_pair
+from conftest import SX, direct_x_density, random_observable, random_selection_pair, single_x_synthesis_density
+from weakmeas.cli import DEFAULT_N_GRID
 from weakmeas.core import Observable, PureState, branch_weights, weak_value
 from weakmeas.errors import GridTooCoarse, NumericalQualityError
 from weakmeas.collective import (
@@ -16,6 +17,7 @@ from weakmeas.collective import (
     collective_conditional_mean,
     collective_postselection_ratio,
     collective_ratio_limit,
+    collective_x_densities,
 )
 from weakmeas.pointer import (
     BASIS_X,
@@ -255,6 +257,28 @@ class TestXSynthesis:
         cs = CollectiveSetup(Observable(SX), 0.7, PSI0, PHI_COMPLEX, 25)
         with pytest.raises(ValueError, match="evenly spaced"):
             collective_conditional_density(cs, BASIS_X, xs)
+
+
+class TestSharedKernel:
+    """One chirp-z kernel for many setups gives each setup's own synthesis."""
+
+    @settings(max_examples=10)
+    @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), coupling=st.floats(1e-3, 3.0))
+    def test_default_n_grid_matches_single_synthesis_bit_for_bit(self, dim, seed, coupling):
+        setups = [random_collective_setup(dim, seed, coupling, n) for n in DEFAULT_N_GRID]
+        xs = x_window(setups[0], 8.0, 512)
+        for cs, got in zip(setups, collective_x_densities(setups, xs), strict=True):
+            want = single_x_synthesis_density(cs, xs)
+            assert got.tobytes() == want.tobytes()
+            assert collective_conditional_density(cs, BASIS_X, xs).tobytes() == want.tobytes()
+
+    def test_uneven_x_is_refused(self):
+        setups = [CollectiveSetup(Observable(SX), 0.7, PSI0, PHI_COMPLEX, n) for n in DEFAULT_N_GRID]
+        with pytest.raises(ValueError, match="evenly spaced"):
+            collective_x_densities(setups, [0.0, 1.0, 3.0])
+
+    def test_no_setups_give_no_densities(self):
+        assert collective_x_densities([], np.linspace(-1.0, 1.0, 5)) == []
 
 
 class TestQuadratureError:

@@ -13,6 +13,9 @@ from conftest import (
     SZ,
     UNRESOLVED_SPECTRUM,
     degenerate_observable,
+    loop_branch_components,
+    loop_branch_weights,
+    loop_eigensystem,
     projector_defects,
     random_observable,
     random_selection_pair,
@@ -24,6 +27,8 @@ from weakmeas.core import (
     Observable,
     PureState,
     anomalous_pair,
+    branch_components,
+    branch_weights,
     eigendecompose,
     expectation,
     matrix_weak_value,
@@ -120,6 +125,50 @@ class TestEigendecompose:
     def test_eigensystem_cache_idempotent(self):
         obs = Observable(SX)
         assert obs.eigensystem is obs.eigensystem
+
+
+def one_large_group_observable(rng: np.random.Generator, dim: int, size: int) -> Observable:
+    """Random eigenbasis; ``size`` equal eigenvalues, the other dim - size apart."""
+    values = np.sort(rng.uniform(-1.0, 1.0, dim - size + 1))
+    spectrum = rng.permutation(np.r_[np.full(size - 1, values[0]), values])
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return Observable((basis * spectrum) @ basis.conj().T)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestArrayKernel:
+    """The array-at-once eigenbranch kernel equals the per-group and
+    per-branch loops bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        spectrum=st.sampled_from(["random", "degenerate", "one large group"]),
+        data=st.data(),
+    )
+    def test_matches_the_loops(self, seed, dim, spectrum, data):
+        rng = np.random.default_rng(seed)
+        if spectrum == "random":
+            obs = random_observable(rng, dim)
+        elif spectrum == "degenerate":
+            obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"))
+        else:  # np.mean sums 8 or more values pairwise
+            dim = max(dim, 8)
+            size = data.draw(st.integers(8, dim), label="size")
+            obs = one_large_group_observable(rng, dim, size)
+            assert obs.eigensystem.eigenvalues.size == dim - size + 1
+        system = eigendecompose(obs)
+        eigenvalues, projectors = loop_eigensystem(obs)
+        assert same_bits(system.eigenvalues, eigenvalues)
+        assert same_bits(system.projectors, projectors)
+        psi, phi = random_selection_pair(rng, dim)
+        for got, want in zip(branch_components(obs, psi), loop_branch_components(obs, psi)):
+            assert same_bits(got, want)
+        assert same_bits(branch_weights(obs, psi, phi), loop_branch_weights(obs, psi, phi))
 
 
 class TestSpectralScale:
