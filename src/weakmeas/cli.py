@@ -216,7 +216,7 @@ def _orjson_document(text: str):
     orjson refuses the text (``json.loads`` reads ``NaN``, ``Infinity``,
     ``1e400`` and lone surrogates, and words the refusal of malformed JSON its
     own way). Both read every float to the nearest double."""
-    import orjson  # see serialize._dump_floats
+    import orjson  # see serialize._float_rows
 
     if _LONG_DIGIT_RUN.search(text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_NINE)):
         return None

@@ -12,45 +12,40 @@ writes it for a config orjson would write otherwise: one with an int past 64
 bits, non-ASCII text, NaN or an infinity, or a string holding a backslash or
 text a number fix would match.
 
-Tables are structured arrays, written by column a chunk at a time, and files
-are written as UTF-8 bytes. A chunk of single-meter records (one float64
-field, optionally followed by one bool field) with no NaN or infinity is
-laid out as bytes, ``_RECORD_CHUNK_ROWS`` rows at a time: one orjson dump of
-the floats, ``repr``'s text spliced in for the few values orjson writes in
-another notation (|x| in [1e-9, 1e-4) or from 1e16 up), every ``,``
-replaced by the row template with a ``0`` flag, and the flag byte of each
-kept row set to ``1``. Every other chunk (records holding NaN or an
-infinity, or any other field layout) is formatted ``_CHUNK_ROWS`` rows and
-a field slice at a time: float64 through ``orjson``, its exponent notation
-made ``repr``'s by one text fix, with ``float.__repr__`` only for |x| in
-[1e-5, 1e-4) and non-finite values; bool as ``0``/``1``; int64 through
-``str``; any other field (labels, None, mixed objects, and in JSON NaN or
-infinities) cell by cell. Both routes write the bytes of ``csv.writer`` over
-``format_cell`` and of ``json.dumps(jsonable(payload), sort_keys=True,
-indent=2)`` over the table's rows, a bool field being written as the
-integers 0 and 1.
+Tables are structured arrays, written as UTF-8 bytes a chunk of
+``_CHUNK_CELLS`` cells at a time. A chunk of float64 fields, optionally
+followed by one bool field, with no NaN or infinity, is laid out as bytes by
+``_float_rows``: one orjson dump, its notation made ``repr``'s in place with
+numpy. Any other chunk (the CLI's small mixed tables, or one holding NaN or
+an infinity) is formatted a field at a time: float64 through
+``float.__repr__``; bool as ``0``/``1``; int64 through ``str``; any other
+field (labels, None, mixed objects, and in JSON NaN or infinities) cell by
+cell.
+Both routes write the bytes of ``csv.writer`` over ``format_cell`` and of
+``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` over the
+table's rows, a bool field being written as the integers 0 and 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-# Rows per chunk. A chunk formatted cell by cell holds a str per cell, and 1,024
-# rows keep the largest grid's chunks small. A records chunk costs a few numpy
-# passes and one orjson dump, so it can be longer, until its buffers outgrow what
-# the allocator keeps for reuse and every chunk faults in fresh pages. Writing
-# 65,536 JSON records in-process on a 2-vCPU VM took no page faults and about
-# 14 ms at 4,096 rows, and 1,610 faults and about 20 ms at 16,384.
-_CHUNK_ROWS = 1024
-_RECORD_CHUNK_ROWS = 4096
-_RECORD_DTYPES = (np.dtype(np.float64), np.dtype(np.bool_))
+# Cells per chunk, in whole rows; a bool field's one-byte cells are not counted. A
+# float chunk's traced peak, orjson's dump buffer (256 kB once a dump passes 64 kB)
+# and its bytearray copy, grows with the chunk: on a 2-vCPU VM the 10,201 x 3 grid's
+# was 334, 377 and 499 kB at 4,096, 6,144 and 8,192 cells, against 395 kB cell by
+# cell. Each chunk has a fixed cost too: with one-meter records cut at 3,072 rows
+# (their bool cells counted), perfbench's simulate_records ran 5% slower than with
+# the 4,096-row chunks before.
+_CHUNK_CELLS = 6144
+# Placeholder bytes of _float_rows; orjson's dump of floats is ASCII without them
+_SHORT_EXPONENT, _PLUS_EXPONENT, _DROPPED = 0x01, 0x02, 0x7F
 _CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 # (head, cell separator, row separator, tail) of a chunk of table rows
 _CSV_LAYOUT = ("", ",", "\r\n", "\r\n")
@@ -104,7 +99,7 @@ def _compact_json(config: dict) -> bytes:
     a backslash or text a fix would match, which the fixes cannot tell apart
     from numbers.
     """
-    import orjson  # see _dump_floats
+    import orjson  # see _float_rows
 
     try:
         text = orjson.dumps(config, option=orjson.OPT_SORT_KEYS)
@@ -132,132 +127,132 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _is_records(dtypes: list) -> bool:
-    """A float64 field, optionally followed by a bool field: single-meter records."""
-    return 0 < len(dtypes) <= 2 and tuple(dtypes) == _RECORD_DTYPES[: len(dtypes)]
+def _chunk_rows(dtype: np.dtype) -> int:
+    """Rows of ``_CHUNK_CELLS`` cells; a bool field's cells, one byte each, are not counted."""
+    return _CHUNK_CELLS // max(sum(dtype[name] != np.bool_ for name in dtype.names), 1)
 
 
 def _column_chunks(table):
-    """(row count, field columns) of each chunk of a structured array: each
-    ``_RECORD_CHUNK_ROWS`` rows of single-meter records, each ``_CHUNK_ROWS``
-    rows of any other table."""
+    """Each chunk of a structured array: ``_CHUNK_CELLS`` cells in whole rows."""
     if not isinstance(table, np.ndarray):
         # The same table given record by record, as perfbench/spans.py's CSV
         # row counter gives it: each chunk of records is rebuilt into an array.
         # This can go once that hook counts len(rows) instead.
         it = iter(table)
-        while chunk := list(islice(it, _CHUNK_ROWS)):
-            yield from _column_chunks(np.array(chunk, dtype=chunk[0].dtype))
+        for first in it:
+            chunk = [first, *islice(it, _chunk_rows(first.dtype) - 1)]
+            yield from _column_chunks(np.array(chunk, dtype=first.dtype))
         return
-    fields = table.dtype.names
-    size = _RECORD_CHUNK_ROWS if _is_records([table.dtype[name] for name in fields]) else _CHUNK_ROWS
+    size = _chunk_rows(table.dtype)
     for start in range(0, len(table), size):
-        block = table[start : start + size]
-        yield len(block), [block[name] for name in fields]
+        yield table[start : start + size]
 
 
-def _dump_floats(column: np.ndarray) -> bytes:
-    """orjson's JSON list of a C-contiguous float64 column."""
+def _float_table(block: np.ndarray):
+    """(values, flags) of a chunk of float64 fields, optionally followed by a
+    bool field: the floats as one C-contiguous (rows, fields) array, and the
+    bool column or None. None for any other chunk, or one with NaN or an
+    infinity."""
+    names, flags = block.dtype.names, None
+    if names and block.dtype[-1] == np.bool_:
+        names, flags = names[:-1], block[names[-1]]
+    if not names or any(block.dtype[name] != np.float64 for name in names):
+        return None
+    if flags is None and block.dtype == np.dtype([(name, np.float64) for name in names]):
+        values = np.ascontiguousarray(block).view(np.float64).reshape(len(block), -1)  # already interleaved
+    else:
+        values = np.column_stack([block[name] for name in names])
+    return (values, flags) if np.isfinite(values).all() else None
+
+
+def _repr_notation(buf: np.ndarray, flat: np.ndarray, magnitude: np.ndarray, ends: np.ndarray) -> tuple:
+    """Mark where ``buf``, orjson's dump of the finite values ``flat``
+    (``magnitude`` their absolute values, ``ends[i]`` the byte after value
+    i's text), has another notation than ``repr``. Returns the (placeholder,
+    text) fixes and the bytes they add to each value's text.
+
+    orjson writes |x| in [1e-5, 1e-4) as ``0.0000DR`` for ``D.Re-05``: ``0D``
+    becomes ``D.``, the ``0.000`` before it (and a ``.`` no digit follows)
+    ``_DROPPED``, and the terminator gets its high bit set, to be ``e-05`` and
+    itself. One-digit exponents below 1e-5 lack a zero (``1e-7``): their ``-``
+    becomes ``_SHORT_EXPONENT``. Exponents from 1e16 up lack a ``+``
+    (``1e16``): their ``e`` becomes ``_PLUS_EXPONENT``.
+    """
+    fixes, growth = [], np.zeros(flat.size, np.intp)
+    mid = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
+    if mid.size:
+        last = ends[mid]
+        start = np.where(mid > 0, ends[mid - 1], 0) + 1 + (flat[mid] < 0)  # "[" bounds value 0
+        buf[start[:, None] + np.arange(5)] = _DROPPED
+        buf[start + 5] = buf[start + 6]
+        buf[start + 6] = np.where(last > start + 7, ord("."), _DROPPED)
+        growth[mid] = np.where(last > start + 7, -1, -2)
+        buf[last] |= 0x80
+        fixes.append((bytes([_DROPPED]), b""))
+        terminators = np.flatnonzero(np.bincount(buf[last])).tolist()  # np.unique imports numpy.ma: 1.6 MB
+        fixes += [(bytes([t]), b"e-05" + bytes([t & 0x7F])) for t in terminators]
+    if ((magnitude >= 1e-9) & (magnitude < 1e-5) | (magnitude >= 1e16)).any():
+        exponents = np.flatnonzero(buf == ord("e"))
+        minus = buf[exponents + 1] == ord("-")
+        short = exponents[minus][buf[exponents[minus] + 3] < ord("0")]  # a terminator, not a second digit
+        buf[short + 1] = _SHORT_EXPONENT
+        buf[exponents[~minus]] = _PLUS_EXPONENT
+        fixes += [(bytes([_SHORT_EXPONENT]), b"-0")] * bool(short.size)
+        fixes += [(bytes([_PLUS_EXPONENT]), b"e+")] * bool((~minus).any())
+        growth[np.searchsorted(ends, np.concatenate([short, exponents[~minus]]))] = 1
+    return fixes, growth
+
+
+def _float_rows(values: np.ndarray, flags, layout: tuple[str, str, str, str]) -> list:
+    """The rows of a finite C-contiguous (rows, fields) float64 array, each
+    ending in a 0/1 cell where ``flags`` is a bool column, laid out as
+    ``layout`` lays out a chunk: ``float.__repr__``'s text of every value as
+    byte pieces, with no Python loop over cells.
+
+    One orjson dump writes ``repr``'s digits; its ``]`` becomes a ``,``, each
+    row-end ``,`` a ``\r`` (in one column every ``,`` ends a row, and stays),
+    and ``_repr_notation`` marks the numbers to write in another notation.
+    One ``replace`` per placeholder writes its text, the row ends' last, with
+    a ``0`` flag; each kept row's flag byte is then set to ``1``.
+    """
     # Imported here, not at module level: importing orjson costs about 13 ms,
     # and every command pays the import of weakmeas.cli, table or no table.
     import orjson
 
-    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
-
-
-def _written_as_repr(magnitude: np.ndarray) -> np.ndarray:
-    """Where orjson writes ``repr``'s text: 0, |x| below 1e-9 and in [1e-4, 1e16).
-    NaN is in neither."""
-    return (magnitude < 1e-9) | (magnitude >= 1e-4) & (magnitude < 1e16)
-
-
-def _float_texts(column: np.ndarray) -> list[str]:
-    """``float.__repr__`` of each value of a float64 column.
-
-    orjson writes the same shortest round-trip digits as ``repr`` at about a
-    tenth of the cost, in the same notation for 0, |x| below 1e-9 and |x| in
-    [1e-4, 1e16). Elsewhere its exponent notation differs by one text fix,
-    made once over each range's dump: one-digit exponents in [1e-9, 1e-5)
-    (``1e-7`` for ``1e-07``) and no ``+`` from 1e16 up (``1e16`` for
-    ``1e+16``). It writes plain decimals in [1e-5, 1e-4) and ``null`` for NaN
-    and infinities; those values alone go through ``repr``.
-    """
-
-    def dumps(values: np.ndarray) -> str:
-        return _dump_floats(values)[1:-1].decode()
-
-    column = np.ascontiguousarray(column)  # orjson takes C-contiguous arrays only
-    texts = dumps(column).split(",")
-    magnitude = np.abs(column)
-    if _written_as_repr(magnitude).all():
-        return texts
-    for lo, hi, old, new in ((1e-9, 1e-5, "e-", "e-0"), (1e16, np.inf, "e", "e+")):
-        rows = np.flatnonzero((magnitude >= lo) & (magnitude < hi))
-        for i, text in zip(rows.tolist(), dumps(column[rows]).replace(old, new).split(",")):
-            texts[i] = text
-    rows = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4) | ~np.isfinite(column))
-    for i, text in zip(rows.tolist(), map(float.__repr__, column[rows].tolist())):
-        texts[i] = text
-    return texts
-
-
-def _commas(text: bytes) -> np.ndarray:
-    return np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
-
-
-def _spliced(dump: bytearray, rows: np.ndarray, values: list[float]) -> bytearray:
-    """``dump``, a float list whose ``]`` is a ``,``, with the text of each row
-    in ``rows`` replaced by ``repr``'s text of its value."""
-    commas = _commas(dump)
-    ends = commas[rows]
-    starts = np.where(rows > 0, commas[rows - 1], 0) + 1  # the "[" bounds row 0
-    pieces, pos = [], 0
-    for start, end, value in zip(starts.tolist(), ends.tolist(), values):
-        pieces += (dump[pos:start], float.__repr__(value).encode())
-        pos = end
-    pieces.append(dump[pos:])
-    return bytearray().join(pieces)
-
-
-def _record_rows(columns: list, layout: tuple[str, str, str, str]) -> list | None:
-    """A chunk of single-meter records as byte pieces, or None where it is not
-    one: a float64 column, optionally followed by a bool column, with no NaN or
-    infinity.
-
-    The floats are dumped once and the closing ``]`` made a ``,``. Where
-    orjson's notation is not ``repr``'s (|x| in [1e-9, 1e-4) or from 1e16 up),
-    ``repr``'s text is spliced in between the commas that bound the value.
-    Every ``,`` then becomes the row template with a ``0`` flag, and each kept
-    row's flag byte, at comma_i + i (len(template) - 1) + len(cell separator),
-    is set to ``1``. The pieces are views of that one buffer and the layout's
-    ends, so no text of the chunk is copied or decoded.
-    """
-    if not _is_records([column.dtype for column in columns]):
-        return None
-    column = np.ascontiguousarray(columns[0])
-    tails = np.flatnonzero(~_written_as_repr(np.abs(column)))
-    tail_values = column[tails].tolist()
-    if not all(map(math.isfinite, tail_values)):
-        return None
-    flags = columns[1] if len(columns) == 2 else None
     head, cell_sep, row_sep, tail = layout
-    template = (cell_sep + "0" if flags is not None else "") + row_sep
-    dump = bytearray(_dump_floats(column))
-    dump[-1] = ord(",")
-    if tails.size:
-        dump = _spliced(dump, tails, tail_values)
-    text = dump.replace(b",", template.encode())
-    if flags is not None:
-        kept = np.flatnonzero(flags)
-        flag_at = _commas(dump)[kept] + kept * (len(template) - 1) + len(cell_sep)
-        np.frombuffer(text, np.uint8)[flag_at] = ord("1")
+    m = values.shape[1]
+    flat = values.reshape(-1)
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    buf = np.frombuffer(text, np.uint8)
+    buf[-1] = ord(",")
+    ends = np.flatnonzero(buf == ord(","))  # the byte after each value's text
+    row_end = ord("\r") if m > 1 else ord(",")
+    if m > 1:
+        buf[ends[m - 1 :: m]] = row_end
+    template = ((cell_sep + "0") * (flags is not None) + row_sep).encode()
+    kept = np.flatnonzero(flags) if flags is not None else np.empty(0, np.intp)
+    # each kept row's flag byte, after the bytes that the cell separators, row
+    # templates and notation fixes (added below) add before it
+    cells_grow = (m - 1) * (len(cell_sep) - 1)
+    flag_at = ends[m - 1 :: m][kept] + kept * (len(template) - 1 + cells_grow) + cells_grow + len(cell_sep)
+    magnitude = np.abs(flat)
+    notation = []
+    if ((magnitude >= 1e-9) & (magnitude < 1e-4) | (magnitude >= 1e16)).any():
+        notation, growth = _repr_notation(buf, flat, magnitude, ends)
+        flag_at += np.cumsum(growth.reshape(-1, m).sum(axis=1))[kept]
+    del buf, ends, magnitude  # each replace below copies the text: hold no more
+    cell_fix = [(b",", cell_sep.encode())] * (m > 1 and cell_sep != ",")
+    for placeholder, fix in [*notation, *cell_fix, (bytes([row_end]), template)]:
+        text = text.replace(placeholder, fix)
+    np.frombuffer(text, np.uint8)[flag_at] = ord("1")
     return [head.encode(), memoryview(text)[1 : -len(row_sep)], tail.encode()]
 
 
 def _format_column(column: np.ndarray, cell, finite_floats: bool = False) -> list[str]:
     """Text of every cell of one column; ``cell`` formats a column of other types."""
     if column.dtype == np.float64 and (not finite_floats or np.isfinite(column).all()):
-        return _float_texts(column)
+        # a few floats in the CLI's tables: repr costs less than _float_rows' fixed cost
+        return list(map(float.__repr__, column.tolist()))
     if column.dtype == np.bool_:
         return np.where(column, "1", "0").tolist()
     if column.dtype == np.int64:
@@ -278,13 +273,13 @@ def _joined(texts: list[list[str]], layout: tuple[str, str, str, str]) -> str:
     return head + row_sep.join(map(cell_sep.join, zip(*texts))) + tail
 
 
-def _csv_lines(n: int, columns: list) -> list:
-    """CRLF-terminated CSV lines of ``n`` rows given as columns, as byte pieces."""
-    if (pieces := _record_rows(columns, _CSV_LAYOUT)) is not None:
-        return pieces
-    texts = [_format_column(col, _csv_cell) for col in columns]
+def _csv_lines(block: np.ndarray) -> list:
+    """CRLF-terminated CSV lines of a chunk, as byte pieces."""
+    if (floats := _float_table(block)) is not None:
+        return _float_rows(*floats, _CSV_LAYOUT)
+    texts = [_format_column(block[name], _csv_cell) for name in block.dtype.names]
     if not texts:
-        return [b"\r\n" * n]
+        return [b"\r\n" * len(block)]
     if len(texts) == 1:  # csv.writer quotes a lone empty field
         texts[0] = ['""' if text == "" else text for text in texts[0]]
     return [_joined(texts, _CSV_LAYOUT).encode()]
@@ -296,9 +291,9 @@ def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
     ``rows`` is a structured array, or its records one at a time.
     """
     with open(path, "wb") as fh:
-        fh.writelines(_csv_lines(1, [np.array([name], dtype=object) for name in header]))
-        for n, columns in _column_chunks(rows):
-            fh.writelines(_csv_lines(n, columns))
+        fh.writelines(_csv_lines(np.array([tuple(header)], dtype=[(f"f{i}", object) for i in range(len(header))])))
+        for block in _column_chunks(rows):
+            fh.writelines(_csv_lines(block))
         fh.write(f"# {metadata}\n".encode())
 
 
@@ -311,14 +306,14 @@ def _json_cell(value) -> str:
     return _json_value(value, "      ")
 
 
-def _json_rows(n: int, columns: list) -> list:
-    """``n`` rows of a top-level ``"rows"`` list, joined as ``json.dumps`` joins
-    them, as byte pieces."""
-    if (pieces := _record_rows(columns, _JSON_LAYOUT)) is not None:
-        return pieces
-    texts = [_format_column(col, _json_cell, finite_floats=True) for col in columns]
+def _json_rows(block: np.ndarray) -> list:
+    """A chunk's rows in a top-level ``"rows"`` list, joined as ``json.dumps``
+    joins them, as byte pieces."""
+    if (floats := _float_table(block)) is not None:
+        return _float_rows(*floats, _JSON_LAYOUT)
+    texts = [_format_column(block[name], _json_cell, finite_floats=True) for name in block.dtype.names]
     if not texts:
-        return [",\n    ".join(["[]"] * n).encode()]
+        return [",\n    ".join(["[]"] * len(block)).encode()]
     return [_joined(texts, _JSON_LAYOUT).encode()]
 
 
@@ -340,9 +335,9 @@ def write_json(path: Path, payload: dict) -> None:
             is_table = isinstance(value, np.ndarray) and value.dtype.names is not None
             if key == "rows" and is_table and len(value):
                 row_sep = b"[\n    "
-                for n, columns in _column_chunks(value):
+                for block in _column_chunks(value):
                     fh.write(row_sep)
-                    fh.writelines(_json_rows(n, columns))
+                    fh.writelines(_json_rows(block))
                     row_sep = b",\n    "
                 fh.write(b"\n  ]")
             else:

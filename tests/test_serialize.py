@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -24,9 +25,8 @@ from weakmeas import montecarlo as mc
 from conftest import run_python
 from weakmeas.montecarlo import _DTYPE_ONE
 from weakmeas.serialize import (
-    _CHUNK_ROWS,
-    _RECORD_CHUNK_ROWS,
-    _float_texts,
+    _CHUNK_CELLS,
+    _chunk_rows,
     format_cell,
     jsonable,
     write_csv,
@@ -55,10 +55,14 @@ def as_table(header, rows, dtypes) -> np.ndarray:
 
 
 def assert_same_bytes(got_path, want_path):
-    """The two files hold the same bytes. A failure names the first differing
-    offset with 40 bytes on either side: pytest's own diff of two ~100 kB
-    files, redone at every hypothesis shrink step, took about 1 GB."""
-    got, want = got_path.read_bytes(), want_path.read_bytes()
+    """The two files hold the same bytes."""
+    assert_bytes_equal(got_path.read_bytes(), want_path.read_bytes(), f"{got_path} first differs from {want_path}")
+
+
+def assert_bytes_equal(got: bytes, want: bytes, what: str):
+    """A failure names the first differing offset with 40 bytes on either side:
+    pytest's own diff of two ~100 kB files, redone at every hypothesis shrink
+    step, took about 1 GB."""
     at = None
     if got != want:
         n = min(len(got), len(want))
@@ -66,7 +70,7 @@ def assert_same_bytes(got_path, want_path):
         at = int(diff[0]) if diff.size else n
         window = slice(max(at - 40, 0), at + 40)
         got, want = got[window], want[window]
-    assert got == want, f"{got_path} first differs from {want_path} at byte {at}"
+    assert got == want, f"{what} at byte {at}"
 
 
 def assert_table_bytes(out_dir, table: np.ndarray, rows):
@@ -84,10 +88,21 @@ def assert_table_bytes(out_dir, table: np.ndarray, rows):
     assert_same_bytes(out_dir / "got.json", out_dir / "want.json")
 
 
+def edge_rows(dtype, edge: int) -> int:
+    """Row counts of a table of ``dtype`` on its write chunks' edges: one row short
+    of a chunk, one chunk, one row more, and two chunks and one row, for ``edge``
+    0 to 3; no rows and one row for ``edge`` 4 and 5."""
+    rows = _chunk_rows(np.dtype(dtype))
+    return [rows - 1, rows, rows + 1, 2 * rows + 1, 0, 1][edge]
+
+
 def assert_json_bytes(out_dir, payload):
     write_json(out_dir / "got.json", payload)
     reference_json(out_dir / "want.json", payload)
     assert_same_bytes(out_dir / "got.json", out_dir / "want.json")
+
+
+SIX_FIELD_ROWS = _CHUNK_CELLS // 6  # rows per write chunk of six fields, none of them bool
 
 
 class TestSameBytes:
@@ -137,14 +152,15 @@ class TestSameBytes:
         rows = [[1 + 2j, [0.5, None], "a"], [np.complex128(-1j), [1, 2], "b"]]
         assert_table_bytes(tmp_path, as_table(["z", "pair", "label"], rows, ["O", "O", "O"]), rows)
 
-    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [SIX_FIELD_ROWS - 1, SIX_FIELD_ROWS, SIX_FIELD_ROWS + 1, 2 * SIX_FIELD_ROWS + 1])
     def test_chunk_boundaries(self, tmp_path, n):
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         kept = (rng.random(n) < 0.3).astype(np.int64)
-        rows = [list(r) for r in zip(x.tolist(), x, kept.tolist(), kept)]
+        rows = [list(r) for r in zip(x.tolist(), x, kept.tolist(), kept, (x * 1e-4).tolist(), range(n))]
         rows[-1][0] = None  # the None makes x an object field, written cell by cell
-        table = as_table(["x", "x64", "kept", "kept64"], rows, ["O", "f8", "i8", "i8"])
+        header = ["x", "x64", "kept", "kept64", "small", "index"]
+        table = as_table(header, rows, ["O", "f8", "i8", "i8", "f8", "i8"])
         assert_table_bytes(tmp_path, table, rows)
 
     def test_non_table_payloads(self, tmp_path):
@@ -211,15 +227,17 @@ tail_floats = st.tuples(TAIL_MAGNITUDES, st.booleans()).map(lambda t: -t[0] if t
 
 @settings(max_examples=40)
 @given(
-    n=st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]),
+    edge=st.integers(0, 3),
     pools=st.lists(st.lists(tail_floats, min_size=1, max_size=12), min_size=1, max_size=3),
     runs=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_tail_float_columns(out_dir, n, pools, runs, seed):
+def test_tail_float_columns(out_dir, edge, pools, runs, seed):
     # runs: each pool value fills one stretch of rows, so some chunks hold a single range
     rng = np.random.default_rng(seed)
-    table = np.empty(n, dtype=[(f"c{j}", "f8") for j in range(len(pools))])
+    dtype = [(f"c{j}", "f8") for j in range(len(pools))]
+    n = edge_rows(dtype, edge)
+    table = np.empty(n, dtype=dtype)
     for j, pool in enumerate(pools):
         picks = rng.integers(len(pool), size=n)
         table[f"c{j}"] = np.array(pool)[np.sort(picks) if runs else picks]
@@ -228,7 +246,6 @@ def test_tail_float_columns(out_dir, n, pools, runs, seed):
 
 # A column table is a structured array. Its reference rows are the cells the
 # row-by-row writers were given: bools as the integers 0 and 1.
-ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
 LABELS = np.array(["lambda", "extrapolation", None, "a,b", 'say "hi"', "", 1.5, -0.0, math.nan], dtype=object)
 KIND_DTYPES = {"float": "f8", "repeated": "f8", "bool": "?", "int": "i8", "object": "O"}
 
@@ -243,14 +260,16 @@ def assert_column_table_bytes(out_dir, table: np.ndarray):
 
 @settings(max_examples=60)
 @given(
-    n=st.sampled_from(ROW_COUNTS),
+    edge=st.integers(0, 5),
     kinds=st.lists(st.sampled_from(sorted(KIND_DTYPES)), min_size=1, max_size=4),
     pool=st.lists(floats, min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_column_tables(out_dir, n, kinds, pool, seed):
+def test_column_tables(out_dir, edge, kinds, pool, seed):
     rng = np.random.default_rng(seed)
-    table = np.empty(n, dtype=[(f"c{j}", KIND_DTYPES[k]) for j, k in enumerate(kinds)])
+    dtype = [(f"c{j}", KIND_DTYPES[k]) for j, k in enumerate(kinds)]
+    n = edge_rows(dtype, edge)
+    table = np.empty(n, dtype=dtype)
     for j, kind in enumerate(kinds):
         if kind == "float":  # mostly distinct, over the whole exponent range
             values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
@@ -266,43 +285,51 @@ def test_column_tables(out_dir, n, kinds, pool, seed):
     assert_column_table_bytes(out_dir, table)
 
 
-# Single-meter records: a float64 field x, with or without a bool field. Stretches of
-# _CHUNK_ROWS rows take turns drawing x from floats orjson writes as repr does and
-# from tail floats, NaN and infinities among them, which send a chunk to the per-cell
-# route.
+# Single-meter records: a float64 field x, with or without a bool field. Write chunks
+# take turns drawing x from floats orjson writes as repr does and from tail floats,
+# NaN and infinities among them, which send a chunk to the per-cell route.
 plain_floats = floats.filter(lambda v: abs(v) < 1e-9 or 1e-4 <= abs(v) < 1e16)
 
 
 @settings(max_examples=60)
 @given(
-    n=st.sampled_from(ROW_COUNTS),
+    edge=st.integers(0, 5),
     plain=st.lists(plain_floats, min_size=1, max_size=8),
     tails=st.lists(tail_floats, min_size=1, max_size=8),
     flags=st.sampled_from(["none", "all 0", "all 1", "random"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_record_tables(out_dir, n, plain, tails, flags, seed):
+def test_record_tables(out_dir, edge, plain, tails, flags, seed):
     rng = np.random.default_rng(seed)
-    table = np.empty(n, dtype=_DTYPE_ONE if flags != "none" else [("x", "f8")])
-    odd_chunk = np.arange(n) // _CHUNK_ROWS % 2 == 1
+    dtype = _DTYPE_ONE if flags != "none" else np.dtype([("x", "f8")])
+    n = edge_rows(dtype, edge)
+    table = np.empty(n, dtype=dtype)
+    odd_chunk = np.arange(n) // _chunk_rows(dtype) % 2 == 1
     table["x"] = np.where(odd_chunk, rng.choice(np.array(tails), n), rng.choice(np.array(plain), n))
     if flags != "none":
         table["postselected"] = {"all 0": False, "all 1": True, "random": rng.random(n) < 0.5}[flags]
     assert_column_table_bytes(out_dir, table)
 
 
+def per_cell_route(column, *args, **kwargs):
+    """In place of serialize._format_column, which formats a column of a chunk
+    that takes the per-cell route: no column of a finite float chunk may get
+    there (the header's object columns do)."""
+    if column.dtype != object:
+        raise AssertionError("a finite float chunk was formatted cell by cell")
+    return format_column(column, *args, **kwargs)
+
+
+format_column = serialize._format_column
+
+
 def test_plain_records_take_the_byte_route(tmp_path, monkeypatch):
-    # a chunk that fell back to the per-cell route would reach _float_texts
     rng = np.random.default_rng(20)
     table = np.empty(70_000, dtype=_DTYPE_ONE)
     table["x"] = rng.normal(size=table.size)
     table["x"][np.abs(table["x"]) < 1e-4] += 1.0  # no |x| in [1e-9, 1e-4): every chunk is plain
     table["postselected"] = rng.random(table.size) < 0.3
-
-    def per_cell_route(column):
-        raise AssertionError("a plain records chunk was formatted cell by cell")
-
-    monkeypatch.setattr(serialize, "_float_texts", per_cell_route)
+    monkeypatch.setattr(serialize, "_format_column", per_cell_route)
     assert_column_table_bytes(tmp_path, table)
 
 
@@ -316,31 +343,28 @@ finite_tail_floats = st.tuples(
     ),
     st.booleans(),
 ).map(lambda t: -t[0] if t[1] else t[0])
-RECORD_ROW_COUNTS = [_CHUNK_ROWS - 1, _CHUNK_ROWS + 1, _RECORD_CHUNK_ROWS - 1, _RECORD_CHUNK_ROWS, _RECORD_CHUNK_ROWS + 1]
-
-
-def per_cell_route(column):
-    raise AssertionError("a finite records chunk was formatted cell by cell")
 
 
 @settings(max_examples=40)
 @given(
-    n=st.sampled_from(RECORD_ROW_COUNTS),
+    edge=st.integers(0, 3),
     plain=st.lists(plain_floats | st.sampled_from([0.0, -0.0, 1e-4, -1e-4]), min_size=1, max_size=8),
     tails=st.lists(finite_tail_floats, min_size=1, max_size=8),
     share=st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
     flags=st.sampled_from(["none", "all 0", "all 1", "random"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_finite_tail_records_take_the_byte_route(out_dir, n, plain, tails, share, flags, seed):
+def test_finite_tail_records_take_the_byte_route(out_dir, edge, plain, tails, share, flags, seed):
     # plain and tail floats mixed in every chunk, each chunk's first row a tail float
     rng = np.random.default_rng(seed)
-    table = np.empty(n, dtype=_DTYPE_ONE if flags != "none" else [("x", "f8")])
+    dtype = _DTYPE_ONE if flags != "none" else np.dtype([("x", "f8")])
+    n = edge_rows(dtype, edge)
+    table = np.empty(n, dtype=dtype)
     table["x"] = np.where(rng.random(n) < share, rng.choice(np.array(tails), n), rng.choice(np.array(plain), n))
-    table["x"][::_CHUNK_ROWS] = tails[0]
+    table["x"][:: _chunk_rows(dtype)] = tails[0]
     if flags != "none":
         table["postselected"] = {"all 0": False, "all 1": True, "random": rng.random(n) < 0.5}[flags]
-    with mock.patch.object(serialize, "_float_texts", per_cell_route):
+    with mock.patch.object(serialize, "_format_column", per_cell_route):
         assert_column_table_bytes(out_dir, table)
 
 
@@ -349,23 +373,61 @@ def test_finite_tail_records_take_the_byte_route(out_dir, n, plain, tails, share
 def test_records_with_nan_or_infinity_fall_back(tmp_path, monkeypatch, bad, flags):
     # the chunk holding the value is formatted cell by cell, the next one is not
     rng = np.random.default_rng(21)
-    n = _RECORD_CHUNK_ROWS + 1
-    table = np.empty(n, dtype=_DTYPE_ONE if flags else [("x", "f8")])
+    dtype = _DTYPE_ONE if flags else np.dtype([("x", "f8")])
+    n = _chunk_rows(dtype) + 1
+    table = np.empty(n, dtype=dtype)
     table["x"] = rng.normal(size=n)
     table["x"][5] = bad
     if flags:
         table["postselected"] = rng.random(n) < 0.3
     sizes = []
 
-    def counted(column):
-        sizes.append(column.size)
-        return _float_texts(column)
+    def counted(column, *args, **kwargs):
+        if column.dtype == np.float64:
+            sizes.append(column.size)
+        return format_column(column, *args, **kwargs)
 
-    monkeypatch.setattr(serialize, "_float_texts", counted)
+    monkeypatch.setattr(serialize, "_format_column", counted)
     assert_column_table_bytes(tmp_path, table)
-    # CSV whole, then record by record in _CHUNK_ROWS rows; JSON writes NaN and
-    # infinities cell by cell, through json.dumps
-    assert sizes == [_RECORD_CHUNK_ROWS, _CHUNK_ROWS]
+    # CSV whole, CSV record by record, then JSON (which writes NaN and infinities
+    # cell by cell, through json.dumps): the first chunk each time
+    assert sizes == [_chunk_rows(dtype)] * 3
+
+
+# Values at the edges of orjson's notations and on both sides of each, the float
+# range's ends and subnormals, with both signs
+EDGE_FLOATS = [
+    sign * value
+    for sign in (1.0, -1.0)
+    for value in [
+        *(math.nextafter(edge, toward) for edge in (1e-9, 1e-5, 1e-4, 1e16) for toward in (0.0, edge, math.inf)),
+        0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, math.nextafter(1.7976931348623157e308, 0.0), 1.8e307,
+    ]
+]
+
+
+@settings(max_examples=30)
+@given(
+    fields=st.integers(1, 5),
+    flag=st.booleans(),
+    edge=st.integers(0, 5),
+    pool=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    layout_seed=st.integers(0, 2**32 - 1),
+)
+def test_float_tables_take_the_byte_route(out_dir, fields, flag, edge, pool, layout_seed):
+    # 1 to 5 float64 fields, with or without a bool field, every value finite:
+    # every chunk is written by _float_rows, in the reference writers' bytes
+    dtype = [(f"c{j}", "f8") for j in range(fields)] + [("kept", "?")] * flag
+    n = edge_rows(dtype, edge)
+    rng = np.random.default_rng(layout_seed)
+    table = np.empty(n, dtype=dtype)
+    for j in range(fields):
+        table[f"c{j}"] = rng.choice(np.array(pool), n)
+    if flag:
+        table["kept"] = rng.random(n) < 0.5
+    with mock.patch.object(serialize, "_format_column", per_cell_route):
+        assert_column_table_bytes(out_dir, table)
 
 
 class TestFloatTexts:
@@ -378,7 +440,21 @@ class TestFloatTexts:
             spread = (mantissas * 10.0 ** decades[:, None].astype(float)).ravel()
         values = np.concatenate([bits.view(np.float64), spread, [0.0, -0.0], SPECIAL_FLOATS])
         assert values.size > 10**6
-        assert _float_texts(values) == list(map(float.__repr__, values.tolist()))
+        finite = np.isfinite(values)
+        # every chunk of the finite values, in one and three float64 fields, laid out
+        # as each layout lays out the rows of repr's texts
+        texts = list(map(float.__repr__, values[finite].tolist()))
+        for fields in (1, 3):
+            table = values[finite][: finite.sum() // fields * fields].view([(f"c{j}", "f8") for j in range(fields)])
+            for layout in (serialize._CSV_LAYOUT, serialize._JSON_LAYOUT):
+                head, cell_sep, row_sep, tail = layout
+                done = 0
+                for block in serialize._column_chunks(table):
+                    cells = iter(texts[done * fields : (done + len(block)) * fields])
+                    want = head + row_sep.join(map(cell_sep.join, zip(*[cells] * fields))) + tail
+                    got = b"".join(serialize._float_rows(*serialize._float_table(block), layout))
+                    assert_bytes_equal(got, want.encode(), f"{fields} fields, rows from {done}")
+                    done += len(block)
 
     def test_importing_the_cli_leaves_orjson_unloaded(self):
         # orjson is imported by the first config read or table written, so its
@@ -447,20 +523,51 @@ class TestConfigHash:
             assert serialize.config_hash(config) == want
 
 
+def grid_table() -> np.ndarray:
+    """A density on a 101 x 101 grid, as the sequential command writes one."""
+    xs = np.linspace(-6.1, 6.1, 101)
+    table = np.empty(xs.size**2, dtype=[("x1", "f8"), ("x2", "f8"), ("density", "f8")])
+    table["x1"], table["x2"] = np.repeat(xs, xs.size), np.tile(xs, xs.size)
+    table["density"] = np.exp(-table["x1"] ** 2 - table["x2"] ** 2)
+    return table
+
+
 class TestColumnTables:
     def test_signed_zeros_stay_apart_in_repeated_columns(self, tmp_path):
-        table = np.zeros(_CHUNK_ROWS + 1, dtype=[("x", "f8"), ("kept", "?")])
+        dtype = np.dtype([("x", "f8"), ("kept", "?")])
+        table = np.zeros(_chunk_rows(dtype) + 1, dtype=dtype)
         table["x"][::2] = -0.0
         assert_column_table_bytes(tmp_path, table)
         lines = (tmp_path / "got.csv").read_text().splitlines()
         assert lines[1:3] == ["-0.0,0", "0.0,0"]
 
     def test_grid_columns_as_the_cli_writes_them(self, tmp_path):
-        xs = np.linspace(-6.1, 6.1, 101)
-        table = np.empty(xs.size**2, dtype=[("x1", "f8"), ("x2", "f8"), ("density", "f8")])
-        table["x1"], table["x2"] = np.repeat(xs, xs.size), np.tile(xs, xs.size)
-        table["density"] = np.exp(-table["x1"] ** 2 - table["x2"] ** 2)
-        assert_column_table_bytes(tmp_path, table)
+        assert_column_table_bytes(tmp_path, grid_table())
+
+    def test_float_fields_of_wider_records(self, tmp_path):
+        # two of the grid's three float fields: each record still holds the third,
+        # so the records are not the two columns interleaved
+        assert_column_table_bytes(tmp_path, grid_table()[["x1", "density"]])
+
+    # tracemalloc's peak (numpy's buffers included) while each writer writes the
+    # grid table, when float columns were formatted cell by cell in chunks of
+    # 1,024 rows (Python 3.11.7, numpy 2.4.6, orjson 3.8.3)
+    @pytest.mark.parametrize("fmt, cell_by_cell_peak", [("csv", 405_102), ("json", 454_704)], ids=["csv", "json"])
+    def test_grid_table_peak_memory(self, tmp_path, fmt, cell_by_cell_peak):
+        table = grid_table()
+        header = list(table.dtype.names)
+        if fmt == "csv":
+            write = lambda: write_csv(tmp_path / "t.csv", header, table, METADATA)  # noqa: E731
+        else:
+            write = lambda: write_json(tmp_path / "t.json", {"columns": header, "rows": table})  # noqa: E731
+        write()  # orjson's import and the writer's first allocations
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cell_by_cell_peak
 
 
 class TestSimulateRecords:
