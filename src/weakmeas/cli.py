@@ -10,15 +10,18 @@ row-major lists of pairs, and states are normalized on input. Unknown keys
 are rejected with their field path. A short hash of the merged config stamps
 every emitted file (``serialize.config_hash``).
 
+Each config key has one entry in ``_FIELDS``, its reader and its parsed
+default; the table's order fixes which missing required key a refusal names.
+
 The document is read by ``orjson.loads``, with two fallbacks to
 ``json.loads``, which reads the same values: a text holding a run of 19 or
 more digits outside a fraction, as orjson reads an int past 64 bits as a
 float, and a text orjson refuses, so that ``NaN``, ``Infinity`` and ``1e400``
 reach the finiteness checks and malformed JSON keeps ``json.loads``'s
-message. A list of [re, im] pairs of ints and floats is read in one
-``np.array``; any other list takes the per-entry reader, which words every
-refusal. ``collective``, ``lindblad`` and ``montecarlo`` are imported by the
-commands that use them, so importing this module leaves them out.
+message. A list of [re, im] pairs is read in one ``np.array``; where that
+read is refused, a per-entry pass names the entry at fault. ``collective``,
+``lindblad`` and ``montecarlo`` are imported by the commands that use them,
+so importing this module leaves them out.
 
 Exit codes: 0 success, 2 config error, 3 domain error (bad physics inputs),
 4 numeric-quality failure.
@@ -54,8 +57,6 @@ from .serialize import config_hash, write_csv, write_json
 DEFAULT_LAMBDA = 0.1
 DEFAULT_LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_N_GRID = (25, 50, 100, 200, 400)
-DEFAULT_TRIALS = 100_000
-DEFAULT_GRID_POINTS = 512
 _BRANCH_HALFWIDTH = 10.0  # past this a branch adds at most G(10) ~ 7.7e-23 of its weight to the density
 _REALS = {int, float}  # by exact type: bool is an int, and a number to no command
 # A run of 19 digits not after a "." may be an int past 64 bits, which orjson
@@ -65,20 +66,6 @@ _REALS = {int, float}  # by exact type: bool is an int, and a number to no comma
 _DIGITS_AS_NINE = bytes.maketrans(b"012345678", b"999999999")
 _LONG_DIGIT_RUN = re.compile(b"9" * 19 + b"(?<![.9]" + b"9" * 19 + b")")
 
-_SIMULATE_KEYS = {
-    "protocol",
-    "observable",
-    "observable_b",
-    "psi",
-    "phi",
-    "lambda",
-    "lambda2",
-    "trials",
-    "seed",
-    "threads",
-    "threshold_multiple",
-}
-
 COMMAND_KEYS: dict[str, tuple[set[str], set[str]]] = {
     # command: (required keys, optional keys)
     "weak-value": ({"observable", "psi", "phi"}, set()),
@@ -86,14 +73,14 @@ COMMAND_KEYS: dict[str, tuple[set[str], set[str]]] = {
     "density": ({"observable", "psi", "phi"}, {"lambda", "basis", "grid"}),
     "postselect-prob": ({"observable", "psi", "phi"}, {"lambda_grid"}),
     "kick": ({"observable", "psi", "phi"}, {"lambda_grid"}),
-    "sequential": (
-        {"observable", "observable_b", "psi", "phi"},
-        {"lambda_grid", "basis"},
-    ),
+    "sequential": ({"observable", "observable_b", "psi", "phi"}, {"lambda_grid", "basis"}),
     "collective": ({"observable", "psi", "phi"}, {"lambda", "n_grid", "basis"}),
     "lindblad": ({"observable", "psi", "phi"}, {"lambda", "grid"}),
     "disturbance": ({"observable", "psi", "phi"}, {"lambda"}),
-    "simulate": ({"protocol", "observable", "psi"}, _SIMULATE_KEYS),
+    "simulate": (
+        {"protocol", "observable", "psi"},
+        {"observable_b", "phi", "lambda", "lambda2", "trials", "seed", "threads", "threshold_multiple"},
+    ),
     "threshold": ({"observable", "psi"}, {"lambda", "lambda_grid", "threshold_multiple"}),
 }
 
@@ -102,7 +89,7 @@ COMMAND_KEYS: dict[str, tuple[set[str], set[str]]] = {
 class RunConfig:
     """Validated command configuration; ``raw`` is the hashed document.
 
-    ``raw`` must stay JSON-native (the ``json.loads`` document plus the CLI
+    ``raw`` must stay JSON-native (the document as read, plus the CLI
     overrides, which are floats, ints, strs and lists of floats): the hash
     dumps it as it is, with no conversion of numpy or complex values.
     """
@@ -122,10 +109,10 @@ class RunConfig:
 def _parse_complex_pairs(value, path: str) -> np.ndarray:
     """A non-empty list of [re, im] pairs of numbers as a complex128 array.
 
-    A list of 2-lists of int or float whose float64 values are all finite is
-    read in one ``np.array``. Every other input, and ints past the float
-    range, take the loop, which reads each entry as ``_parse_number`` reads a
-    number and words the refusal that names it.
+    The one reading route is ``np.array`` over a list of 2-lists of int or
+    float whose float64 values are all finite. Any other value is refused:
+    the loop names the first entry at fault, else (an empty list, a non-list
+    or a list JSON cannot give) the value as a whole.
     """
     if (
         isinstance(value, list)
@@ -139,15 +126,12 @@ def _parse_complex_pairs(value, path: str) -> np.ndarray:
             pairs = None
         if pairs is not None and np.isfinite(pairs).all():
             return pairs.view(np.complex128).ravel()
-    if not isinstance(value, list) or not value:
-        raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
-    out = []
-    for i, item in enumerate(value):
+    for i, item in enumerate(value if isinstance(value, list) else ()):
         entry = f"{path}[{i}]"
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(entry, "expected an [re, im] pair of numbers")
-        out.append(complex(_parse_number(item[0], entry), _parse_number(item[1], entry)))
-    return np.array(out)
+        _parse_number(item[0], entry), _parse_number(item[1], entry)
+    raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
 
 
 def _parse_state(value, path: str) -> core.PureState:
@@ -184,29 +168,68 @@ def _parse_number(value, path: str, kind=float, minimum=None):
 
 
 def _parse_choice(value, path: str, choices) -> str:
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:  # a list or object cannot be looked up in a set
         raise SchemaError(path, f"expected one of {sorted(choices)}")
     return value
 
 
-def _parse_grid(value, path: str) -> dict:
+def _parse_grid(value, path: str) -> tuple:
+    """An object {xmin, xmax, points} as the tuple (xmin, xmax, points); an
+    edge left out is None, for the command to choose."""
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object {xmin, xmax, points}")
-    out = {"xmin": None, "xmax": None, "points": DEFAULT_GRID_POINTS}
+    out = {"xmin": None, "xmax": None, "points": 512}
     for key, item in value.items():
         if key in ("xmin", "xmax"):
             out[key] = _parse_number(item, f"{path}.{key}")
         elif key == "points":
-            out[key] = int(_parse_number(item, f"{path}.points", int, 16))
+            out[key] = _parse_number(item, f"{path}.points", int, 16)
         else:
             raise SchemaError(f"{path}.{key}", "unknown key")
-    return out
+    return tuple(out.values())
 
 
 def _parse_number_list(value, path: str, kind=float, minimum=None) -> tuple:
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a non-empty list of numbers")
     return tuple(_parse_number(v, f"{path}[{i}]", kind, minimum) for i, v in enumerate(value))
+
+
+def _parse_lambda_grid(value, path: str) -> tuple:
+    lams = _parse_number_list(value, path)
+    if len({abs(lam) for lam in lams}) < 2:
+        raise SchemaError(path, "expected two or more distinct |lambda| to extrapolate from")
+    return lams
+
+
+def _parse_protocol(value, path: str) -> str:
+    from . import montecarlo as mc
+
+    return _parse_choice(value, path, set(mc.PROTOCOLS))
+
+
+# Each config key's reader, called as reader(value, key), and its default,
+# stored parsed (None: the key has none). A missing required key is named in
+# this order, so every run names the same one.
+_FIELDS = {
+    "observable": (_parse_observable, None),
+    "observable_b": (_parse_observable, None),
+    "psi": (_parse_state, None),
+    "phi": (_parse_state, None),
+    "epsilon": (_parse_number, None),
+    "protocol": (_parse_protocol, None),
+    "target": (functools.partial(_parse_choice, choices={"re", "im"}), "re"),
+    "lambda": (_parse_number, DEFAULT_LAMBDA),
+    "lambda2": (_parse_number, None),  # the plan's second coupling falls back to lambda
+    "lambda_grid": (_parse_lambda_grid, DEFAULT_LAMBDA_GRID),
+    "n_grid": (functools.partial(_parse_number_list, kind=int, minimum=1), DEFAULT_N_GRID),
+    "grid": (_parse_grid, _parse_grid({}, "grid")),
+    "basis": (functools.partial(_parse_choice, choices={ptr.BASIS_X, ptr.BASIS_XPRIME}), ptr.BASIS_X),
+    "trials": (functools.partial(_parse_number, kind=int, minimum=1), 100_000),
+    "seed": (functools.partial(_parse_number, kind=int, minimum=0), 0),
+    "threads": (functools.partial(_parse_number, kind=int, minimum=1), 1),
+    "threshold_multiple": (_parse_number, 100.0),
+}
 
 
 def _orjson_document(text: str):
@@ -258,57 +281,19 @@ def parse_config(command: str, source: str, overrides: dict | None = None) -> Ru
     for key in doc:
         if key not in allowed:
             raise SchemaError(key, f"unknown key for command {command!r}")
-    for key in required:
-        if key not in doc:
-            raise SchemaError(key, "required key missing")
+    if not required <= doc.keys():
+        missing = next(key for key in _FIELDS if key in required and key not in doc)
+        raise SchemaError(missing, "required key missing")
 
-    params: dict = {}
-    for key, value in doc.items():
-        if key in ("observable", "observable_b"):
-            params[key] = _parse_observable(value, key)
-        elif key in ("psi", "phi"):
-            params[key] = _parse_state(value, key)
-        elif key in ("lambda", "lambda2", "epsilon", "threshold_multiple"):
-            params[key] = _parse_number(value, key)
-        elif key == "lambda_grid":
-            params[key] = _parse_number_list(value, key)
-            if len({abs(lam) for lam in params[key]}) < 2:
-                raise SchemaError(key, "expected two or more distinct |lambda| to extrapolate from")
-        elif key in ("trials", "threads"):
-            params[key] = int(_parse_number(value, key, int, 1))
-        elif key == "seed":
-            params[key] = int(_parse_number(value, key, int, 0))
-        elif key == "basis":
-            params[key] = _parse_choice(value, key, {ptr.BASIS_X, ptr.BASIS_XPRIME})
-        elif key == "target":
-            params[key] = _parse_choice(value, key, {"re", "im"})
-        elif key == "protocol":
-            from . import montecarlo as mc
-
-            params[key] = _parse_choice(value, key, set(mc.PROTOCOLS))
-        elif key == "grid":
-            params[key] = _parse_grid(value, key)
-        elif key == "n_grid":
-            params[key] = _parse_number_list(value, key, int, 1)
-        else:  # unreachable: key already vetted against the schema
-            raise SchemaError(key, "unhandled key")
-
-    params.setdefault("lambda", DEFAULT_LAMBDA)
-    params.setdefault("lambda_grid", DEFAULT_LAMBDA_GRID)
-    params.setdefault("basis", ptr.BASIS_X)
-    params.setdefault("target", "re")
-    params.setdefault("trials", DEFAULT_TRIALS)
-    params.setdefault("seed", 0)
-    params.setdefault("threads", 1)
-    params.setdefault("threshold_multiple", 100.0)
-    params.setdefault("n_grid", DEFAULT_N_GRID)
-    params.setdefault("grid", _parse_grid({}, "grid"))
+    params = {key: _FIELDS[key][0](value, key) for key, value in doc.items()}
+    for key, (_, default) in _FIELDS.items():
+        if default is not None and key not in params:
+            params[key] = default
     if command == "simulate":
         if (params["protocol"] == "threshold") == ("phi" in params):
             raise SchemaError("phi", "required unless protocol is 'threshold', which takes none")
         if params["protocol"] == "sequential" and "observable_b" not in params:
             raise SchemaError("observable_b", "required for the sequential protocol")
-        params.setdefault("lambda2", params["lambda"])
     return RunConfig(command=command, raw=doc, params=params)
 
 
@@ -355,10 +340,8 @@ def _lambda_scan(cfg, out_dir, fmt, name, header, measure, fixed=(None,), power=
 
 def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
     """The configured x grid; an edge the config leaves out is lo or hi."""
-    grid = p["grid"]
-    xmin = lo if grid["xmin"] is None else grid["xmin"]
-    xmax = hi if grid["xmax"] is None else grid["xmax"]
-    return np.linspace(xmin, xmax, grid["points"])
+    xmin, xmax, points = p["grid"]
+    return np.linspace(lo if xmin is None else xmin, hi if xmax is None else xmax, points)
 
 
 def _density_grid(p: dict, cm: proto.ConditionalMeter, reach: float) -> np.ndarray:
@@ -371,19 +354,21 @@ def _density_grid(p: dict, cm: proto.ConditionalMeter, reach: float) -> np.ndarr
     Steps are taken from the float64 points, which merge within a window once
     |lam a_i| passes about 1e15.
     """
-    grid = p["grid"]
+    xmin, xmax, points = p["grid"]
     xs = _grid_points(p, -reach, reach)
     span, steps = abs(xs[-1] - xs[0]), np.abs(np.diff(xs))
     limit = proto.density_spacing_limit(cm)
-    default_edges = grid["xmin"] is None and grid["xmax"] is None
-    if steps.max() > limit and default_edges and p["basis"] == ptr.BASIS_X:
-        window = np.linspace(-_BRANCH_HALFWIDTH, _BRANCH_HALFWIDTH, grid["points"])
+    if steps.max() > limit and xmin is None and xmax is None and p["basis"] == ptr.BASIS_X:
+        window = np.linspace(-_BRANCH_HALFWIDTH, _BRANCH_HALFWIDTH, points)
         windows = np.add.outer(p["lambda"] * p["observable"].eigensystem.eigenvalues, window)
-        span, steps, xs = 2.0 * _BRANCH_HALFWIDTH, np.diff(windows, axis=1), np.unique(windows)
+        # distinct points, sorted and compared as in np.unique, which imports numpy.ma
+        xs = np.sort(windows, axis=None)
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+        span, steps = 2.0 * _BRANCH_HALFWIDTH, np.diff(windows, axis=1)
     if not 0.0 < steps.min() <= steps.max() <= limit:  # a zero step: points merged in rounding
         need = math.ceil(span / limit) + 1
         remedy = (
-            f"set grid.points >= {need}" if need > grid["points"]
+            f"set grid.points >= {need}" if need > points
             else f"float64 cannot space points that finely near |x| = {np.max(np.abs(xs)):.3g}"
         )
         raise GridTooCoarse(

@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import Observable, PureState, branch_weights, check_dimensions, postselection_overlap, weak_value
 from .errors import GridTooCoarse, NumericalQualityError
-from .pointer import BASIS_X, BASIS_XPRIME
+from .pointer import BASIS_X, BASIS_XPRIME, check_basis
 from .protocols import check_couplings
 
 _XPRIME_HALFWIDTH = 13.0
@@ -192,15 +192,14 @@ def collective_conditional_density(cs: CollectiveSetup, basis: str, x):
     In the x basis, ``x`` must be evenly spaced (a scalar or a single point
     is); otherwise ``ValueError`` is raised.
     """
+    check_basis(basis)
     scalar = np.ndim(x) == 0
     prof = cs._profile
     if basis == BASIS_XPRIME:
         logf, _ = _log_xprime_amplitude(cs, x)
         out = np.exp(2.0 * (logf.real - prof.scale)) / prof.norm
-    elif basis == BASIS_X:
-        (out,) = collective_x_densities([cs], x)
     else:
-        raise ValueError(f"unknown basis {basis!r}")
+        (out,) = collective_x_densities([cs], x)
     return float(out[0]) if scalar else out
 
 
@@ -221,11 +220,10 @@ def collective_x_densities(setups: Sequence[CollectiveSetup], x) -> list[np.ndar
 
 def collective_conditional_mean(cs: CollectiveSetup, basis: str = BASIS_X) -> float:
     """Conditional meter mean; approaches lam*Re(A_w) (x) or lam*Im(A_w) (x')."""
+    check_basis(basis)
     prof = cs._profile
     if basis == BASIS_XPRIME:
         weighted = prof.grid * prof.density
-    elif basis == BASIS_X:
-        weighted = cs.coupling * prof.local_weak_value.real * prof.density
     else:
-        raise ValueError(f"unknown basis {basis!r}")
+        weighted = cs.coupling * prof.local_weak_value.real * prof.density
     return float(np.trapezoid(weighted, prof.grid) / prof.norm)

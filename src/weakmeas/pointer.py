@@ -45,6 +45,13 @@ BASIS_XPRIME = "xprime"
 WAVEFUNCTION_NORM = (2.0 * math.pi) ** (-0.25)
 
 
+def check_basis(*bases: str) -> None:
+    """Refuse any meter basis but x and x'."""
+    for basis in bases:
+        if basis not in (BASIS_X, BASIS_XPRIME):
+            raise ValueError(f"unknown basis {basis!r}")
+
+
 def gaussian_density(x):
     """Standard normal density G(x) = (2 pi)^(-1/2) exp(-x^2/2)."""
     x = np.asarray(x, dtype=np.float64)
@@ -79,8 +86,7 @@ class MeterState:
         w, bases = np.array(self.weights, dtype=np.complex128), tuple(self.bases)
         if w.ndim not in (1, 2) or not len(self.centers) == len(self.phase_slopes) == len(bases) == w.ndim:
             raise ValueError("meter state needs one or two meters, each with centres, slopes and a basis")
-        if not set(bases) <= {BASIS_X, BASIS_XPRIME}:
-            raise ValueError(f"unknown basis in {bases!r}")
+        check_basis(*bases)
         centers = tuple(np.array(c, dtype=np.float64) for c in self.centers)
         slopes = tuple(np.array(k, dtype=np.float64) for k in self.phase_slopes)
         arrays = (w, *centers, *slopes)

@@ -45,7 +45,7 @@ from .core import (
     weak_value,
 )
 from .errors import DomainError, NumericalQualityError
-from .pointer import BASIS_X, BASIS_XPRIME, MeterState
+from .pointer import BASIS_X, BASIS_XPRIME, MeterState, check_basis
 
 LOW_PROBABILITY_FLOOR = 1e-12
 DENSITY_QUADRATURE_TOL = 1e-8
@@ -81,9 +81,7 @@ class SequentialSetup:
     def __post_init__(self):
         check_dimensions(self.first, self.second, self.preselect, self.postselect)
         check_couplings(self.first_coupling, self.second_coupling)
-        for b in self.meter_bases:
-            if b not in (BASIS_X, BASIS_XPRIME):
-                raise ValueError(f"unknown meter basis {b!r}")
+        check_basis(*self.meter_bases)
         postselection_overlap(self.preselect, self.postselect)
 
 
@@ -110,13 +108,12 @@ def conditional_meter_state(setup: MeasurementSetup, basis: str = BASIS_X) -> Co
     In the x basis, term i sits at coupling * a_i with phase slope 0. A
     probability near zero is legal here; it is flagged rather than refused.
     """
+    check_basis(basis)
     a = setup.observable.eigensystem.eigenvalues
     state = _eigenbranch_pointer(setup, setup.coupling * a, np.zeros_like(a), BASIS_X)
     prob = state.squared_norm()
     if basis == BASIS_XPRIME:
         state = state.to_xprime()
-    elif basis != BASIS_X:
-        raise ValueError(f"unknown basis {basis!r}")
     return ConditionalMeter(state, prob, prob < LOW_PROBABILITY_FLOOR)
 
 
@@ -369,7 +366,10 @@ def extrapolate_to_zero_coupling(couplings, values, power: int = 2) -> tuple[flo
     """
     lam = np.asarray(couplings, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if lam.shape != y.shape or np.unique(lam**power).size < 2:
+    # sorted as np.unique sorts, NaNs last (np.unique itself imports numpy.ma):
+    # with fewer than two distinct values, NaNs as one, the ends are equal or NaN
+    ordered = np.sort(lam**power, axis=None)
+    if lam.shape != y.shape or not ordered.size or ordered[0] == ordered[-1] or np.isnan(ordered[0]):
         raise ValueError("need two or more distinct lambda**power")
     design = np.vander(lam**power, 2, increasing=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -406,8 +406,9 @@ def completeness_residual(family: KrausFamily, nodes: int = GAUSS_LEGENDRE_NODES
     return float(np.max(np.abs(gram - np.eye(family.observable.dim))))
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports the ``weakmeas``
-    these tests import; text output captured."""
-    env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1])}
+    these tests import, with ``env`` added to its environment; text output
+    captured."""
+    env = {**os.environ, "PYTHONPATH": str(Path(weakmeas.__file__).parents[1]), **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)

@@ -117,6 +117,37 @@ class TestParseConfig:
         assert cfg.params["lambda"] == 0.33
         assert cfg.params["basis"] == "xprime"
 
+    @pytest.mark.parametrize(
+        "command, doc", [("density", {}), ("simulate", {"protocol": "single"})], ids=["density", "simulate"]
+    )
+    def test_missing_key_refusal_is_the_same_under_every_hash_seed(self, command, doc):
+        # the first missing required key in table order, not in the order of a set
+        runs = {
+            (proc.returncode, proc.stderr)
+            for seed in range(1, 7)
+            for proc in [run_python("-m", "weakmeas.cli", command, "--config", json.dumps(doc), PYTHONHASHSEED=str(seed))]
+        }
+        assert runs == {(2, "config error: observable: required key missing\n")}
+
+    def test_defaults_fill_every_key_left_out(self):
+        params = parse_config("simulate", config(protocol="threshold", observable=SX_JSON, psi=KET0)).params
+        assert {k: params[k] for k in ("lambda", "trials", "seed", "threads", "threshold_multiple")} == {
+            "lambda": 0.1, "trials": 100_000, "seed": 0, "threads": 1, "threshold_multiple": 100.0
+        }
+        params = parse_config("density", config(observable=SX_JSON, psi=KET0, phi=PHI68)).params
+        assert {k: params[k] for k in ("basis", "target", "grid", "lambda_grid", "n_grid")} == {
+            "basis": "x", "target": "re", "grid": (None, None, 512),
+            "lambda_grid": (0.2, 0.1, 0.05, 0.025), "n_grid": (25, 50, 100, 200, 400),
+        }
+
+    @pytest.mark.parametrize("key, lowest", [("seed", 0), ("trials", 1), ("threads", 1)])
+    def test_counts_take_their_lowest_value_and_refuse_below_it(self, key, lowest):
+        doc = {"protocol": "threshold", "observable": SX_JSON, "psi": KET0}
+        assert parse_config("simulate", config(**doc, **{key: lowest})).params[key] == lowest
+        with pytest.raises(SchemaError) as err:
+            parse_config("simulate", config(**doc, **{key: lowest - 1}))
+        assert err.value.path == key
+
     def test_simulate_requires_phi_except_threshold(self):
         with pytest.raises(SchemaError) as err:
             parse_config(
@@ -143,7 +174,7 @@ class TestParseConfig:
 
 class _Pair(list):
     """A pair that fails the bulk reader's exact type check, so
-    ``_parse_complex_pairs`` reads it in its per-entry loop."""
+    ``_parse_complex_pairs`` checks it in its per-entry loop."""
 
 
 def read_pairs(value):
@@ -219,11 +250,17 @@ class TestConfigIntake:
     @settings(max_examples=300)
     @given(st.lists(st.tuples(PAIR_NUMBERS, PAIR_NUMBERS), min_size=1, max_size=20))
     def test_bulk_pairs_match_the_loop_bit_for_bit(self, entries):
+        """The bulk read gives each entry's complex(float(re), float(im)), as
+        the per-entry reader did; where it is refused, the loop words the
+        refusal, and a list of pairs the loop finds no fault in is refused whole."""
         value = [list(entry) for entry in entries]
         got = read_pairs(value)
-        assert got == read_pairs([_Pair(entry) for entry in entries])
-        if got[0] is not None:  # and both are the complex of each entry's floats
+        looped = read_pairs([_Pair(entry) for entry in entries])
+        if got[0] is None:
+            assert looped == got
+        else:
             assert got[0] == np.array([complex(float(a), float(b)) for a, b in entries]).tobytes()
+            assert looped == read_pairs([])
 
     @pytest.mark.parametrize(
         "value",
@@ -286,6 +323,18 @@ class TestConfigIntake:
         )
         proc = run_python("-c", script)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [("postselect-prob", {}), ("density", {"observable": [[0, 0], [1000, 0], [1000, 0], [0, 0]], "lambda": 1})],
+        ids=["lambda scan", "far-apart density branches"],
+    )
+    def test_commands_leave_numpy_ma_unloaded(self, tmp_path, command, doc):
+        # np.unique imports numpy.ma (about 1.6 MB) on first use
+        argv = [command, "--config", json.dumps({"observable": SX_JSON, "psi": KET0, "phi": PHI68, **doc})]
+        script = f"import sys, weakmeas.cli; code = weakmeas.cli.main({[*argv, '--out', str(tmp_path)]!r}); "
+        proc = run_python("-c", script + "print(code, 'numpy.ma' in sys.modules)")
+        assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0 False", "")
 
     def test_package_names_load_on_first_use(self):
         script = (
@@ -840,6 +889,9 @@ REFUSALS = {
     "anomalous epsilon 0": ("anomalous", {"observable": SX_JSON, "epsilon": 0}, [], 3, DOMAIN),
     "anomalous epsilon NaN": ("anomalous", {"observable": SX_JSON, "epsilon": NAN}, [], 2, CONFIG),
     "simulate threshold with phi": ("simulate", {**BASE, "protocol": "threshold"}, [], 2, CONFIG),
+    "density basis a list": ("density", {**BASE, "basis": ["x"]}, [], 2, CONFIG),
+    "anomalous target an object": ("anomalous", {"observable": SX_JSON, "epsilon": 0.1, "target": {}}, [], 2, CONFIG),
+    "simulate protocol a list": ("simulate", {**BASE, "protocol": []}, [], 2, CONFIG),
     "lindblad lambda^2 overflow": ("lindblad", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "threshold lambda^2 overflow": (
@@ -966,6 +1018,16 @@ class TestPreconditionExitCodes:
         assert float(out.split("integral=")[1].split()[0]) == pytest.approx(1.0, abs=1e-8)
         x, cdf = np.loadtxt(tmp_path / "cdf.csv", delimiter=",", skiprows=1, comments="#").T
         assert np.all(np.diff(x) > 0) and cdf[-1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_density_windows_that_share_points_write_each_once(self, tmp_path):
+        # 513 points space each window by 5/128 exactly, so branches at 1000 and 1010
+        # share the 257 points of [1000, 1010]
+        doc = {"observable": [[1010, 0], [0, 0], [0, 0], [1000, 0]], "psi": PHI68, "phi": [[0.8, 0], [0.6, 0]],
+               "lambda": 1, "grid": {"points": 513}}
+        code, _, err = run_cli("density", doc, tmp_path)
+        assert (code, err) == (0, "")
+        x = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1, comments="#")[:, 0]
+        assert len(x) == 2 * 513 - 257 and np.all(np.diff(x) > 0)
 
     @pytest.mark.parametrize("command", ["postselect-prob", "disturbance"])
     def test_overflowed_damping_exponent_writes_no_warning(self, tmp_path, command):

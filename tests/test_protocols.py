@@ -1,6 +1,7 @@
 """Protocol layer: eigenbranch meter states, post-selection, kicks, sequences."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -723,3 +724,23 @@ def test_extrapolation_is_the_least_squares_line_in_lambda_to_the_power(grid, si
     scale = max(1.0, *map(abs, values))
     assert abs(intercept - want_intercept) <= 1e-13 * scale
     assert abs(resid - want_resid) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize(
+    "grid",
+    [[], [0.3], [0.3, 0.3], [math.nan], [math.nan, math.nan], [0.0, -0.0], [math.inf, math.inf],
+     [0.3, -0.3], [0.3, math.nan], [0.3, 0.3, math.nan], [0.3, 0.2], [[0.3, 0.2]]],
+)
+def test_extrapolation_needs_two_distinct_values_nans_as_one(grid, power):
+    # the rule is np.unique(lam**power).size >= 2, kept without np.unique (which imports numpy.ma)
+    lam = np.asarray(grid, dtype=np.float64)
+    refused = np.unique(lam**power).size < 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a NaN that passes reaches the fit
+        try:
+            extrapolate_to_zero_coupling(grid, np.ones_like(lam), power)
+        except ValueError as exc:
+            assert refused == ("distinct" in str(exc))
+        else:
+            assert not refused

@@ -35,20 +35,17 @@ ALLOWED = {
         "built only by nonselective_state: square, unit-trace and positive by construction"
     ),
     ("core", "anomalous_pair", "ValueError"): f"target: {_CONSTANT}",
-    ("protocols", "SequentialSetup.__post_init__", "ValueError"): f"meter basis: {_CONSTANT}",
-    ("protocols", "conditional_meter_state", "ValueError"): f"basis: {_CONSTANT}",
     ("protocols", "extrapolate_to_zero_coupling", "ValueError"): (
         "parse_config refuses a lambda_grid without two distinct |lambda|"
     ),
+    ("pointer", "check_basis", "ValueError"): f"basis: {_CONSTANT}",
     ("pointer", "MeterState.__post_init__", "ValueError"): (
-        "bases are the package's constants; centres lam * a_i stay finite while "
+        "the package builds meters of matching shapes; centres lam * a_i stay finite while "
         "|lam| * spectral radius is below 1.8e308, far past the valid range"
     ),
     ("pointer", "moment", "ValueError"): "moment order: every caller passes 1",
     ("collective", "CollectiveSetup.__post_init__", "ValueError"): "n_grid entries are parsed with minimum 1",
     ("collective", "_x_synthesis_density", "ValueError"): "unevenly spaced x: the CLI passes np.linspace grids",
-    ("collective", "collective_conditional_density", "ValueError"): f"basis: {_CONSTANT}",
-    ("collective", "collective_conditional_mean", "ValueError"): f"basis: {_CONSTANT}",
     ("montecarlo", "TrialPlan.__post_init__", "ValueError"): (
         "config shape: parse_config refuses an unknown protocol, trials or threads below 1, "
         "phi given to threshold or missing elsewhere, and sequential without observable_b"
