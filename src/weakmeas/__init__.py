@@ -56,7 +56,6 @@ from .pointer import (
     BASIS_X,
     BASIS_XPRIME,
     MeterState,
-    moment,
     stream_rng,
 )
 from .protocols import (
@@ -64,13 +63,10 @@ from .protocols import (
     DisturbanceReport,
     MeasurementSetup,
     SequentialSetup,
-    conditional_meter_density,
     conditional_meter_mean,
     conditional_meter_state,
     disturbance_report,
     extrapolate_to_zero_coupling,
-    kick_postselection_probability,
-    kick_protocol_conditional_density,
     nonselective_state,
     postselection_probability,
     second_order_coefficient,

@@ -158,6 +158,8 @@ def _parse_number(value, path: str, kind=float, minimum=None):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise SchemaError(path, f"expected an integer, got {value!r}")
     try:
         value = kind(value)
     except OverflowError:

@@ -51,10 +51,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Observable, PureState, branch_weights, check_dimensions, postselection_overlap, weak_value
+from .core import branch_weights, weak_value
 from .errors import GridTooCoarse, NumericalQualityError
 from .pointer import BASIS_X, BASIS_XPRIME, check_basis
-from .protocols import check_couplings
+from .protocols import MeasurementSetup
 
 _XPRIME_HALFWIDTH = 13.0
 _XPRIME_POINTS = 8192
@@ -63,19 +63,13 @@ _SPACING_TOL = 1e-13  # x off an even lattice, relative to max |x|
 
 
 @dataclass(frozen=True)
-class CollectiveSetup:
+class CollectiveSetup(MeasurementSetup):
     """N systems in psi, one meter, post-selection of phi on every system."""
 
-    observable: Observable
-    coupling: float
-    preselect: PureState
-    postselect: PureState
     n_systems: int
 
     def __post_init__(self):
-        check_dimensions(self.observable, self.preselect, self.postselect)
-        check_couplings(self.coupling)
-        postselection_overlap(self.preselect, self.postselect)
+        super().__post_init__()
         if self.n_systems < 1:
             raise ValueError("n_systems must be >= 1")
 

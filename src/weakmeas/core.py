@@ -107,7 +107,11 @@ class PureState:
     def normalized(cls, values) -> "PureState":
         """Build a state from an unnormalized amplitude vector."""
         arr = np.asarray(values, dtype=np.complex128)
-        norm = np.linalg.norm(arr)
+        with np.errstate(over="ignore"):  # a squared sum past the float range is rescaled below
+            norm = np.linalg.norm(arr)
+        if not np.isfinite(norm):  # by the largest real or imaginary part: abs() of an entry can overflow
+            arr = arr / np.max(np.abs([arr.real, arr.imag]))
+            norm = np.linalg.norm(arr)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(arr / norm)

@@ -9,7 +9,8 @@ from the final conditional distribution directly.
 Meter outcomes are mixtures of unit-variance Gaussians, so a draw is an
 eigenbranch choice (categorical in the branch probabilities |P_i psi|^2 of
 :func:`weakmeas.core.branch_components`) plus a standard normal: exact, with
-no grid.
+no grid. Post-selection amplitudes take the weights <phi|P_i|psi> of
+:func:`weakmeas.core.branch_weights`, as every closed form does.
 
 Reproducibility contract: trials are generated in fixed blocks of
 ``BLOCK_SIZE``; block b uses the generator ``stream_rng(seed, b)`` and a fixed
@@ -22,16 +23,16 @@ when u * P < |amp|^2, with no division. The constants cancel between |amp|^2
 and P, so the records are those of the normalized formulas.
 
 Memory: a run allocates its records array once (17 bytes a trial for two
-meters, 9 for one) and each block fills its own slice of it. A block draws
-its random arrays for all of its trials, as (n,) arrays in a fixed order;
-every runner then evaluates the rest in tiles of ``TILE`` trials, so its
-other temporaries are a few (k, TILE) or (2d, TILE) float arrays that stay
-in cache and that the allocator hands back from tile to tile, not (k, n)
-arrays whose fresh pages every block faults in. At d = 16 a block peaks at
-about 7.8 MiB traced for the sequential runner, most of it the five (n,)
-draws and the records (8.3 MiB with its first meter's outcome formed for the
-whole block), and at 3.2, 4.1 and 1.8 MiB for single, kick and threshold
-(13.6, 27.6 and 2.6 MiB with untiled blocks).
+meters, 9 for one; a count it cannot allocate is a ConfigurationError) and
+each block fills its own slice of it. A block draws its random arrays for all
+of its trials, as (n,) arrays in a fixed order; every runner then evaluates
+the rest in tiles of ``TILE`` trials, so its other temporaries are a few
+(k, TILE) or (2d, TILE) float arrays that stay in cache and that the allocator
+hands back from tile to tile, not (k, n) arrays whose fresh pages every block
+faults in. At d = 16 a block peaks at about 7.8 MiB traced for the sequential
+runner, most of it the five (n,) draws and the records (8.3 MiB with its first
+meter's outcome formed for the whole block), and at 3.2, 4.1 and 1.8 MiB for
+single, kick and threshold (13.6, 27.6 and 2.6 MiB with untiled blocks).
 """
 
 from __future__ import annotations
@@ -41,24 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PureState, branch_components, check_dimensions, postselection_overlap
-from .errors import NoPostselectedRuns
+from .core import Observable, PureState, branch_components, branch_weights, check_dimensions, postselection_overlap
+from .errors import ConfigurationError, NoPostselectedRuns
 from .pointer import gaussian_density, gaussian_upper_tail, stream_rng
 from .protocols import check_couplings
 
 BLOCK_SIZE = 65536
 # Trials per tile of every kernel. Smaller tiles stay in cache but make more
-# numpy calls, each of which drops and retakes the GIL. On a 2-core VM with one
-# BLAS thread, seconds per run_plan call of 10^6 trials at 2,048 / 4,096 / 8,192:
-# - sequential, median of three: d = 2 0.21/0.19/0.19 on one thread and
-#   0.20/0.16/0.15 on two; d = 8 0.22/0.20/0.21 and 0.20/0.15/0.16; d = 16
-#   0.40/0.40/0.42 and 0.27/0.21/0.25.
-# - one meter, one thread, untiled blocks first, median of six alternating
-#   processes: at d = 2, single 0.086 against 0.101/0.080/0.085, kick 0.126
-#   against 0.117/0.101/0.122, threshold 0.052 against 0.062/0.051/0.049; at
-#   d = 16, 0.174 against 0.144/0.117/0.115, 0.562 against 0.429/0.406/0.489
-#   and 0.065 against 0.091/0.072/0.068.
-# Two cores cannot show scaling past two threads.
+# numpy calls, each of which drops and retakes the GIL; README's Monte Carlo
+# bullet has the timings that chose 4,096.
 TILE = 4096
 
 PROTOCOLS = ("single", "kick", "sequential", "threshold")
@@ -118,11 +110,6 @@ class TrialStatistics:
             raise ValueError("n_postselected exceeds n_total")
 
 
-def _eigen_arrays(observable: Observable, psi: PureState):
-    comps, probs = branch_components(observable, psi)
-    return observable.eigensystem.eigenvalues, comps, probs
-
-
 def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Branch i with cdf[i - 1] <= u < cdf[i], the last branch when u >= cdf[-1]:
     the count of cdf[:-1] entries <= u, one (k - 1, n) comparison summed over
@@ -153,7 +140,11 @@ def _run_blocks(plan: TrialPlan, dtype: np.dtype, block_fn) -> np.ndarray:
     ``block_fn(rng, out)`` fills ``out``, the block's own slice of the array,
     so blocks never share memory and threads need no merge step.
     """
-    records = np.empty(plan.trials, dtype)
+    try:
+        records = np.empty(plan.trials, dtype)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
+        need = plan.trials * dtype.itemsize
+        raise ConfigurationError(f"trials: cannot allocate {need} bytes for {plan.trials} records") from None
     starts = range(0, plan.trials, BLOCK_SIZE)
 
     def one(b: int) -> None:
@@ -209,9 +200,10 @@ def run_single(plan: TrialPlan):
     Per trial: draw x from the unconditional outcome mixture, form the
     conditional system state, and accept with |<phi|chi_x>|^2.
     """
-    eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect)
-    w_phi = comps @ np.conj(plan.postselect.amplitudes)  # <phi|P_i|psi>
-    post = np.array([w_phi.real, w_phi.imag])  # (2, k): Re and Im of the amplitude from real h
+    eigenvalues = plan.observable.eigensystem.eigenvalues
+    _, probs = branch_components(plan.observable, plan.preselect)
+    w = branch_weights(plan.observable, plan.preselect, plan.postselect)
+    post = np.array([w.real, w.imag])  # (2, k): Re and Im of the amplitude from real h
     lam = plan.coupling
     centers = lam * eigenvalues[:, None]
 
@@ -244,9 +236,9 @@ def run_kick(plan: TrialPlan):
     evaluated in real arithmetic: [Re; Im] = [[Re w, Im w], [Im w, -Re w]]
     @ [cos theta; sin theta], one (2, 2k) by (2k, TILE) product a tile.
     """
-    eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
-    w_phi = comps @ np.conj(plan.postselect.amplitudes)
-    re, im = w_phi.real, w_phi.imag
+    eigenvalues = plan.observable.eigensystem.eigenvalues
+    w = branch_weights(plan.observable, plan.preselect, plan.postselect)
+    re, im = w.real, w.imag
     post = np.array([np.concatenate((re, im)), np.concatenate((im, -re))])
     half_kicks = (0.5 * plan.coupling * eigenvalues)[:, None]
     k = eigenvalues.size
@@ -295,13 +287,14 @@ def run_sequential(plan: TrialPlan):
     O(n d^2) and, beyond the five (n,) draws, holds only tile-sized arrays
     (1 MiB for the coordinates at d = 16).
     """
-    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
+    a_vals = plan.observable.eigensystem.eigenvalues
+    images_a, probs_a = branch_components(plan.observable, plan.preselect)
     b_system = plan.second_observable.eigensystem
     b_vals = b_system.eigenvalues
     vals, vecs = np.linalg.eigh(b_system.projectors)
     group, cols = np.nonzero(vals > 0.5)  # projector eigenvalues are 0 or 1
     basis = vecs[group, :, cols].T  # orthonormal; column m lies in eigenspace group[m]
-    comps_rot = comps_a @ np.conj(basis)  # <v_m|P_i|psi>
+    comps_rot = images_a @ np.conj(basis)  # <v_m|P_i|psi>
     phi_rot = basis.T @ np.conj(plan.postselect.amplitudes)  # <phi|v_m>
     d = group.size
     rot = np.concatenate((comps_rot.real.T, comps_rot.imag.T))  # (2d, k_A): [Re; Im]
@@ -361,7 +354,8 @@ def run_threshold(plan: TrialPlan):
     No system post-selection happens; the selection acts on the meter record
     alone, yet the kept-run mean exceeds the full-ensemble mean by order one.
     """
-    eigenvalues, _, probs = _eigen_arrays(plan.observable, plan.preselect)
+    eigenvalues = plan.observable.eigensystem.eigenvalues
+    _, probs = branch_components(plan.observable, plan.preselect)
     lam = plan.coupling
     threshold = plan.threshold_multiple * lam
 

@@ -202,13 +202,6 @@ def _pair_kernel(c: np.ndarray, k: np.ndarray):
     return base, m, dk
 
 
-def moment(w: MeterState, n: int) -> float:
-    """First moment (n = 1) of the normalized density of meter 0."""
-    if n != 1:
-        raise ValueError("only the first moment n = 1 is supported")
-    return w.first_moment()
-
-
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic per-stream generator: SeedSequence(seed, spawn_key=(stream,)).
 

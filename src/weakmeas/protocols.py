@@ -8,7 +8,8 @@ Gaussian term per distinct eigenvalue a_i:
 * random kick exp(-i lam A x'/2): term (w_i, 0, -lam a_i / 2) in x'.
 
 Densities, norms and moments then come from the closed forms of
-:class:`weakmeas.pointer.MeterState` with no grids or truncation. The
+:class:`weakmeas.pointer.MeterState` with no grids or truncation, and the
+coherence damping exp(-lam^2 (a_i - a_j)^2 / 8) from one exponent. The
 post-selected sequential (two-meter) state is the same class in product form,
 W[i, j] = <phi|Q_j P_i|psi> over the eigenprojectors of the two observables,
 with one Gaussian term per eigenvalue on each meter.
@@ -122,13 +123,18 @@ def postselection_probability(setup: MeasurementSetup) -> float:
     return conditional_meter_state(setup).probability
 
 
+def _damping_exponent(a: np.ndarray, lam: float) -> np.ndarray:
+    """-lam^2 (a_i - a_j)^2 / 8, the coherence damping exponent of branches i, j; -inf past the float range."""
+    with np.errstate(over="ignore"):
+        return -(lam**2) * (a[:, None] - a[None, :]) ** 2 / 8.0
+
+
 def postselection_shift(setup: MeasurementSetup) -> float:
     """P_lambda(phi | psi) - |<phi|psi>|^2 without cancellation: the pair sum
     of P with each damping exp(-lam^2 (a_i - a_j)^2 / 8) taken as expm1."""
     a = setup.observable.eigensystem.eigenvalues
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
-    with np.errstate(over="ignore"):  # an overflowed exponent is -inf: damping expm1(-inf) = -1, exact
-        damp = np.expm1(-(setup.coupling**2) * (a[:, None] - a[None, :]) ** 2 / 8.0)
+    damp = np.expm1(_damping_exponent(a, setup.coupling))  # expm1(-inf) = -1, exact
     return float((np.conj(w) @ damp @ w).real)
 
 
@@ -153,12 +159,6 @@ def coupling_squared(coupling: float) -> float:
             "is zero or subnormal"
         )
     return lam_sq
-
-
-def conditional_meter_density(setup: MeasurementSetup, basis: str, x):
-    """Exact conditional meter density in the x or x' basis (normalized)."""
-    cm = conditional_meter_state(setup, basis)
-    return cm.pointer.density(x) / cm.probability
 
 
 def density_spacing_limit(cm: ConditionalMeter) -> float:
@@ -193,17 +193,6 @@ def kick_pointer_state(setup: MeasurementSetup) -> MeterState:
     """
     a = setup.observable.eigensystem.eigenvalues
     return _eigenbranch_pointer(setup, np.zeros_like(a), -setup.coupling * a / 2.0, BASIS_XPRIME)
-
-
-def kick_postselection_probability(setup: MeasurementSetup) -> float:
-    """P'_lambda(phi | psi) of the kick protocol (equals the von Neumann one)."""
-    return kick_pointer_state(setup).squared_norm()
-
-
-def kick_protocol_conditional_density(setup: MeasurementSetup, xprime):
-    """Conditional distribution of the pre-drawn kick size x'."""
-    state = kick_pointer_state(setup)
-    return state.density(xprime) / state.squared_norm()
 
 
 def sequential_meter_state(sq: SequentialSetup) -> MeterState:
@@ -244,11 +233,6 @@ def sequential_cross_covariance(sq: SequentialSetup) -> float:
     return state.cross_moment() - state.first_moment(0) * state.first_moment(1)
 
 
-def sequential_means(sq: SequentialSetup) -> tuple[float, float]:
-    state = sequential_meter_state(sq)
-    return state.first_moment(0), state.first_moment(1)
-
-
 def sequential_order_gap(sq: SequentialSetup) -> float:
     """Analytic order-dependence coefficient Re[(BA)_w - (AB)_w].
 
@@ -279,14 +263,8 @@ def nonselective_state(
     exp(-coupling^2 (a_i - a_j)^2 / 8); the result is mixed unless psi is an
     eigenstate.
     """
-    system = observable.eigensystem
     comps, _ = branch_components(observable, psi)
-    with np.errstate(over="ignore"):  # an overflowed exponent is -inf: damping exp(-inf) = 0, exact
-        damp = np.exp(
-            -(coupling**2)
-            * (system.eigenvalues[:, None] - system.eigenvalues[None, :]) ** 2
-            / 8.0
-        )
+    damp = np.exp(_damping_exponent(observable.eigensystem.eigenvalues, coupling))  # exp(-inf) = 0
     rho = np.einsum("ij,ia,jb->ab", damp, comps, np.conj(comps))
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)

@@ -37,7 +37,6 @@ from weakmeas.montecarlo import (
     _DTYPE_ONE,
     _DTYPE_TWO,
     _categorical,
-    _eigen_arrays,
 )
 from weakmeas.pointer import (
     BASIS_X,
@@ -177,6 +176,16 @@ def single_x_synthesis_density(cs: CollectiveSetup, x: np.ndarray) -> np.ndarray
     return (amp.real**2 + amp.imag**2) / prof.norm
 
 
+def plan_branches(plan: TrialPlan):
+    """Eigenvalues of the plan's first observable, the images P_i psi with
+    their squared norms, and with a post-selection the weights <phi|P_i|psi>
+    as the matmul ``comps @ conj(phi)``, formed apart from
+    ``core.branch_weights`` so the oracles stay an independent reference."""
+    comps, probs = branch_components(plan.observable, plan.preselect)
+    w_phi = None if plan.postselect is None else comps @ np.conj(plan.postselect.amplitudes)
+    return plan.observable.eigensystem.eigenvalues, comps, probs, w_phi
+
+
 def _row_categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Per-row categorical draw: probs has shape (n, k), u shape (n,)."""
     cdf = np.cumsum(probs, axis=1)
@@ -189,8 +198,7 @@ def complex_single(plan: TrialPlan) -> np.ndarray:
     complex product sqrt(G) @ <phi|P_i|psi> for the amplitude, divided by
     P(x) = G @ p for the acceptance, and the branch drawn by
     ``np.searchsorted`` on the CDF. Draws as the runner does."""
-    eigenvalues, comps, probs = _eigen_arrays(plan.observable, plan.preselect)
-    w_phi = comps @ np.conj(plan.postselect.amplitudes)
+    eigenvalues, _, probs, w_phi = plan_branches(plan)
     lam = plan.coupling
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -215,8 +223,7 @@ def complex_kick(plan: TrialPlan) -> np.ndarray:
     """Kick-protocol records from the complex exponential of the (n, k) outer
     product: amplitude exp(-i lam x' a / 2) @ <phi|P_i|psi>. Draws as the
     runner does."""
-    eigenvalues, comps, _ = _eigen_arrays(plan.observable, plan.preselect)
-    w_phi = comps @ np.conj(plan.postselect.amplitudes)
+    eigenvalues, _, _, w_phi = plan_branches(plan)
     parts = []
     for b, start in enumerate(range(0, plan.trials, BLOCK_SIZE)):
         rng, n = stream_rng(plan.seed, b), min(BLOCK_SIZE, plan.trials - start)
@@ -234,7 +241,7 @@ def untiled_threshold(plan: TrialPlan) -> np.ndarray:
     """Threshold-protocol records from one pass over each whole block: the
     branch drawn by ``np.searchsorted`` on the CDF, and a run kept when
     x >= threshold_multiple * lam. Draws as the runner does."""
-    eigenvalues, _, probs = _eigen_arrays(plan.observable, plan.preselect)
+    eigenvalues, _, probs, _ = plan_branches(plan)
     lam = plan.coupling
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -256,7 +263,7 @@ def projector_stack_sequential(plan: TrialPlan) -> np.ndarray:
     system basis: chi1 normalized, then a (k2, n, d) stack of its images
     P_j chi1. Draws as the runner does: block b of BLOCK_SIZE trials from
     stream_rng(seed, b), five draws in a fixed order."""
-    a_vals, comps_a, probs_a = _eigen_arrays(plan.observable, plan.preselect)
+    a_vals, comps_a, probs_a, _ = plan_branches(plan)
     b_system = plan.second_observable.eigensystem
     b_vals, b_projs = b_system.eigenvalues, b_system.projectors
     lam1, lam2 = plan.coupling, plan.second_coupling

@@ -46,20 +46,18 @@ from weakmeas.pointer import (
     BASIS_X,
     BASIS_XPRIME,
     gaussian_density,
-    moment,
 )
 from weakmeas.protocols import (
     MeasurementSetup,
     SequentialSetup,
-    conditional_meter_density,
     conditional_meter_mean,
+    conditional_meter_state,
     disturbance_report,
     extrapolate_to_zero_coupling,
     kick_pointer_state,
-    kick_postselection_probability,
     postselection_probability,
     sequential_cross_covariance,
-    sequential_means,
+    sequential_meter_state,
 )
 from weakmeas.collective import (
     CollectiveSetup,
@@ -167,15 +165,13 @@ def test_criterion_04_kick_xprime_duality():
         psi, phi = random_selection_pair(rng, 2)
         for lam in (0.1, 0.5, 2.0):
             setup = MeasurementSetup(obs, lam, psi, phi)
-            vn = conditional_meter_density(setup, BASIS_XPRIME, xs)
-            from weakmeas.protocols import kick_protocol_conditional_density
-
-            kick = kick_protocol_conditional_density(setup, xs)
+            cm = conditional_meter_state(setup, BASIS_XPRIME)
+            vn = cm.pointer.density(xs) / cm.probability
+            kick_state = kick_pointer_state(setup)
+            kick_prob = kick_state.squared_norm()
+            kick = kick_state.density(xs) / kick_prob
             worst_density = max(worst_density, float(np.max(np.abs(vn - kick))))
-            worst_prob = max(
-                worst_prob,
-                abs(kick_postselection_probability(setup) - postselection_probability(setup)),
-            )
+            worst_prob = max(worst_prob, abs(kick_prob - postselection_probability(setup)))
     verdict(
         "criterion-04 kick/xprime duality",
         worst_density <= 1e-12 and worst_prob <= 1e-12,
@@ -391,7 +387,7 @@ def test_criterion_10_monte_carlo_fidelity():
     # kick: sigma_x, psi=(1,0), phi=(1,i)/sqrt(2), lambda=0.15
     phi_k = ket(1, 1j)
     setup_k = MeasurementSetup(Observable(SX), 0.15, psi, phi_k)
-    kick_target = moment(kick_pointer_state(setup_k), 1)
+    kick_target = kick_pointer_state(setup_k).first_moment()
     kick_rate = postselection_probability(setup_k)
     kick_mean_ok, kick_rate_ok = [], []
     for seed in seeds:
@@ -408,7 +404,8 @@ def test_criterion_10_monte_carlo_fidelity():
     psi_s, phi_s = ket(0.8, 0.6j), ket(0.6, 0.8)
     sq = SequentialSetup(Observable(SX), 0.2, Observable(SY), 0.2, psi_s, phi_s)
     cov_target = sequential_cross_covariance(sq)
-    m1_target, m2_target = sequential_means(sq)
+    seq_state = sequential_meter_state(sq)
+    m1_target, m2_target = seq_state.first_moment(0), seq_state.first_moment(1)
     seq_cov_ok, seq_mean_ok = [], []
     for seed in seeds:
         _, stats = run_sequential(

@@ -21,13 +21,8 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 # (module, name) -> the test function of tests/test_acceptance.py that uses it
 KEPT_FOR_ACCEPTANCE = {
-    ("protocols", "kick_postselection_probability"): "test_criterion_04_kick_xprime_duality",
-    ("protocols", "kick_protocol_conditional_density"): "test_criterion_04_kick_xprime_duality",
-    ("protocols", "conditional_meter_density"): "test_criterion_04_kick_xprime_duality",
     ("collective", "collective_conditional_density"): "test_criterion_08_collective_asymptotics",
     ("lindblad", "gauss_legendre"): "test_criterion_09_lindblad_decomposition",
-    ("protocols", "sequential_means"): "test_criterion_10_monte_carlo_fidelity",
-    ("pointer", "moment"): "test_criterion_10_monte_carlo_fidelity",
 }
 
 

@@ -33,6 +33,7 @@ SY_JSON = [[0, 0], [0, -1], [0, 1], [0, 0]]
 SZ_JSON = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 KET0 = [[1, 0], [0, 0]]
 PHI68 = [[0.6, 0], [0.8, 0]]
+BASE = {"observable": SX_JSON, "psi": KET0, "phi": PHI68}
 
 
 def config(**kwargs) -> str:
@@ -147,6 +148,25 @@ class TestParseConfig:
         with pytest.raises(SchemaError) as err:
             parse_config("simulate", config(**doc, **{key: lowest - 1}))
         assert err.value.path == key
+
+    @pytest.mark.parametrize(
+        "command, doc, want, hash_",
+        [
+            (
+                "simulate",
+                {"protocol": "threshold", "observable": SX_JSON, "psi": KET0, "trials": 1e5, "seed": 3.0, "threads": 2.0},
+                {"trials": 100_000, "seed": 3, "threads": 2},
+                "3a98dc8c16292a26",
+            ),
+            ("collective", {**BASE, "n_grid": [25.0, 5e1]}, {"n_grid": (25, 50)}, "75b60e53e4622385"),
+            ("density", {**BASE, "grid": {"points": 6e2}}, {"grid": (None, None, 600)}, "eaab43341af5fccd"),
+        ],
+        ids=["simulate counts", "collective n_grid", "density grid.points"],
+    )
+    def test_integral_floats_are_read_as_integers(self, command, doc, want, hash_):
+        cfg = parse_config(command, json.dumps(doc))
+        assert repr({key: cfg.params[key] for key in want}) == repr(want)  # ints, not floats
+        assert cfg.hash == hash_  # the hash reads the document as written, 1e5 as 1e5
 
     def test_simulate_requires_phi_except_threshold(self):
         with pytest.raises(SchemaError) as err:
@@ -842,7 +862,6 @@ class TestDeterminism:
 
 
 D3_JSON = [[1, 0], [0, 0], [0, 0], [0, 0], [2, 0], [0, 0], [0, 0], [0, 0], [3, 0]]
-BASE = {"observable": SX_JSON, "psi": KET0, "phi": PHI68}
 MISMATCH = {"observable": D3_JSON, "psi": KET0, "phi": PHI68}
 PHI_COMPLEX = [[0.3, 0], [0, math.sqrt(0.91)]]
 SX_1E200 = [[0, 0], [1e200, 0], [1e200, 0], [0, 0]]  # |A_w|^2 overflows float64
@@ -892,6 +911,15 @@ REFUSALS = {
     "density basis a list": ("density", {**BASE, "basis": ["x"]}, [], 2, CONFIG),
     "anomalous target an object": ("anomalous", {"observable": SX_JSON, "epsilon": 0.1, "target": {}}, [], 2, CONFIG),
     "simulate protocol a list": ("simulate", {**BASE, "protocol": []}, [], 2, CONFIG),
+    # an integer key refuses a number with a fraction, where it truncated before
+    "simulate trials 1.5": ("simulate", {**BASE, "protocol": "single", "trials": 1.5}, [], 2, CONFIG + "trials: expected an integer"),
+    "simulate seed 2.7": ("simulate", {**BASE, "protocol": "single", "seed": 2.7}, [], 2, CONFIG + "seed: expected an integer"),
+    "simulate threads 1.9": ("simulate", {**BASE, "protocol": "single", "threads": 1.9}, [], 2, CONFIG + "threads: expected an integer"),
+    "collective n_grid entry 25.5": ("collective", {**BASE, "n_grid": [25.5, 50]}, [], 2, CONFIG + "n_grid[0]: expected an integer"),
+    "density grid.points 600.7": ("density", {**BASE, "grid": {"points": 600.7}}, [], 2, CONFIG + "grid.points: expected an integer"),
+    # 9 bytes a trial: the records array fails to allocate at once, with no page touched
+    "simulate trials past memory": ("simulate", {**BASE, "protocol": "single", "trials": 10**15}, [], 2, CONFIG + "trials: "),
+    "simulate trials past numpy's array size": ("simulate", {**BASE, "protocol": "single", "trials": 2**63}, [], 2, CONFIG + "trials: "),
     "lindblad lambda^2 overflow": ("lindblad", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "disturbance lambda^2 overflow": ("disturbance", BASE, ["--lambda", "2e154"], 3, DOMAIN),
     "threshold lambda^2 overflow": (
@@ -968,6 +996,14 @@ class TestPreconditionExitCodes:
         assert (code, err[: len(prefix)]) == (want, prefix), err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+    def test_state_past_the_float_range_runs(self, tmp_path):
+        # (1e308, 1e308) has a squared norm past the float range: it is read as (1, 1)/sqrt(2)
+        code, out, err = run_cli("weak-value", {**BASE, "psi": [[1e308, 0], [1e308, 0]]}, tmp_path / "huge")
+        assert (code, err) == (0, "")
+        assert out == run_cli("weak-value", {**BASE, "psi": [[1, 0], [1, 0]]}, tmp_path / "unit")[1]
+        huge, unit = (json.loads((tmp_path / run / "weak_value.json").read_text()) for run in ("huge", "unit"))
+        assert huge.pop("metadata") != unit.pop("metadata") and huge == unit
 
     def test_seed_past_the_float_range_runs(self, tmp_path):
         doc = {**BASE, "protocol": "single", "trials": 100, "seed": 10**400}

@@ -27,8 +27,8 @@ from weakmeas.pointer import (
 )
 from weakmeas.protocols import (
     MeasurementSetup,
-    conditional_meter_density,
     conditional_meter_mean,
+    conditional_meter_state,
     postselection_probability,
 )
 
@@ -59,7 +59,8 @@ class TestReductionToSingleMeasurement:
             setup = MeasurementSetup(Observable(SX), 0.7, PSI0, PHI_REAL)
             xs = np.linspace(-5, 5, 101)
             got = collective_conditional_density(cs, basis, xs)
-            want = conditional_meter_density(setup, basis, xs)
+            cm = conditional_meter_state(setup, basis)
+            want = cm.pointer.density(xs) / cm.probability
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_probability_and_mean_match_at_n1(self, rng):
@@ -97,7 +98,8 @@ class TestReductionToSingleMeasurement:
         xs = np.linspace(-coupling - 6.0, coupling + 6.0, 61)
         for basis in (BASIS_X, BASIS_XPRIME):
             got = collective_conditional_density(cs, basis, xs)
-            want = conditional_meter_density(setup, basis, xs)
+            cm = conditional_meter_state(setup, basis)
+            want = cm.pointer.density(xs) / cm.probability
             assert np.max(np.abs(got - want)) < 1e-12
             assert collective_conditional_mean(cs, basis) == pytest.approx(
                 conditional_meter_mean(setup, basis), abs=1e-12 * (1.0 + coupling)

@@ -368,6 +368,22 @@ class TestStatesAndDensities:
         with pytest.raises(ValueError):
             PureState.normalized(np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "values, scale",
+        [
+            ([1e308, 1e308], 1e308),
+            ([1e308j, -1e308], 1e308),
+            ([1.7e308 + 1.7e308j, 0.0, 1e200], 1.7e308),
+            ([1e160, 3e160j], 3e160),
+        ],
+        ids=["real", "imaginary", "complex entry", "squares past the range"],
+    )
+    def test_normalizes_past_the_float_range(self, values, scale):
+        # the squared sum overflows: the state is scaled by its largest part
+        # first, and reads as the vector divided by that part
+        huge = PureState.normalized(np.array(values, dtype=complex))
+        assert np.array_equal(huge.amplitudes, PureState.normalized(np.array(values, dtype=complex) / scale).amplitudes)
+
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))

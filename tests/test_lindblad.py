@@ -38,7 +38,7 @@ from weakmeas.lindblad import (
 from weakmeas.pointer import gaussian_density
 from weakmeas.protocols import (
     MeasurementSetup,
-    conditional_meter_density,
+    conditional_meter_state,
     disturbance_report,
     nonselective_state,
     postselection_probability,
@@ -96,7 +96,8 @@ class TestJointDensity:
         prob = postselection_probability(setup)
         xs = np.linspace(-6, 6, 101)
         joint = joint_probability_density(obs, lam, psi, phi, xs)
-        cond = conditional_meter_density(setup, BASIS_X, xs)
+        cm = conditional_meter_state(setup, BASIS_X)
+        cond = cm.pointer.density(xs) / cm.probability
         assert np.max(np.abs(joint - cond * prob)) < 1e-12
 
     def test_zero_coupling(self, rng):

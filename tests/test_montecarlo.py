@@ -37,7 +37,7 @@ from weakmeas.montecarlo import (
     run_threshold,
     truncated_mean_prediction,
 )
-from weakmeas.pointer import BASIS_X, BASIS_XPRIME, moment
+from weakmeas.pointer import BASIS_X, BASIS_XPRIME
 from weakmeas.protocols import (
     MeasurementSetup,
     SequentialSetup,
@@ -46,6 +46,7 @@ from weakmeas.protocols import (
     kick_pointer_state,
     postselection_probability,
     sequential_cross_covariance,
+    sequential_meter_state,
 )
 
 
@@ -264,7 +265,7 @@ class TestRunKick:
         lam = 0.15
         plan = TrialPlan("kick", OBS, lam, psi, phi, 10**6, 8)
         _, stats = run_kick(plan)
-        target = moment(kick_pointer_state(MeasurementSetup(OBS, lam, psi, phi)), 1)
+        target = kick_pointer_state(MeasurementSetup(OBS, lam, psi, phi)).first_moment()
         assert within_se(stats.conditional_means[0], target, stats.standard_errors[0])
 
     def test_unconditional_mean_is_zero(self):
@@ -311,9 +312,8 @@ class TestRunSequential:
     def test_means_match_analytic(self):
         _, stats = run_sequential(self._plan())
         sq = SequentialSetup(OBS, self.lam, Observable(SY), self.lam, self.psi, self.phi)
-        from weakmeas.protocols import sequential_means
-
-        m1, m2 = sequential_means(sq)
+        state = sequential_meter_state(sq)
+        m1, m2 = state.first_moment(0), state.first_moment(1)
         assert within_se(stats.conditional_means[0], m1, stats.standard_errors[0])
         assert within_se(stats.conditional_means[1], m2, stats.standard_errors[1])
 

@@ -16,7 +16,6 @@ from weakmeas.pointer import (
     MeterState,
     WAVEFUNCTION_NORM,
     gaussian_density,
-    moment,
     stream_rng,
 )
 
@@ -96,7 +95,6 @@ class TestInitialMeter:
     def test_zero_mean_unit_variance(self):
         m = initial_meter()
         assert m.first_moment() == pytest.approx(0.0, abs=1e-14)
-        assert moment(m, 1) == pytest.approx(0.0, abs=1e-14)
         # no closed-form second moment is left: the trapezoid rule is exact to
         # rounding for a Gaussian on a grid this fine and wide
         xs = np.linspace(-40.0, 40.0, 8001)
@@ -188,12 +186,6 @@ class TestMoments:
                 limit=400,
             )[0] / w.squared_norm()
             assert w.first_moment() == pytest.approx(oracle, abs=1e-9)
-            assert moment(w, 1) == w.first_moment()
-
-    def test_rejects_higher_orders(self):
-        for n in (0, 2, 3):  # only the first moment is left
-            with pytest.raises(ValueError):
-                moment(initial_meter(), n)
 
     def test_rejects_a_missing_meter(self):
         with pytest.raises(IndexError):

@@ -37,18 +37,15 @@ from weakmeas.errors import (
     ZeroProbabilityOutcome,
 )
 from weakmeas.lindblad import KrausFamily, gauss_legendre
-from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density, moment
+from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density
 from weakmeas.protocols import (
     MeasurementSetup,
     SequentialSetup,
-    conditional_meter_density,
     conditional_meter_mean,
     conditional_meter_state,
     disturbance_report,
     extrapolate_to_zero_coupling,
     kick_pointer_state,
-    kick_postselection_probability,
-    kick_protocol_conditional_density,
     nonselective_state,
     postselection_probability,
     sequential_covariance_coefficient,
@@ -116,7 +113,8 @@ class TestApplyVonNeumann:
         assert abs(postselection_probability(setup) - abs(phi.overlap(psi)) ** 2) <= 1e-12 * w_abs**2
         xs = np.linspace(-6, 6, 49)
         for basis in (BASIS_X, BASIS_XPRIME):
-            dens = conditional_meter_density(setup, basis, xs)
+            cm = conditional_meter_state(setup, basis)
+            dens = cm.pointer.density(xs) / cm.probability
             assert np.max(np.abs(dens - gaussian_density(xs))) <= 1e-12
             assert conditional_meter_mean(setup, basis) == 0.0
 
@@ -144,7 +142,8 @@ class TestApplyVonNeumann:
         shift = lam * float(system.eigenvalues[i])
         xs = np.linspace(-6, 6, 49)
         for basis, center in ((BASIS_X, shift), (BASIS_XPRIME, 0.0)):
-            dens = conditional_meter_density(setup, basis, xs + center)
+            cm = conditional_meter_state(setup, basis)
+            dens = cm.pointer.density(xs + center) / cm.probability
             assert np.max(np.abs(dens - gaussian_density(xs))) <= 1e-12
             assert conditional_meter_mean(setup, basis) == pytest.approx(center, abs=1e-12 * (1.0 + abs(shift)))
 
@@ -223,14 +222,16 @@ class TestConditionalDensity:
         psi, phi = random_selection_pair(rng, 2)
         setup = MeasurementSetup(Observable(SX), 1e-8, psi, phi)
         xs = np.linspace(-4, 4, 41)
-        assert np.max(np.abs(conditional_meter_density(setup, BASIS_X, xs) - gaussian_density(xs))) < 1e-6
+        cm = conditional_meter_state(setup, BASIS_X)
+        assert np.max(np.abs(cm.pointer.density(xs) / cm.probability - gaussian_density(xs))) < 1e-6
 
     def test_normalized(self, rng):
         psi, phi = random_selection_pair(rng, 3)
         setup = MeasurementSetup(random_observable(rng, 3), 0.8, psi, phi)
         xs = np.linspace(-14, 14, 3001)
         for basis in (BASIS_X, BASIS_XPRIME):
-            total = np.trapezoid(conditional_meter_density(setup, basis, xs), xs)
+            cm = conditional_meter_state(setup, basis)
+            total = np.trapezoid(cm.pointer.density(xs) / cm.probability, xs)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_extrapolates_to_re_weak_value(self, rng):
@@ -308,10 +309,12 @@ class TestKickProtocol:
         psi, phi = random_selection_pair(rng, 2)
         setup = MeasurementSetup(Observable(SX), lam, psi, phi)
         xs = np.linspace(-8, 8, 201)
-        vn = conditional_meter_density(setup, BASIS_XPRIME, xs)
-        kick = kick_protocol_conditional_density(setup, xs)
+        cm = conditional_meter_state(setup, BASIS_XPRIME)
+        vn = cm.pointer.density(xs) / cm.probability
+        kick_state = kick_pointer_state(setup)
+        kick = kick_state.density(xs) / kick_state.squared_norm()
         assert np.max(np.abs(vn - kick)) < 1e-12
-        assert kick_postselection_probability(setup) == pytest.approx(
+        assert kick_state.squared_norm() == pytest.approx(
             postselection_probability(setup), abs=1e-12
         )
 
@@ -319,7 +322,8 @@ class TestKickProtocol:
         psi, phi = random_selection_pair(rng, 2)
         setup = MeasurementSetup(Observable(SX), 0.0, psi, phi)
         xs = np.linspace(-4, 4, 21)
-        assert np.max(np.abs(kick_protocol_conditional_density(setup, xs) - gaussian_density(xs))) < 1e-13
+        kick_state = kick_pointer_state(setup)
+        assert np.max(np.abs(kick_state.density(xs) / kick_state.squared_norm() - gaussian_density(xs))) < 1e-13
 
     def test_mean_extrapolates_to_im_weak_value(self):
         psi, phi = ket(1, 0), ket(1, 1j)
@@ -329,7 +333,8 @@ class TestKickProtocol:
         scaled = []
         for lam in LAMBDA_GRID:
             setup = MeasurementSetup(Observable(SX), lam, psi, phi)
-            dens = kick_protocol_conditional_density(setup, xs)
+            kick_state = kick_pointer_state(setup)
+            dens = kick_state.density(xs) / kick_state.squared_norm()
             scaled.append(np.trapezoid(xs * dens, xs) / lam)
         intercept, _ = extrapolate_to_zero_coupling(LAMBDA_GRID, scaled)
         assert intercept == pytest.approx(-1.0, abs=1e-3)
@@ -339,7 +344,7 @@ class TestKickProtocol:
         a_w = weak_value(Observable(SX), psi, phi).value
         lam = 1e-12
         state = kick_pointer_state(MeasurementSetup(Observable(SX), lam, psi, phi))
-        assert moment(state, 1) / lam == pytest.approx(a_w.imag, rel=1e-12)
+        assert state.first_moment() / lam == pytest.approx(a_w.imag, rel=1e-12)
 
 
 def sequential_covariance_quadrature(sq: SequentialSetup) -> float:
@@ -413,7 +418,8 @@ class TestSequential:
         setup = MeasurementSetup(Observable(SX), 0.45, psi, phi)
         xs = np.linspace(-5, 5, 31)
         joint = sequential_joint_density(sq, xs, xs)
-        single = conditional_meter_density(setup, BASIS_X, xs)
+        cm = conditional_meter_state(setup, BASIS_X)
+        single = cm.pointer.density(xs) / cm.probability
         factorized = np.outer(single, gaussian_density(xs))
         assert np.max(np.abs(joint - factorized)) < 1e-12
 
@@ -582,7 +588,7 @@ class TestEigenbranchIdentities:
         obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
         psi, phi = random_selection_pair(rng, dim)
         setup = MeasurementSetup(obs, lam, psi, phi)
-        assert kick_postselection_probability(setup) == pytest.approx(
+        assert kick_pointer_state(setup).squared_norm() == pytest.approx(
             postselection_probability(setup), rel=1e-12
         )
 

@@ -43,7 +43,6 @@ ALLOWED = {
         "the package builds meters of matching shapes; centres lam * a_i stay finite while "
         "|lam| * spectral radius is below 1.8e308, far past the valid range"
     ),
-    ("pointer", "moment", "ValueError"): "moment order: every caller passes 1",
     ("collective", "CollectiveSetup.__post_init__", "ValueError"): "n_grid entries are parsed with minimum 1",
     ("collective", "_x_synthesis_density", "ValueError"): "unevenly spaced x: the CLI passes np.linspace grids",
     ("montecarlo", "TrialPlan.__post_init__", "ValueError"): (
