@@ -57,7 +57,6 @@ from .serialize import config_hash, write_csv, write_json
 DEFAULT_LAMBDA = 0.1
 DEFAULT_LAMBDA_GRID = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_N_GRID = (25, 50, 100, 200, 400)
-_BRANCH_HALFWIDTH = 10.0  # past this a branch adds at most G(10) ~ 7.7e-23 of its weight to the density
 _REALS = {int, float}  # by exact type: bool is an int, and a number to no command
 # A run of 19 digits not after a "." may be an int past 64 bits, which orjson
 # reads as a float. With every digit made a 9, the search skips to each run by
@@ -340,33 +339,28 @@ def _lambda_scan(cfg, out_dir, fmt, name, header, measure, fixed=(None,), power=
     return intercept
 
 
-def _grid_points(p: dict, lo: float, hi: float) -> np.ndarray:
-    """The configured x grid; an edge the config leaves out is lo or hi."""
-    xmin, xmax, points = p["grid"]
-    return np.linspace(lo if xmin is None else xmin, hi if xmax is None else xmax, points)
-
-
-def _density_grid(p: dict, cm: proto.ConditionalMeter, reach: float) -> np.ndarray:
-    """The configured grid over [-reach, reach], refused with GridTooCoarse
-    when a step passes ``proto.density_spacing_limit``.
+def _density_grid(grid: tuple, cm: proto.ConditionalMeter, reach: float) -> np.ndarray:
+    """The configured grid ``(xmin, xmax, points)`` over [-reach, reach] (an
+    edge the config leaves out is -reach or reach) for the density of ``cm``,
+    refused with GridTooCoarse when a step passes ``proto.density_spacing_limit``.
 
     With the edges left to the program, x-basis branches too far apart for
     that grid are sampled by ``points`` points across each branch's window
-    ``lam a_i +- _BRANCH_HALFWIDTH``; the gaps between windows hold no mass.
-    Steps are taken from the float64 points, which merge within a window once
-    |lam a_i| passes about 1e15.
+    ``lam a_i +- proto.BRANCH_HALFWIDTH``; the gaps between windows hold no
+    mass. Steps are taken from the float64 points, which merge within
+    a window once |lam a_i| passes about 1e15.
     """
-    xmin, xmax, points = p["grid"]
-    xs = _grid_points(p, -reach, reach)
+    xmin, xmax, points = grid
+    xs = np.linspace(-reach if xmin is None else xmin, reach if xmax is None else xmax, points)
     span, steps = abs(xs[-1] - xs[0]), np.abs(np.diff(xs))
     limit = proto.density_spacing_limit(cm)
-    if steps.max() > limit and xmin is None and xmax is None and p["basis"] == ptr.BASIS_X:
-        window = np.linspace(-_BRANCH_HALFWIDTH, _BRANCH_HALFWIDTH, points)
-        windows = np.add.outer(p["lambda"] * p["observable"].eigensystem.eigenvalues, window)
+    if steps.max() > limit and xmin is None and xmax is None and cm.pointer.bases[0] == ptr.BASIS_X:
+        window = np.linspace(-proto.BRANCH_HALFWIDTH, proto.BRANCH_HALFWIDTH, points)
+        windows = np.add.outer(cm.pointer.centers[0], window)
         # distinct points, sorted and compared as in np.unique, which imports numpy.ma
         xs = np.sort(windows, axis=None)
         xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-        span, steps = 2.0 * _BRANCH_HALFWIDTH, np.diff(windows, axis=1)
+        span, steps = 2.0 * proto.BRANCH_HALFWIDTH, np.diff(windows, axis=1)
     if not 0.0 < steps.min() <= steps.max() <= limit:  # a zero step: points merged in rounding
         need = math.ceil(span / limit) + 1
         remedy = (
@@ -426,8 +420,8 @@ def _cmd_density(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     setup = proto.MeasurementSetup(p["observable"], p["lambda"], p["psi"], p["phi"])
     cm = proto.conditional_meter_state(setup, p["basis"])
     a_w = core.weak_value(p["observable"], p["psi"], p["phi"]).value
-    reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + _BRANCH_HALFWIDTH
-    xs = _density_grid(p, cm, reach)
+    reach = abs(p["lambda"]) * (p["observable"].spectral_radius + abs(a_w)) + proto.BRANCH_HALFWIDTH
+    xs = _density_grid(p["grid"], cm, reach)
     dens = cm.pointer.density(xs) / cm.probability
     _write_columns(cfg, out_dir, "density", fmt, x=xs, density=dens)
     seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)
@@ -534,8 +528,9 @@ def _cmd_lindblad(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
 
     p = cfg.params
     lam = p["lambda"]
-    report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])
-    xs = _grid_points(p, *lb.integration_interval(p["observable"], lam))
+    report = lb.gdi_diagnostic(p["observable"], lam, p["psi"], p["phi"])  # its refusals come first
+    cm = proto.conditional_meter_state(proto.MeasurementSetup(p["observable"], lam, p["psi"], p["phi"]))
+    xs = _density_grid(p["grid"], cm, lb.integration_interval(p["observable"], lam)[1])
     x, joint, pw, error = lb.decompose_on_grid(p["observable"], lam, p["psi"], p["phi"], xs)
     _write_columns(cfg, out_dir, "lindblad_decomposition", fmt, x=x, joint=joint, pw=pw, error=error)
     write_json(out_dir / "gdi.json", {**asdict(report), "metadata": _metadata(cfg)})

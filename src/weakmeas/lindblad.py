@@ -38,6 +38,7 @@ from .core import Observable, PureState, branch_weights, weak_value
 from .errors import NumericalQualityError
 from .pointer import gaussian_density
 from .protocols import (  # second_order_coefficient is re-exported for callers of this module
+    BRANCH_HALFWIDTH,
     MeasurementSetup,
     conditional_meter_mean,
     coupling_squared,
@@ -47,11 +48,10 @@ from .protocols import (  # second_order_coefficient is re-exported for callers 
 
 GAUSS_LEGENDRE_NODES = 400
 MAX_ERROR_GRID_POINTS = 1024  # per branch centre
-MAX_ERROR_HALFWIDTH = 10.0
 
 
 def integration_interval(observable: Observable, coupling: float) -> tuple[float, float]:
-    half = 10.0 + abs(coupling) * observable.spectral_radius
+    half = BRANCH_HALFWIDTH + abs(coupling) * observable.spectral_radius
     return -half, half
 
 
@@ -164,7 +164,7 @@ class GdiReport:
 
 def _max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS) -> float:
     """max |joint - pw| over ``points`` evenly spaced outcomes within
-    MAX_ERROR_HALFWIDTH of each branch centre mu_r = lam * a_r.
+    BRANCH_HALFWIDTH of each branch centre mu_r = lam * a_r.
 
     With s_i = sqrt(G(x - mu_i)) = s_r (1 + e_i), joint - pw = -1/2 sum_ij
     Re(conj(w_i) w_j) (s_i - s_j)^2 = -s_r^2 [sum_i e_i^2 Re(conj(w_i) <phi|psi>)
@@ -173,7 +173,7 @@ def _max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS)
     """
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
     mu = setup.coupling * setup.observable.eigensystem.eigenvalues
-    offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, points)  # x - mu_r
+    offsets = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, points)  # x - mu_r
     gap = (mu[None, :] - mu[:, None])[:, None, :]  # [r, ., i]: mu_i - mu_r
     e = np.expm1(gap * (2.0 * offsets[None, :, None] - gap) / 4.0)  # [r, x, i]
     amp = e @ w

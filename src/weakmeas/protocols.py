@@ -50,6 +50,7 @@ from .pointer import BASIS_X, BASIS_XPRIME, MeterState, check_basis
 
 LOW_PROBABILITY_FLOOR = 1e-12
 DENSITY_QUADRATURE_TOL = 1e-8
+BRANCH_HALFWIDTH = 10.0  # past this a branch adds at most G(10) ~ 7.7e-23 of its weight to a density
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,10 @@ Tables are structured arrays, written as UTF-8 bytes a chunk of
 followed by one bool field, with no NaN or infinity, is laid out as bytes by
 ``_float_rows``: one orjson dump, its notation made ``repr``'s in place with
 numpy. Any other chunk (the CLI's small mixed tables, or one holding NaN or
-an infinity) is formatted a field at a time: float64 through
-``float.__repr__``; bool as ``0``/``1``; int64 through ``str``; any other
-field (labels, None, mixed objects, and in JSON NaN or infinities) cell by
-cell.
-Both routes write the bytes of ``csv.writer`` over ``format_cell`` and of
-``json.dumps(jsonable(payload), sort_keys=True, indent=2)`` over the
-table's rows, a bool field being written as the integers 0 and 1.
+an infinity) is written from its rows as Python values, as is the CSV
+header: by ``csv.writer`` over ``format_cell``, and row by row by
+``json.dumps(jsonable(row), sort_keys=True, indent=2)``. Both routes write
+those writers' bytes, a bool field being written as the integers 0 and 1.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import numpy as np
 _CHUNK_CELLS = 6144
 # Placeholder bytes of _float_rows; orjson's dump of floats is ASCII without them
 _SHORT_EXPONENT, _PLUS_EXPONENT, _DROPPED = 0x01, 0x02, 0x7F
-_CSV_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 # (head, cell separator, row separator, tail) of a chunk of table rows
 _CSV_LAYOUT = ("", ",", "\r\n", "\r\n")
 _JSON_LAYOUT = ("[\n      ", ",\n      ", "\n    ],\n    [\n      ", "\n    ]")
@@ -248,41 +244,27 @@ def _float_rows(values: np.ndarray, flags, layout: tuple[str, str, str, str]) ->
     return [head.encode(), memoryview(text)[1 : -len(row_sep)], tail.encode()]
 
 
-def _format_column(column: np.ndarray, cell, finite_floats: bool = False) -> list[str]:
-    """Text of every cell of one column; ``cell`` formats a column of other types."""
-    if column.dtype == np.float64 and (not finite_floats or np.isfinite(column).all()):
-        # a few floats in the CLI's tables: repr costs less than _float_rows' fixed cost
-        return list(map(float.__repr__, column.tolist()))
-    if column.dtype == np.bool_:
-        return np.where(column, "1", "0").tolist()
-    if column.dtype == np.int64:
-        return list(map(str, column.tolist()))
-    return list(map(cell, column.tolist()))
+def _python_rows(block: np.ndarray) -> list[tuple]:
+    """A chunk's rows as tuples of Python values, a bool field as the ints 0 and 1."""
+    dtype = [(name, np.int8 if block.dtype[name] == np.bool_ else block.dtype[name]) for name in block.dtype.names]
+    return block.astype(dtype).tolist()
 
 
-def _csv_cell(value) -> str:
-    text = format_cell(value)
-    if any(c in text for c in _CSV_QUOTE_TRIGGERS):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_text(rows) -> bytes:
+    """``csv.writer``'s CRLF-terminated lines of ``rows``, each cell through ``format_cell``."""
+    import csv  # imported here, as orjson is (see _float_rows)
+    import io
 
-
-def _joined(texts: list[list[str]], layout: tuple[str, str, str, str]) -> str:
-    """The rows of column texts ``texts`` laid out as ``layout`` lays out a chunk."""
-    head, cell_sep, row_sep, tail = layout
-    return head + row_sep.join(map(cell_sep.join, zip(*texts))) + tail
+    out = io.StringIO()
+    csv.writer(out).writerows(map(format_cell, row) for row in rows)
+    return out.getvalue().encode()
 
 
 def _csv_lines(block: np.ndarray) -> list:
     """CRLF-terminated CSV lines of a chunk, as byte pieces."""
     if (floats := _float_table(block)) is not None:
         return _float_rows(*floats, _CSV_LAYOUT)
-    texts = [_format_column(block[name], _csv_cell) for name in block.dtype.names]
-    if not texts:
-        return [b"\r\n" * len(block)]
-    if len(texts) == 1:  # csv.writer quotes a lone empty field
-        texts[0] = ['""' if text == "" else text for text in texts[0]]
-    return [_joined(texts, _CSV_LAYOUT).encode()]
+    return [_csv_text(_python_rows(block))]
 
 
 def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
@@ -291,7 +273,7 @@ def write_csv(path: Path, header: list[str], rows, metadata: str) -> None:
     ``rows`` is a structured array, or its records one at a time.
     """
     with open(path, "wb") as fh:
-        fh.writelines(_csv_lines(np.array([tuple(header)], dtype=[(f"f{i}", object) for i in range(len(header))])))
+        fh.write(_csv_text([header]))
         for block in _column_chunks(rows):
             fh.writelines(_csv_lines(block))
         fh.write(f"# {metadata}\n".encode())
@@ -302,19 +284,12 @@ def _json_value(value, indent: str) -> str:
     return json.dumps(jsonable(value), sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-def _json_cell(value) -> str:
-    return _json_value(value, "      ")
-
-
 def _json_rows(block: np.ndarray) -> list:
     """A chunk's rows in a top-level ``"rows"`` list, joined as ``json.dumps``
     joins them, as byte pieces."""
     if (floats := _float_table(block)) is not None:
         return _float_rows(*floats, _JSON_LAYOUT)
-    texts = [_format_column(block[name], _json_cell, finite_floats=True) for name in block.dtype.names]
-    if not texts:
-        return [",\n    ".join(["[]"] * len(block)).encode()]
-    return [_joined(texts, _JSON_LAYOUT).encode()]
+    return [",\n    ".join(_json_value(row, "    ") for row in _python_rows(block)).encode()]
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -324,22 +299,15 @@ def write_json(path: Path, payload: dict) -> None:
     ``"rows"`` value that is a structured array is written a chunk at a time.
     """
     with open(path, "wb") as fh:
-        if not payload:
-            fh.write(b"{}\n")
-            return
-        sep = "{\n  "
-        for key in sorted(payload):
-            fh.write(f"{sep}{json.dumps(key)}: ".encode())
-            sep = ",\n  "
+        fh.write(b"{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(f'{"," if i else ""}\n  {json.dumps(key)}: '.encode())
             value = payload[key]
-            is_table = isinstance(value, np.ndarray) and value.dtype.names is not None
-            if key == "rows" and is_table and len(value):
-                row_sep = b"[\n    "
-                for block in _column_chunks(value):
-                    fh.write(row_sep)
+            if key == "rows" and isinstance(value, np.ndarray) and value.dtype.names is not None and len(value):
+                for j, block in enumerate(_column_chunks(value)):
+                    fh.write(b",\n    " if j else b"[\n    ")
                     fh.writelines(_json_rows(block))
-                    row_sep = b",\n    "
                 fh.write(b"\n  ]")
             else:
                 fh.write(_json_value(value, "  ").encode())
-        fh.write(b"\n}\n")
+        fh.write(b"\n}\n" if payload else b"}\n")

@@ -23,10 +23,17 @@ from conftest import (
 from weakmeas import cli
 from weakmeas.cli import main, parse_config
 from weakmeas.collective import CollectiveSetup
-from weakmeas.core import weak_value
+from weakmeas.core import Observable, PureState, weak_value
 from weakmeas.errors import FileError, SchemaError
 from weakmeas.pointer import gaussian_density
-from weakmeas.protocols import SequentialSetup, extrapolate_to_zero_coupling
+from weakmeas.protocols import (
+    BRANCH_HALFWIDTH,
+    MeasurementSetup,
+    SequentialSetup,
+    conditional_meter_state,
+    density_spacing_limit,
+    extrapolate_to_zero_coupling,
+)
 
 SX_JSON = [[0, 0], [1, 0], [1, 0], [0, 0]]
 SY_JSON = [[0, 0], [0, -1], [0, 1], [0, 0]]
@@ -866,6 +873,7 @@ MISMATCH = {"observable": D3_JSON, "psi": KET0, "phi": PHI68}
 PHI_COMPLEX = [[0.3, 0], [0, math.sqrt(0.91)]]
 SX_1E200 = [[0, 0], [1e200, 0], [1e200, 0], [0, 0]]  # |A_w|^2 overflows float64
 SX_200 = [[0, 0], [200, 0], [200, 0], [0, 0]]  # branches at +-200 for lambda = 1
+SX_500 = [[0, 0], [500, 0], [500, 0], [0, 0]]
 NAN, INF = math.nan, math.inf
 CONFIG, DOMAIN, QUALITY = "config error: ", "domain error: ", "numeric-quality error: "
 
@@ -1064,6 +1072,33 @@ class TestPreconditionExitCodes:
         assert (code, err) == (0, "")
         x = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1, comments="#")[:, 0]
         assert len(x) == 2 * 513 - 257 and np.all(np.diff(x) > 0)
+
+    def test_lindblad_default_grid_resolves_far_apart_branches(self, tmp_path):
+        # the uniform 512-point grid over +-(500 + 10) stepped 2.0 against a limit of 1.01,
+        # and its joint column integrated to 1.014 times the post-selection probability
+        doc = {**BASE, "observable": SX_500, "lambda": 1}
+        code, _, err = run_cli("lindblad", doc, tmp_path)
+        assert (code, err) == (0, "")
+        x, joint = np.loadtxt(tmp_path / "lindblad_decomposition.csv", delimiter=",", skiprows=1, comments="#")[:, :2].T
+        sx_500 = Observable(np.array([[0.0, 500.0], [500.0, 0.0]]))
+        cm = conditional_meter_state(MeasurementSetup(sx_500, 1.0, PureState(np.array([1.0, 0.0])), PureState(np.array([0.6, 0.8]))))
+        # one window of points about each branch centre +-500; the gap between them holds no mass
+        steps = np.diff(x)
+        gap = np.flatnonzero(steps > density_spacing_limit(cm))
+        assert gap.size == 1 and (x[gap[0]], x[gap[0] + 1]) == (-500 + BRANCH_HALFWIDTH, 500 - BRANCH_HALFWIDTH)
+        assert np.all(steps > 0)
+        assert np.trapezoid(joint, x) / cm.probability == pytest.approx(1.0, abs=1e-8)
+
+    def test_lindblad_grid_refusal_names_the_points_that_pass(self, tmp_path):
+        doc = {**BASE, "observable": SX_500, "lambda": 1, "grid": {"xmin": -510, "xmax": 510}}
+        code, _, err = run_cli("lindblad", doc, tmp_path)
+        assert code == 4 and err.startswith("numeric-quality error: ") and "set grid.points >= " in err
+        assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+        doc["grid"]["points"] = int(err.split("grid.points >= ")[1])
+        code, _, err = run_cli("lindblad", doc, tmp_path)
+        assert (code, err) == (0, "")
+        x, joint = np.loadtxt(tmp_path / "lindblad_decomposition.csv", delimiter=",", skiprows=1, comments="#")[:, :2].T
+        assert np.trapezoid(joint, x) == pytest.approx(0.5, abs=1e-8)  # P = 0.5 at lambda (a_1 - a_2) = 1000
 
     @pytest.mark.parametrize("command", ["postselect-prob", "disturbance"])
     def test_overflowed_damping_exponent_writes_no_warning(self, tmp_path, command):

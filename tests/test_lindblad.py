@@ -22,7 +22,6 @@ from weakmeas.core import Observable, PureState, anomalous_pair, branch_weights,
 from weakmeas.errors import NumericalQualityError
 from weakmeas.lindblad import (
     MAX_ERROR_GRID_POINTS,
-    MAX_ERROR_HALFWIDTH,
     GdiReport,
     KrausFamily,
     _max_abs_error,
@@ -37,6 +36,7 @@ from weakmeas.lindblad import (
 )
 from weakmeas.pointer import gaussian_density
 from weakmeas.protocols import (
+    BRANCH_HALFWIDTH,
     MeasurementSetup,
     conditional_meter_state,
     disturbance_report,
@@ -233,7 +233,7 @@ def max_error_weak_limit(obs, psi, phi) -> float:
     d_i = a_i - a_r and y = x - lam a_r, joint - pw -> -lam^2 G(y) y^2 / 4
     [sum_i d_i^2 Re(conj(w_i) <phi|psi>) - |sum_i w_i d_i|^2]."""
     a, w = obs.eigensystem.eigenvalues, branch_weights(obs, psi, phi)
-    y = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, MAX_ERROR_GRID_POINTS)
+    y = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, MAX_ERROR_GRID_POINTS)
     d = a[None, :] - a[:, None]
     bracket = (d * d) @ (np.conj(w) * w.sum()).real - np.abs(d @ w) ** 2
     return float(np.max(gaussian_density(y) * y * y / 4.0 * np.abs(bracket)[:, None]))
@@ -264,7 +264,7 @@ class TestGdiDiagnostic:
         obs = random_observable(rng, 16) if matrix is None else Observable(np.asarray(matrix, dtype=complex))
         psi, phi = random_selection_pair(rng, obs.matrix.shape[0])
         setup = MeasurementSetup(obs, lam, psi, phi)
-        offsets = np.linspace(-MAX_ERROR_HALFWIDTH, MAX_ERROR_HALFWIDTH, MAX_ERROR_GRID_POINTS)
+        offsets = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, MAX_ERROR_GRID_POINTS)
         xs = (lam * obs.eigensystem.eigenvalues[:, None] + offsets).ravel()
         args = (obs, lam, psi, phi, xs)
         grid = np.max(np.abs(joint_probability_density(*args) - pw_density(*args)))

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from weakmeas import cli, serialize
 from weakmeas import montecarlo as mc
 from conftest import run_python
+from test_golden import CASES, DIGESTS, output_digest
 from weakmeas.montecarlo import _DTYPE_ONE
 from weakmeas.serialize import (
     _CHUNK_CELLS,
@@ -311,16 +312,13 @@ def test_record_tables(out_dir, edge, plain, tails, flags, seed):
     assert_column_table_bytes(out_dir, table)
 
 
-def per_cell_route(column, *args, **kwargs):
-    """In place of serialize._format_column, which formats a column of a chunk
-    that takes the per-cell route: no column of a finite float chunk may get
-    there (the header's object columns do)."""
-    if column.dtype != object:
-        raise AssertionError("a finite float chunk was formatted cell by cell")
-    return format_column(column, *args, **kwargs)
+def per_cell_route(block):
+    """In place of serialize._python_rows, which turns a chunk that misses the
+    byte route into Python rows: no finite float chunk may get there."""
+    raise AssertionError("a finite float chunk was formatted cell by cell")
 
 
-format_column = serialize._format_column
+python_rows = serialize._python_rows
 
 
 def test_plain_records_take_the_byte_route(tmp_path, monkeypatch):
@@ -329,7 +327,7 @@ def test_plain_records_take_the_byte_route(tmp_path, monkeypatch):
     table["x"] = rng.normal(size=table.size)
     table["x"][np.abs(table["x"]) < 1e-4] += 1.0  # no |x| in [1e-9, 1e-4): every chunk is plain
     table["postselected"] = rng.random(table.size) < 0.3
-    monkeypatch.setattr(serialize, "_format_column", per_cell_route)
+    monkeypatch.setattr(serialize, "_python_rows", per_cell_route)
     assert_column_table_bytes(tmp_path, table)
 
 
@@ -364,7 +362,7 @@ def test_finite_tail_records_take_the_byte_route(out_dir, edge, plain, tails, sh
     table["x"][:: _chunk_rows(dtype)] = tails[0]
     if flags != "none":
         table["postselected"] = {"all 0": False, "all 1": True, "random": rng.random(n) < 0.5}[flags]
-    with mock.patch.object(serialize, "_format_column", per_cell_route):
+    with mock.patch.object(serialize, "_python_rows", per_cell_route):
         assert_column_table_bytes(out_dir, table)
 
 
@@ -382,16 +380,31 @@ def test_records_with_nan_or_infinity_fall_back(tmp_path, monkeypatch, bad, flag
         table["postselected"] = rng.random(n) < 0.3
     sizes = []
 
-    def counted(column, *args, **kwargs):
-        if column.dtype == np.float64:
-            sizes.append(column.size)
-        return format_column(column, *args, **kwargs)
+    def counted(block):
+        sizes.append(len(block))
+        return python_rows(block)
 
-    monkeypatch.setattr(serialize, "_format_column", counted)
+    monkeypatch.setattr(serialize, "_python_rows", counted)
     assert_column_table_bytes(tmp_path, table)
     # CSV whole, CSV record by record, then JSON (which writes NaN and infinities
-    # cell by cell, through json.dumps): the first chunk each time
+    # through json.dumps): the first chunk each time
     assert sizes == [_chunk_rows(dtype)] * 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", [c[0] for c in CASES])
+def test_cli_tables_keep_to_the_byte_route(tmp_path, monkeypatch, case, fmt):
+    # A float table that missed the byte route would keep its bytes but be
+    # written many times slower: only the CLI's few-row tables may miss it.
+    sizes = []
+
+    def counted(block):
+        sizes.append(len(block))
+        return python_rows(block)
+
+    monkeypatch.setattr(serialize, "_python_rows", counted)
+    assert output_digest(tmp_path, case, fmt) == DIGESTS[f"{case}.{fmt}"]
+    assert max(sizes, default=0) <= 16, sizes
 
 
 # Values at the edges of orjson's notations and on both sides of each, the float
@@ -426,7 +439,7 @@ def test_float_tables_take_the_byte_route(out_dir, fields, flag, edge, pool, lay
         table[f"c{j}"] = rng.choice(np.array(pool), n)
     if flag:
         table["kept"] = rng.random(n) < 0.5
-    with mock.patch.object(serialize, "_format_column", per_cell_route):
+    with mock.patch.object(serialize, "_python_rows", per_cell_route):
         assert_column_table_bytes(out_dir, table)
 
 
