@@ -11,7 +11,7 @@ Layers:
   eigenbranch weights <phi|P_i|psi>: von Neumann coupling, kick protocol,
   sequential measurements, disturbance diagnostics;
 * :mod:`weakmeas.collective` - one meter coupled to N identical systems;
-* :mod:`weakmeas.lindblad` - Kraus family and the joint = P^w + error split;
+* :mod:`weakmeas.lindblad` - the joint = P^w + error split and its GDI report;
 * :mod:`weakmeas.montecarlo` - per-run stochastic simulation of everything;
 * :mod:`weakmeas.cli` - the ``weakmeas`` command-line front end.
 
@@ -88,7 +88,6 @@ _LAZY = {
     ),
     "lindblad": (
         "GdiReport",
-        "KrausFamily",
         "error_term_density",
         "gdi_diagnostic",
         "joint_probability_density",

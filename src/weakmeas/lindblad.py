@@ -1,4 +1,4 @@
-"""Kraus family of the weak measurement and its joint = P^w + error split.
+"""The joint = P^w + error split of the weak measurement's outcome density.
 
 The measurement on the system alone is described by outcome-indexed operators
 ``M_x = sum_i sqrt(G(x - lam a_i)) P_i`` (diagonal in the observable's
@@ -13,9 +13,10 @@ and an error term expressed through the Lindblad super-operator
     L[M](O) = ([M^dag, O] M + M^dag [O, M]) / 2,
     error(x) = <psi| L[M_x](|phi><phi|) |psi>.
 
-The three quantities are computed through three different routes (amplitude
-closed form, per-eigenvalue closed form, dense matrix algebra), so their
-pointwise identity is a real cross-check rather than a tautology.
+The three quantities are computed through three different routes (the
+amplitude closed form, the Gaussian sum and the branch form of
+:func:`error_term_density`), so their pointwise identity is a real
+cross-check rather than a tautology.
 
 pw integrates to |<phi|psi>|^2 and its conditional mean is lam * Re(A_w)
 exactly (no higher-order corrections for this family); the error term
@@ -24,8 +25,8 @@ without being ignorable in the weak limit.
 
 The GDI report's integrals are closed forms (the pointer's first moment,
 lam * Re(A_w) and :func:`weakmeas.protocols.postselection_shift`). Only the
-largest |error| is a maximum over a grid, of a form that does not cancel as
-lam -> 0, at evenly spaced points around each branch centre lam * a_i.
+largest |error| is a maximum over a grid, of the branch form, at evenly
+spaced points around each branch centre lam * a_i.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .protocols import (  # second_order_coefficient is re-exported for callers 
 
 GAUSS_LEGENDRE_NODES = 400
 MAX_ERROR_GRID_POINTS = 1024  # per branch centre
+_BRANCH_CHUNK = 1 << 14  # e_i values held at once by _branch_error: 128 KiB of float64
 
 
 def integration_interval(observable: Observable, coupling: float) -> tuple[float, float]:
@@ -61,23 +63,6 @@ def gauss_legendre(lo: float, hi: float, n: int = GAUSS_LEGENDRE_NODES):
     x = 0.5 * (hi - lo) * base_x + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * base_w
     return x, w
-
-
-@dataclass(frozen=True)
-class KrausFamily:
-    """Outcome-indexed measurement operators of the pointer readout."""
-
-    observable: Observable
-    coupling: float
-
-    def at_many(self, xs) -> np.ndarray:
-        """M_x = sum_i sqrt(G(x - lam a_i)) P_i over an outcome array, shape
-        (len(xs), d, d)."""
-        system = self.observable.eigensystem
-        xs = np.asarray(xs, dtype=np.float64)
-        amp = np.sqrt(gaussian_density(xs[:, None] - self.coupling * system.eigenvalues))
-        k, d, _ = system.projectors.shape
-        return (amp @ system.projectors.reshape(k, d * d)).reshape(len(xs), d, d)
 
 
 def joint_probability_density(
@@ -105,24 +90,46 @@ def pw_density(
     return float(out) if out.ndim == 0 else out
 
 
+def _branch_error(w: np.ndarray, mu: np.ndarray, offsets, ref) -> np.ndarray:
+    """joint - pw at the outcomes x = mu[ref] + offsets, from the branch form.
+
+    With s_i = sqrt(G(x - mu_i)) = s_r (1 + e_i) for the reference branch r,
+    joint - pw = -1/2 sum_ij Re(conj(w_i) w_j) (s_i - s_j)^2 = -s_r^2 [sum_i
+    e_i^2 Re(conj(w_i) <phi|psi>) - |sum_i w_i e_i|^2], and e_i = expm1((mu_i -
+    mu_r) (2 (x - mu_r) - (mu_i - mu_r)) / 4) is O(lam): no O(1) densities
+    cancel as lam -> 0.
+
+    The arrays ``offsets`` and ``ref`` broadcast together; their rows are
+    taken a bounded batch at a time, and an operand of one row serves all.
+    """
+    shape = np.broadcast_shapes(offsets.shape, ref.shape)
+    coeff = (np.conj(w) * w.sum()).real
+    out = np.empty(shape)
+    step = max(1, _BRANCH_CHUNK // (np.prod(shape[1:], dtype=int) * mu.size))
+    for lo in range(0, shape[0], step):
+        off, r = (a if a.shape[0] == 1 else a[lo : lo + step] for a in (offsets, ref))
+        gap = mu - mu[r][..., None]  # mu_i - mu_r
+        with np.errstate(over="ignore"):  # an exponent past -1.8e308: expm1(-inf) = -1, exact
+            e = np.expm1(gap * (2.0 * off[..., None] - gap) / 4.0)
+        amp = e @ w
+        bracket = (e * e) @ coeff - (amp.real**2 + amp.imag**2)
+        out[lo : lo + step] = -gaussian_density(off) * bracket
+    return out
+
+
 def error_term_density(
     observable: Observable, coupling: float, psi: PureState, phi: PureState, x
 ):
-    """<psi| L[M_x](|phi><phi|) |psi>, evaluated from the dense Kraus operators.
-
-    With O = |phi><phi| the super-operator expands to
-    |<phi|M psi>|^2 - Re(<psi|phi><M phi|M psi>), so each M_x is applied to
-    the two vectors and no d x d product is formed.
-    """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    m = KrausFamily(observable, coupling).at_many(xs)
-    m_psi = m @ psi.amplitudes
-    m_phi = m @ phi.amplitudes
-    outcome = m_psi @ np.conj(phi.amplitudes)
-    cross = np.sum(np.conj(m_phi) * m_psi, axis=1) * psi.overlap(phi)
-    vals = outcome.real**2 + outcome.imag**2 - cross.real
-    return float(vals[0]) if scalar else vals
+    """<psi| L[M_x](|phi><phi|) |psi> = joint - pw by :func:`_branch_error`, with
+    the branch centre nearest to x as the reference: every e_i lies in [-1, 0]
+    up to rounding, so nothing overflows at any separation of the branches."""
+    w = branch_weights(observable, psi, phi)
+    mu = coupling * observable.eigensystem.eigenvalues
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(mu)
+    ref = order[np.searchsorted(0.5 * (mu[order][1:] + mu[order][:-1]), x.ravel())]
+    out = _branch_error(w, mu, x.ravel() - mu[ref], ref)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def decompose_on_grid(
@@ -131,15 +138,16 @@ def decompose_on_grid(
     """Outcomes x with the joint density and its pw and error parts there.
 
     Raises ``NumericalQualityError`` (exit 4) if the joint density is negative
-    anywhere or differs from pw + error by more than 1e-12.
+    or NaN anywhere, or differs from pw + error by more than 1e-12.
     """
     xs = np.asarray(xs, dtype=np.float64)
     joint = joint_probability_density(observable, coupling, psi, phi, xs)
     pw = pw_density(observable, coupling, psi, phi, xs)
     err = error_term_density(observable, coupling, psi, phi, xs)
-    if np.any(joint < 0.0):
+    # written so that a NaN fails them too
+    if not (joint >= 0.0).all():
         raise NumericalQualityError("joint density must be nonnegative")
-    if np.any(np.abs(joint - (pw + err)) > 1e-12):
+    if not (np.abs(joint - (pw + err)) <= 1e-12).all():
         raise NumericalQualityError("joint != pw + error beyond 1e-12")
     return xs, joint, pw, err
 
@@ -164,21 +172,12 @@ class GdiReport:
 
 def _max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS) -> float:
     """max |joint - pw| over ``points`` evenly spaced outcomes within
-    BRANCH_HALFWIDTH of each branch centre mu_r = lam * a_r.
-
-    With s_i = sqrt(G(x - mu_i)) = s_r (1 + e_i), joint - pw = -1/2 sum_ij
-    Re(conj(w_i) w_j) (s_i - s_j)^2 = -s_r^2 [sum_i e_i^2 Re(conj(w_i) <phi|psi>)
-    - |sum_i w_i e_i|^2], and e_i = expm1((mu_i - mu_r) (2 (x - mu_r) - (mu_i -
-    mu_r)) / 4) is O(lam): no O(1) densities cancel as lam -> 0.
-    """
+    BRANCH_HALFWIDTH of each branch centre mu_r = lam * a_r, with that centre
+    as the reference of :func:`_branch_error`."""
     w = branch_weights(setup.observable, setup.preselect, setup.postselect)
     mu = setup.coupling * setup.observable.eigensystem.eigenvalues
-    offsets = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, points)  # x - mu_r
-    gap = (mu[None, :] - mu[:, None])[:, None, :]  # [r, ., i]: mu_i - mu_r
-    e = np.expm1(gap * (2.0 * offsets[None, :, None] - gap) / 4.0)  # [r, x, i]
-    amp = e @ w
-    bracket = (e * e) @ (np.conj(w) * w.sum()).real - (amp.real**2 + amp.imag**2)
-    return float(np.max(np.abs(gaussian_density(offsets) * bracket)))
+    offsets = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, points)[None, :]  # x - mu_r
+    return float(np.max(np.abs(_branch_error(w, mu, offsets, np.arange(mu.size)[:, None]))))
 
 
 def gdi_diagnostic(

@@ -5,7 +5,8 @@ direct-kernel and the single-setup chirp-z collective x density, the
 complex-amplitude single and kick, the untiled threshold and the
 projector-stack sequential Monte Carlo records, the branch-sum sequential
 closed forms, the x'-to-x basis change, the collapsed system state, the
-grid CDF of a meter density and the Kraus completeness residual; and
+grid CDF of a meter density, the dense Kraus family with its completeness
+residual, the dense-Kraus error term and the stacked GDI maximum; and
 ``run_python``, a fresh interpreter that imports the package under test.
 
 Random observables are normalized to unit spectral radius and random
@@ -20,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,9 @@ from hypothesis import settings
 
 import weakmeas
 from weakmeas.collective import CollectiveSetup
-from weakmeas.core import EigenSystem, Observable, PureState, branch_components, eigenvalue_merge_tolerance
+from weakmeas.core import EigenSystem, Observable, PureState, branch_components, branch_weights, eigenvalue_merge_tolerance
 from weakmeas.errors import BasisMismatch, ZeroProbabilityOutcome
-from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, KrausFamily, gauss_legendre, integration_interval
+from weakmeas.lindblad import GAUSS_LEGENDRE_NODES, MAX_ERROR_GRID_POINTS, gauss_legendre, integration_interval
 from weakmeas.montecarlo import (
     BLOCK_SIZE,
     TrialPlan,
@@ -47,7 +49,7 @@ from weakmeas.pointer import (
     gaussian_upper_tail,
     stream_rng,
 )
-from weakmeas.protocols import SequentialSetup
+from weakmeas.protocols import BRANCH_HALFWIDTH, MeasurementSetup, SequentialSetup
 
 settings.register_profile("weakmeas", derandomize=True, database=None, deadline=None)
 settings.load_profile("weakmeas")
@@ -396,6 +398,52 @@ def cumulative_distribution(w: MeterState) -> tuple[np.ndarray, np.ndarray]:
     tail = _tail_mass_bound(w, grid[0], grid[-1]) / w.squared_norm()
     assert tail <= CDF_TAIL_TOL, f"tail mass bound {tail:.3e} outside the CDF grid"
     return grid, cdf / cdf[-1]
+
+
+@dataclass(frozen=True)
+class KrausFamily:
+    """Outcome-indexed measurement operators of the pointer readout."""
+
+    observable: Observable
+    coupling: float
+
+    def at_many(self, xs) -> np.ndarray:
+        """M_x = sum_i sqrt(G(x - lam a_i)) P_i over an outcome array, shape
+        (len(xs), d, d)."""
+        system = self.observable.eigensystem
+        xs = np.asarray(xs, dtype=np.float64)
+        amp = np.sqrt(gaussian_density(xs[:, None] - self.coupling * system.eigenvalues))
+        k, d, _ = system.projectors.shape
+        return (amp @ system.projectors.reshape(k, d * d)).reshape(len(xs), d, d)
+
+
+def dense_error_term_density(observable: Observable, coupling: float, psi: PureState, phi: PureState, xs) -> np.ndarray:
+    """<psi| L[M_x](|phi><phi|) |psi> from the dense Kraus operators.
+
+    With O = |phi><phi| the super-operator expands to
+    |<phi|M psi>|^2 - Re(<psi|phi><M phi|M psi>), so each M_x is applied to
+    the two vectors. An O(lam^2) difference of O(1) densities: it loses
+    about 1e-16 / lam^2 of the largest |error| to cancellation."""
+    m = KrausFamily(observable, coupling).at_many(np.atleast_1d(xs))
+    m_psi = m @ psi.amplitudes
+    m_phi = m @ phi.amplitudes
+    outcome = m_psi @ np.conj(phi.amplitudes)
+    cross = np.sum(np.conj(m_phi) * m_psi, axis=1) * psi.overlap(phi)
+    return outcome.real**2 + outcome.imag**2 - cross.real
+
+
+def stacked_max_abs_error(setup: MeasurementSetup, points: int = MAX_ERROR_GRID_POINTS) -> float:
+    """The GDI maximum |joint - pw| with every branch window in one
+    (k, points, k) stack of e_i, as the package evaluated it before it went
+    through the windows a bounded batch at a time."""
+    w = branch_weights(setup.observable, setup.preselect, setup.postselect)
+    mu = setup.coupling * setup.observable.eigensystem.eigenvalues
+    offsets = np.linspace(-BRANCH_HALFWIDTH, BRANCH_HALFWIDTH, points)
+    gap = (mu[None, :] - mu[:, None])[:, None, :]  # [r, ., i]: mu_i - mu_r
+    e = np.expm1(gap * (2.0 * offsets[None, :, None] - gap) / 4.0)  # [r, x, i]
+    amp = e @ w
+    bracket = (e * e) @ (np.conj(w) * w.sum()).real - (amp.real**2 + amp.imag**2)
+    return float(np.max(np.abs(gaussian_density(offsets) * bracket)))
 
 
 def completeness_residual(family: KrausFamily, nodes: int = GAUSS_LEGENDRE_NODES) -> float:

@@ -20,6 +20,7 @@ from conftest import (
     random_selection_pair,
     run_python,
 )
+import weakmeas
 from weakmeas import cli
 from weakmeas.cli import main, parse_config
 from weakmeas.collective import CollectiveSetup
@@ -371,6 +372,14 @@ class TestConfigIntake:
         )
         proc = run_python("-c", script)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True weakmeas.lindblad False\n", "")
+
+    def test_every_lazy_name_resolves_and_is_listed(self):
+        # a name left in _LAZY after it leaves its module fails here, not on a user's first use
+        listed = dir(weakmeas)
+        for module, names in weakmeas._LAZY.items():
+            for name in (module, *names):
+                assert name in listed, name
+                getattr(weakmeas, name)
 
 
 class TestExitCodes:
@@ -1106,6 +1115,14 @@ class TestPreconditionExitCodes:
         doc = {**BASE, "observable": [[0, 0], [1e154, 0], [1e154, 0], [0, 0]]}
         proc = run_python("-m", "weakmeas.cli", command, "--config", json.dumps(doc), "--out", str(tmp_path))
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_lindblad_overflowed_branch_exponent_writes_no_warning(self, tmp_path):
+        # (mu_i - mu_r)^2 overflows to inf in the GDI maximum, whose e_i = expm1(-inf) = -1
+        # is exact; then the grid is refused, on one stderr line
+        doc = {**BASE, "observable": [[1e200, 0], [0, 0], [0, 0], [-1e200, 0]], "lambda": 1}
+        proc = run_python("-m", "weakmeas.cli", "lindblad", "--config", json.dumps(doc), "--out", str(tmp_path))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numeric-quality error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["weak-value", "density", "lindblad", "disturbance"])
     def test_unsymmetrised_d16_observable_at_radius_1e5(self, tmp_path, rng, command):

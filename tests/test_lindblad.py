@@ -1,7 +1,8 @@
-"""Kraus family, joint = P^w + error decomposition, GDI diagnostics."""
+"""Kraus family oracle, joint = P^w + error decomposition, GDI diagnostics."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     SX,
     SZ,
+    KrausFamily,
     completeness_residual,
     degenerate_observable,
+    dense_error_term_density,
     random_observable,
     random_selection_pair,
     random_state,
+    stacked_max_abs_error,
 )
 from weakmeas import lindblad
 from weakmeas.cli import main
@@ -23,7 +27,6 @@ from weakmeas.errors import NumericalQualityError
 from weakmeas.lindblad import (
     MAX_ERROR_GRID_POINTS,
     GdiReport,
-    KrausFamily,
     _max_abs_error,
     decompose_on_grid,
     error_term_density,
@@ -201,6 +204,87 @@ class TestErrorTerm:
         assert max(peaks) < 1.2 * min(peaks)
         assert min(peaks) > 0.0
 
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(2, 16),
+        lam=st.floats(1e-6, 10.0),
+        radius=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_branch_form_matches_dense_oracle(self, dim, lam, radius, seed, data):
+        # the dense route rounds its two O(G) terms to about 1e-16 absolute;
+        # over 1,500 random setups the largest gap was 1.7e-16
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), radius)
+        psi, phi = random_selection_pair(rng, dim)
+        xs = error_grid(obs, lam, 257)
+        got = error_term_density(obs, lam, psi, phi, xs)
+        assert np.max(np.abs(got - dense_error_term_density(obs, lam, psi, phi, xs))) <= 1e-15
+
+    @settings(max_examples=30)
+    @given(
+        lam=st.floats(1e-6, 10.0),
+        radius=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_branch_form_matches_mpmath_at_d2(self, lam, radius, seed):
+        # error = -1/2 sum_ij Re(conj(w_i) w_j) (s_i - s_j)^2. Its largest term
+        # sets the rounding: the bracket forms Re(conj(w_j) <phi|psi>) - |w_j|^2,
+        # which cancels when Re(conj(w_0) w_1) << |w_j|^2. Where it does not,
+        # that term is the column's largest |error| (sigma_x case below).
+        # Over 200 random setups the deviation was at most 6.2e-15 of it, and
+        # at most 7.8e-14 (median 8.7e-16) of the largest |error|.
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, 2, 2, radius)
+        psi, phi = random_selection_pair(rng, 2)
+        xs = error_grid(obs, lam, 41)
+        want, scale = mpmath_error(obs, lam, psi, phi, xs)
+        got = error_term_density(obs, lam, psi, phi, xs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(scale)
+
+    @pytest.mark.parametrize("lam", [0.1, 1e-3, 1e-5])
+    def test_branch_form_matches_mpmath_without_cancellation(self, lam):
+        # the dense route read 1.3e-13, 6.9e-10 and 1.5e-5 of the largest |error| here
+        obs, psi, phi = Observable(SX), ket(1, 0), ket(0.6, 0.8)
+        xs = np.linspace(-5.0, 5.0, 41)
+        want, _ = mpmath_error(obs, lam, psi, phi, xs)
+        got = error_term_density(obs, lam, psi, phi, xs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_scalar_and_shaped_outcomes(self, rng):
+        psi, phi = random_selection_pair(rng, 3)
+        obs = random_observable(rng, 3)
+        xs = np.linspace(-4.0, 4.0, 12)
+        flat = error_term_density(obs, 0.6, psi, phi, xs)
+        assert np.array_equal(error_term_density(obs, 0.6, psi, phi, xs.reshape(3, 4)), flat.reshape(3, 4))
+        assert error_term_density(obs, 0.6, psi, phi, xs[5]) == flat[5]
+
+
+def error_grid(obs, lam, points: int) -> np.ndarray:
+    """``points`` outcomes across every branch, and 25 within 6 of each centre."""
+    mu = lam * obs.eigensystem.eigenvalues
+    reach = lam * obs.spectral_radius + 8.0
+    return np.concatenate([np.linspace(-reach, reach, points), (mu[:, None] + np.linspace(-6.0, 6.0, 25)).ravel()])
+
+
+def mpmath_error(obs, lam, psi, phi, xs) -> tuple[np.ndarray, np.ndarray]:
+    """joint - pw at 50 digits, with s_i = sqrt(G(x - mu_i)) taken from the
+    same float64 mu_i and w_i as the package, and the size of its largest
+    pair term, 1/2 sum_ij |w_i| |w_j| (s_i - s_j)^2."""
+    mpmath = pytest.importorskip("mpmath")
+    w = [mpmath.mpc(complex(v)) for v in branch_weights(obs, psi, phi)]
+    mu = [mpmath.mpf(float(m)) for m in lam * obs.eigensystem.eigenvalues]
+    pairs = [(i, j) for i in range(len(w)) for j in range(len(w))]
+    err, scale = [], []
+    with mpmath.workdps(50):
+        norm = mpmath.power(2 * mpmath.pi, -0.25)
+        for x in xs:
+            s = [norm * mpmath.exp(-((mpmath.mpf(float(x)) - m) ** 2) / 4) for m in mu]
+            err.append(float(-sum(mpmath.re(mpmath.conj(w[i]) * w[j]) * (s[i] - s[j]) ** 2 for i, j in pairs) / 2))
+            scale.append(float(sum(abs(w[i]) * abs(w[j]) * (s[i] - s[j]) ** 2 for i, j in pairs) / 2))
+    return np.array(err), np.array(scale)
+
 
 def first_moment_quadrature(obs, lam) -> np.ndarray:
     """Int x M_x^dag M_x dx over the Kraus family, by Gauss-Legendre."""
@@ -269,6 +353,24 @@ class TestGdiDiagnostic:
         args = (obs, lam, psi, phi, xs)
         grid = np.max(np.abs(joint_probability_density(*args) - pw_density(*args)))
         assert _max_abs_error(setup) == pytest.approx(grid, rel=1e-12)
+
+    @settings(max_examples=100)
+    @given(
+        dim=st.integers(2, 16),
+        lam=st.floats(1e-3, 10.0),
+        scale=st.floats(1e-3, 1e3),
+        points=st.sampled_from([MAX_ERROR_GRID_POINTS, 2 * MAX_ERROR_GRID_POINTS - 1, 17]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_max_error_equals_the_stacked_evaluation(self, dim, lam, scale, points, seed, data):
+        # gdi.json keeps its bytes: batching the windows leaves every e_i,
+        # matmul and maximum as the one (k, points, k) stack computed them
+        rng = np.random.default_rng(seed)
+        obs = degenerate_observable(rng, dim, data.draw(st.integers(1, dim), label="levels"), scale)
+        psi, phi = random_selection_pair(rng, dim)
+        setup = MeasurementSetup(obs, lam, psi, phi)
+        assert _max_abs_error(setup, points) == stacked_max_abs_error(setup, points)
 
     def test_eigenstate_all_zero(self):
         rep = gdi_diagnostic(Observable(SZ), 0.3, ket(1, 0), ket(0.6, 0.8))
@@ -438,3 +540,65 @@ class TestDecompositionSamples:
             )
             with pytest.raises(NumericalQualityError, match="nonnegative"):
                 decompose_on_grid(*args)
+
+    def test_sample_invariant_refuses_nan(self, monkeypatch):
+        # NaN compares false both ways: a refusal written as "any x < 0" lets it through
+        args = (Observable(SX), 0.4, ket(1, 0), ket(0.6, 0.8), np.linspace(-3, 3, 7))
+        with_nan = lambda fn: lambda *a: np.where(np.arange(7) == 3, np.nan, fn(*a))
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "error_term_density", with_nan(error_term_density))
+            with pytest.raises(NumericalQualityError, match="beyond 1e-12"):
+                decompose_on_grid(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "joint_probability_density", with_nan(joint_probability_density))
+            with pytest.raises(NumericalQualityError, match="nonnegative"):
+                decompose_on_grid(*args)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The dense Kraus route held (n, d, d) operators: 38.4 MiB for
+    decompose_on_grid on 8,192 points at d = 16, and 6.3 MiB for the GDI
+    maximum's (k, 1024, k) stack. The branch form holds a bounded chunk."""
+
+    @pytest.fixture
+    def d16(self):
+        rng = np.random.default_rng(7)
+        obs = random_observable(rng, 16)
+        psi, phi = random_selection_pair(rng, 16)
+        return obs, 0.3, psi, phi
+
+    def test_decompose_on_grid(self, d16):
+        # 3.1 MiB, nearly all of it the (n, k) Gaussians of joint and pw
+        xs = np.linspace(*integration_interval(d16[0], d16[1]), 8192)
+        assert traced_peak(lambda: decompose_on_grid(*d16, xs)) <= 8 * 2**20
+
+    def test_gdi_diagnostic(self, d16):
+        # 0.6 MiB
+        assert traced_peak(lambda: gdi_diagnostic(*d16)) <= 2 * 2**20
+
+    def test_cli_on_65536_points(self, d16, tmp_path):
+        # 25.6 MiB; the dense route would ask for about 4.3 GB here
+        obs, lam, psi, phi = d16
+        pairs = lambda a: [[float(z.real), float(z.imag)] for z in np.ravel(a)]
+        doc = {
+            "observable": pairs(obs.matrix),
+            "psi": pairs(psi.amplitudes),
+            "phi": pairs(phi.amplitudes),
+            "lambda": lam,
+            "grid": {"points": 65536},
+        }
+        argv = ["lindblad", "--config", json.dumps(doc), "--out", str(tmp_path)]
+        codes = []
+        assert traced_peak(lambda: codes.append(main(argv))) <= 40 * 2**20
+        assert codes == [0]
+        assert (tmp_path / "lindblad_decomposition.csv").read_text().count("\n") > 65536

@@ -13,6 +13,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    KrausFamily,
     branch_sum_sequential,
     conditional_system_state,
     degenerate_observable,
@@ -36,7 +37,7 @@ from weakmeas.errors import (
     OrthogonalPostselection,
     ZeroProbabilityOutcome,
 )
-from weakmeas.lindblad import KrausFamily, gauss_legendre
+from weakmeas.lindblad import gauss_legendre
 from weakmeas.pointer import BASIS_X, BASIS_XPRIME, gaussian_density
 from weakmeas.protocols import (
     MeasurementSetup,
