@@ -8,9 +8,10 @@ Three families, matching the CLI exit-code contract:
   post-selection, lambda^2 not finite or too small to divide by, ...).
 * ``NumericalQualityError`` (exit 4): the requested computation is valid but
   cannot be carried out at acceptable numerical quality (a density grid too
-  coarse for its peaks, collective profile cut by its grid edge or ratio
-  limit past the float range, an identity the results must satisfy
-  violated, empty post-selected sample).
+  coarse for its peaks, collective profile cut by its grid edge or not
+  resolved by its largest grid, collective ratio limit past the float
+  range, an identity the results must satisfy violated, empty post-selected
+  sample).
 """
 
 

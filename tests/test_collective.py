@@ -1,6 +1,7 @@
 """Collective coupling of one meter to N identically prepared systems."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SX, direct_x_density, random_observable, random_selection_pair, single_x_synthesis_density
-from weakmeas.cli import DEFAULT_N_GRID
-from weakmeas.core import Observable, PureState, branch_weights, weak_value
+from weakmeas import collective as collective_module
+from weakmeas.cli import DEFAULT_N_GRID, main
+from weakmeas.core import Observable, PureState, anomalous_pair, branch_weights, weak_value
 from weakmeas.errors import GridTooCoarse, NumericalQualityError
 from weakmeas.collective import (
+    _XPRIME_HALFWIDTH,
     CollectiveSetup,
+    _log_xprime_amplitude,
+    _Profile,
     collective_conditional_density,
     collective_conditional_mean,
     collective_postselection_ratio,
@@ -284,7 +289,8 @@ class TestSharedKernel:
 
 
 class TestQuadratureError:
-    """Every other grid point (4096 of 8192) moves no result beyond its bound."""
+    """Every other grid point (the halving the sizing itself checks, 257 of
+    513 points on most setups) moves no result beyond its bound."""
 
     @settings(max_examples=25)
     @given(**RANDOM_SETUPS)
@@ -310,6 +316,233 @@ class TestQuadratureError:
         xs = x_window(cs, 8.0, 512)
         fine = collective_conditional_density(cs, BASIS_X, xs)
         assert np.max(np.abs(collective_conditional_density(coarse, BASIS_X, xs) - fine)) <= 1e-10
+
+
+def fixed_grid_setup(cs: CollectiveSetup, points: int, edge_weight: float = 0.5) -> CollectiveSetup:
+    """``cs`` with its profile on ``points`` evenly spaced x' over the same
+    window, taken as it is: no halving and no edge check. The x synthesis
+    weighs the two edge points by ``edge_weight``: 0.5 as the trapezoid rule
+    does, 1.0 as the fixed 8,192-point grid that the sized grid replaced did."""
+    grid = np.linspace(-_XPRIME_HALFWIDTH, _XPRIME_HALFWIDTH, points)
+    logf, local_wv = _log_xprime_amplitude(cs, grid)
+    scale = float(np.max(logf.real))
+    amplitude = np.exp(logf - scale)
+    density = amplitude.real**2 + amplitude.imag**2
+    amplitude[[0, -1]] *= edge_weight
+    out = dataclasses.replace(cs)  # same setup, no cached profile
+    out.__dict__["_profile"] = _Profile(
+        grid,
+        amplitude,
+        density,
+        float(np.trapezoid(density, grid)),
+        scale,
+        np.where(density > 0.0, local_wv, 0.0),
+    )
+    return out
+
+
+def sized_results(cs: CollectiveSetup, xs: np.ndarray):
+    """The numbers the CLI writes from: ratio, x' mean and x density."""
+    (dens,) = collective_x_densities([cs], xs)
+    return collective_postselection_ratio(cs), collective_conditional_mean(cs, BASIS_XPRIME), dens
+
+
+def fixed_grid_results(cs: CollectiveSetup, xs: np.ndarray):
+    return (
+        collective_postselection_ratio(cs),
+        collective_conditional_mean(cs, BASIS_XPRIME),
+        single_x_synthesis_density(cs, xs),
+    )
+
+
+class TestSizedGrid:
+    """The grid sized by halving against a 16,385-point reference: inside the
+    bounds it is sized for, and no further from the reference than the fixed
+    8,192-point grid it replaced, up to rounding."""
+
+    @staticmethod
+    def assert_accurate(cs: CollectiveSetup, xs: np.ndarray):
+        got = sized_results(cs, xs)
+        ref = fixed_grid_results(fixed_grid_setup(cs, 16385), xs)
+        old = fixed_grid_results(fixed_grid_setup(cs, 8192, edge_weight=1.0), xs)
+
+        def errors(res):
+            return (
+                abs(res[0] / ref[0] - 1.0),
+                abs(res[1] - ref[1]),
+                float(np.max(np.abs(res[2] - ref[2]), initial=0.0)),
+            )
+
+        new_err, old_err = errors(got), errors(old)
+        assert new_err[0] <= 1e-12 and new_err[1] <= 1e-12 and new_err[2] <= 1e-10
+        # four units of rounding: of the ratio's exponent, of the mean, of a density
+        eps = np.finfo(np.float64).eps
+        slack = (4 * eps * (1.0 + abs(math.log(ref[0]))), 4 * eps * (1.0 + abs(ref[1])), 4 * eps)
+        for new, old_e, tol in zip(new_err, old_err, slack, strict=True):
+            assert new <= old_e + tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(**RANDOM_SETUPS)
+    def test_random_setups(self, dim, seed, coupling, n_systems):
+        cs = random_collective_setup(dim, seed, coupling, n_systems)
+        self.assert_accurate(cs, x_window(cs, 8.0, 512))
+
+    def test_far_centre(self):
+        # lam Re(A_w) = 1000: the window sits far from the branches at +-1
+        pair = anomalous_pair(Observable(SX), 1e-3, "re")
+        cs = CollectiveSetup(Observable(SX), 1.0, pair.psi, pair.phi, 10**6)
+        xs = x_window(cs, 8.0, 512)
+        assert xs[0] > 990.0
+        self.assert_accurate(cs, xs)
+
+    def test_wide_spread(self):
+        # branches at +-100 in x, a |f|^2 that oscillates at 100 per unit x'
+        cs = CollectiveSetup(Observable(50.0 * SX), 2.0, PSI0, PHI_COMPLEX, 1)
+        self.assert_accurate(cs, x_window(cs, 8.0, 512))
+
+    def test_setups_on_different_grids_match_single_synthesis_bit_for_bit(self):
+        setups = [
+            CollectiveSetup(Observable(SX), 1.0, PSI0, PHI_COMPLEX, 25),
+            CollectiveSetup(Observable(math.pi * 256 / 13.0 * SX), 1.0, PSI0, PHI_REAL, 1),
+            CollectiveSetup(Observable(SX), 0.5, PSI0, PHI_REAL, 400),
+        ]
+        xs = np.linspace(-8.0, 8.0, 512)
+        densities = collective_x_densities(setups, xs)
+        assert [cs._profile.grid.size for cs in setups] == [513, 1025, 513]
+        for cs, got in zip(setups, densities, strict=True):
+            assert got.tobytes() == single_x_synthesis_density(cs, xs).tobytes()
+
+
+class TestAliasing:
+    """The sums over the grid alias by its period 4 pi / dx', and so do the
+    sums over its halves: the grid is sized past the spread of frequencies,
+    and refused where the largest grid cannot reach it."""
+
+    PHI_08I = PureState(np.array([0.6, 0.8j]))
+
+    def test_x_window_wider_than_the_largest_period_is_refused(self):
+        # 8,201 x over Re(A_w) +- 4,100 holds the peak's image 3,959 away on
+        # the 8,193-point grid; the fixed 8,192-point grid returned a density
+        # that integrated to 3.000 over this window
+        cs = CollectiveSetup(Observable(SX), 1.0, PSI0, self.PHI_08I, 25)
+        xs = x_window(cs, 4100.0, 8201)
+        with pytest.raises(GridTooCoarse, match="x density window spans 4101"):
+            collective_conditional_density(cs, BASIS_X, xs)
+
+    def test_x_window_past_the_half_grid_period_is_refined(self):
+        # +-200 holds the image that the 257-point half of the first grid
+        # puts 124 away; the halving delta sees it and the grid doubles
+        cs = CollectiveSetup(Observable(SX), 1.0, PSI0, self.PHI_08I, 25)
+        xs = x_window(cs, 200.0, 8001)
+        dens = collective_conditional_density(cs, BASIS_X, xs)
+        assert cs._profile.grid.size == 1025
+        assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("re_a_w", [495.0, 988.0])
+    def test_branch_image_in_a_far_window(self, re_a_w):
+        # N = 1: the x density is two Gaussians at +-1, and the window at
+        # lam Re(A_w) holds none of it; on 513 points an image of a branch
+        # lands 4 x 247.5 = 990 away, at the same place on the 257-point half
+        phi = PureState.normalized(np.array([1.0, re_a_w], dtype=complex))
+        cs = CollectiveSetup(Observable(SX), 1.0, PSI0, phi, 1)
+        xs = x_window(cs, 8.0, 512)
+        cm = conditional_meter_state(MeasurementSetup(Observable(SX), 1.0, PSI0, phi), BASIS_X)
+        want = cm.pointer.density(xs) / cm.probability
+        assert np.max(np.abs(collective_conditional_density(cs, BASIS_X, xs) - want)) <= 1e-12
+
+    def test_spread_at_a_period_of_the_first_grid(self):
+        # lam (a_max - a_min) = 247.5, the period of the 513-point grid: |f|^2's
+        # oscillation aliases to zero frequency on it and on all its halves
+        obs = Observable(2.0 * math.pi * 512 / 26.0 * SX)
+        cs = CollectiveSetup(obs, 1.0, PSI0, PHI_REAL, 1)
+        setup = MeasurementSetup(obs, 1.0, PSI0, PHI_REAL)
+        assert collective_postselection_ratio(cs) * abs(PHI_REAL.overlap(PSI0)) ** 2 == pytest.approx(
+            postselection_probability(setup), rel=1e-12
+        )
+
+    def test_alias_on_the_half_grid_is_seen_by_the_halving_delta(self):
+        # lam (a_max - a_min) = 123.7, the period of 257 points: the first grid
+        # of 513 resolves it, its half does not, and the norm's delta doubles it
+        obs = Observable(math.pi * 256 / 13.0 * SX)
+        cs = CollectiveSetup(obs, 1.0, PSI0, PHI_REAL, 1)
+        setup = MeasurementSetup(obs, 1.0, PSI0, PHI_REAL)
+        assert collective_postselection_ratio(cs) * abs(PHI_REAL.overlap(PSI0)) ** 2 == pytest.approx(
+            postselection_probability(setup), rel=1e-12
+        )
+        assert cs._profile.grid.size == 1025
+
+    def test_deltas_past_the_cap_are_refused(self, monkeypatch):
+        # the half-grid alias and the +-200 window above, with the cap at their first grid
+        monkeypatch.setattr(collective_module, "_MAX_POINTS", 513)
+        cs = CollectiveSetup(Observable(math.pi * 256 / 13.0 * SX), 1.0, PSI0, PHI_REAL, 1)
+        with pytest.raises(GridTooCoarse, match=r"not resolved by 513 grid points: halving the grid moves the norm by \d"):
+            collective_postselection_ratio(cs)
+        cs = CollectiveSetup(Observable(SX), 1.0, PSI0, self.PHI_08I, 25)
+        with pytest.raises(GridTooCoarse, match=r"x density is not resolved by 513 x' grid points: .* moves it by \d"):
+            collective_conditional_density(cs, BASIS_X, x_window(cs, 200.0, 8001))
+
+    def test_spread_past_the_largest_grid_is_refused(self):
+        # the period of an 8,192-point grid: the fixed grid of that size gave
+        # a ratio of 1.7778 against 1.3889 here
+        obs = Observable(2.0 * math.pi * 8191 / 26.0 * SX)
+        cs = CollectiveSetup(obs, 1.0, PSI0, ket(0.6, 0.8), 1)
+        with pytest.raises(GridTooCoarse, match="x' profile spans 3958.89 in x"):
+            collective_postselection_ratio(cs)
+
+
+def benchmark_like_config(seed: int) -> dict:
+    """A d = 2 collective config drawn as the benchmark draws its own:
+    spectral radius 1, |<phi|psi>| uniform in [0.15, 0.3]."""
+    rng = np.random.default_rng(seed)
+    obs = random_observable(rng, 2).matrix
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
+    eps = rng.uniform(0.15, 0.3)
+    phi = eps * psi + math.sqrt(1.0 - eps * eps) * np.exp(2j * math.pi * rng.random()) * perp
+    pairs = lambda v: [[float(z.real), float(z.imag)] for z in np.ravel(v)]
+    return {"observable": pairs(obs), "psi": pairs(psi), "phi": pairs(phi)}
+
+
+@pytest.fixture
+def grid_sizes(monkeypatch):
+    """The x' grid size of every setup that ``collective_x_densities`` is
+    given, one list per call."""
+    calls = []
+    real = collective_module.collective_x_densities
+
+    def spy(setups, x):
+        out = real(setups, x)
+        calls.append([cs._profile.grid.size for cs in setups])
+        return out
+
+    monkeypatch.setattr(collective_module, "collective_x_densities", spy)
+    return calls
+
+
+class TestCommandGridSize:
+    """``weakmeas collective`` on its default N grid keeps small grids, and
+    the same grid on every run."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_n_grid_on_benchmark_like_setups(self, seed, tmp_path, grid_sizes, capsys):
+        doc = json.dumps(benchmark_like_config(seed))
+        assert main(["collective", "--config", doc, "--out", str(tmp_path)]) == 0
+        (sizes,) = grid_sizes
+        assert len(sizes) == len(DEFAULT_N_GRID) and max(sizes) <= 1025
+
+    def test_runs_and_formats_agree(self, tmp_path, grid_sizes, capsys):
+        doc = json.dumps(benchmark_like_config(3211))
+        outputs = []
+        for run, fmt in enumerate(("csv", "csv", "json")):
+            out = tmp_path / str(run)
+            assert main(["collective", "--config", doc, "--out", str(out), "--format", fmt]) == 0
+            outputs.append((out / f"collective.{fmt}").read_bytes())
+        assert grid_sizes[0] == grid_sizes[1] == grid_sizes[2]
+        assert outputs[0] == outputs[1]
+        csv_rows = [ln.split(",") for ln in outputs[0].decode().splitlines()[1:-1]]
+        json_rows = json.loads(outputs[2])["rows"]
+        assert [[int(n), m, float(v)] for n, m, v in csv_rows] == json_rows
 
 
 class TestPostselectionRatio:
